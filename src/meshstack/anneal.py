@@ -59,8 +59,9 @@ def anneal(initial_state: S,
 
     Returns (best_state, best_cost, cost_trace) where cost_trace holds the
     accepted cost after each iteration. A move is accepted when it improves
-    the cost or with Metropolis probability exp(-delta / T). Fully
-    deterministic for a fixed seed.
+    the cost or with Metropolis probability exp(-delta / T); once long
+    cooling underflows T to 0, only improving moves are accepted (and no
+    random number is drawn). Fully deterministic for a fixed seed.
     """
     rng = random.Random(params.seed)
     current = initial_state
@@ -73,7 +74,7 @@ def anneal(initial_state: S,
         proposal = neighbor(current, rng)
         proposal_cost = cost(proposal)
         delta = proposal_cost - current_cost
-        if delta < 0 or rng.random() < math.exp(-delta / temp):
+        if delta < 0 or (temp > 0 and rng.random() < math.exp(-delta / temp)):
             current, current_cost = proposal, proposal_cost
             if current_cost < best_cost:
                 best, best_cost = current, current_cost

@@ -11,7 +11,8 @@ Step subcommands chain through artifacts in the output directory
 (assignment.json, floorplan.json, tsv_plan.json, vlinks.json,
 floorplan_legal.json, traffic.json, report.json, layer*.svg).
 
-Exit codes: 0 ok, 2 validation error, 3 infeasible, 4 limits exceeded.
+Exit codes: 0 ok, 2 invalid instance or parameters (including --config), 3
+infeasible, 4 limits exceeded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import corpus
 from .errors import (
     InstanceTooLargeError,
     InsufficientCandidatesError,
+    InvalidParamsError,
     MeshstackError,
     NoCandidatesError,
     NoFeasibleLayerError,
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, InvalidParamsError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:

@@ -9,11 +9,9 @@ corpus directories.
 
 from __future__ import annotations
 
-import random
 import sys
 from pathlib import Path
 
-from .anneal import mix_seed
 from .model import (
     Component,
     CoreGraph,
@@ -70,17 +68,6 @@ def uniform_traffic(core_graph: CoreGraph) -> CoreGraph:
     per_pair = total / len(pairs) if total > 0 else 1.0
     return CoreGraph(components=core_graph.components,
                      flows=tuple(Flow(a, b, per_pair) for a, b in pairs))
-
-
-def random_traffic(ids, n_flows: int, seed: int, lo: float = 1.0,
-                   hi: float = 50.0) -> tuple[Flow, ...]:
-    """Random source/destination pairs with uniform bandwidths."""
-    rng = random.Random(mix_seed(seed, len(ids), n_flows))
-    flows = []
-    for _ in range(n_flows):
-        a, b = rng.sample(list(ids), 2)
-        flows.append(Flow(a, b, round(rng.uniform(lo, hi), 3)))
-    return tuple(flows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .area_kernel import min_area_exact_cached
 from .errors import InstanceTooLargeError, NoCandidatesError, UnreachableError
-from .floorplan import grid_dims, legalize
-from .model import (
-    ROUTER_2D,
-    Instance,
-    MeshFloorplan,
-    ObjectiveWeights,
-    VerticalLink,
-)
+from .floorplan import grid_dims, legalize, placed_floorplan
+from .model import Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
 from .objective import evaluate_solution
 from .vlink import candidate_links
 
@@ -49,10 +42,6 @@ class ExactSolution:
     configurations_visited: int = 0
 
 
-def _permutation_count(cells: int, k: int) -> int:
-    return math.perm(cells, k)
-
-
 def enumeration_estimate(instance: Instance) -> int:
     """Closed-form count of (assignment, placement) pairs to be visited."""
     comps = sorted(c.id for c in instance.core_graph.components)
@@ -65,32 +54,19 @@ def enumeration_estimate(instance: Instance) -> int:
         n = 1
         for k in per_layer:
             rows, cols = grid_dims(k)
-            n *= _permutation_count(rows * cols, k)
+            n *= math.perm(rows * cols, k)
         total += n
     return total
 
 
 def _layer_floorplan(instance: Instance, layer: int, members: Sequence[str],
                      cells: Sequence[int]) -> MeshFloorplan:
-    """Floorplan with `members` (sorted) in the given flat cell indices,
-    sized by the exact kernel on component + 2D-router demands."""
+    """Floorplan with `members` (sorted) in the given flat cell indices."""
     rows, cols = grid_dims(len(members))
-    grid: list[list[Optional[str]]] = [[None] * cols for _ in range(rows)]
-    router_area = instance.router_entry(layer, three_d=False).area if members else 0.0
-    demands = [[0.0] * cols for _ in range(rows)]
+    state: list[Optional[str]] = [None] * (rows * cols)
     for comp, idx in zip(members, cells):
-        r, c = idx // cols, idx % cols
-        grid[r][c] = comp
-        demands[r][c] = instance.component_entry(comp, layer).area + router_area
-    sized = min_area_exact_cached(demands)
-    return MeshFloorplan(
-        layer=layer, rows=rows, cols=cols,
-        cell_of=tuple(tuple(row) for row in grid),
-        col_widths=sized.col_widths, row_heights=sized.row_heights,
-        router_kind=tuple(tuple(ROUTER_2D if c is not None else None for c in row)
-                          for row in grid),
-        koz_of=tuple(tuple(0 for _ in range(cols)) for _ in range(rows)),
-    )
+        state[idx] = comp
+    return placed_floorplan(instance, layer, tuple(state), rows, cols)
 
 
 def _matchings(candidates: Sequence[VerticalLink]):
@@ -132,6 +108,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
     feasible = {cid: instance.feasible_layers(cid) for cid in comps}
     num_layers = len(instance.layers)
     best: Optional[tuple] = None  # (cost, key, solution parts)
+    unreachable: Optional[UnreachableError] = None  # the last one, raised if none routes
     placements_visited = 0
     configurations_visited = 0
 
@@ -167,7 +144,8 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
                 legal = legalize(instance, floorplans, links, redistribute=redistribute)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
-                except UnreachableError:
+                except UnreachableError as exc:
+                    unreachable = exc
                     continue
                 cost = metrics["total_cost"]
                 key = (tuple(sorted(assignment.items())), cells_combo,
@@ -176,7 +154,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
                     best = (cost, key, assignment, legal, links, metrics)
 
     if best is None:
-        raise UnreachableError("<any>", "<any>")
+        raise unreachable
     _cost, _key, assignment, legal, links, metrics = best
     return ExactSolution(assignment=dict(assignment), floorplans=list(legal),
                          vlinks=list(links), cost=_cost, metrics=metrics,

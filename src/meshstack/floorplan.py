@@ -11,12 +11,14 @@ it is handled by the TSV and vertical-link steps.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from typing import Optional, Sequence
 
-from .anneal import SaParams, anneal, mix_seed
-from .area_kernel import min_area_exact, min_area_exact_cached, min_area_lp
+from .anneal import SaParams, anneal
+# min_area_exact is unused here but kept: perfbench/layertrace.py patches floorplan.min_area_exact
+from .area_kernel import min_area_exact, min_area_exact_cached, min_area_lp  # noqa: F401
 from .model import (
     ROUTER_2D,
     ROUTER_3D_BOTH,
@@ -29,7 +31,6 @@ from .model import (
     demand_grid,
     empty_floorplan,
     router_connects_down,
-    router_is_3d,
 )
 
 State = tuple[Optional[str], ...]  # row-major cell contents
@@ -41,10 +42,9 @@ def step2_cost(instance: Instance, fp: MeshFloorplan,
     XY-routed intralayer communication (reporting / post-hoc comparison)."""
     if fp.rows == 0:
         return 0.0
-    state: State = tuple(fp.cell_of[r][c] for r in range(fp.rows)
-                         for c in range(fp.cols))
-    demands = _demands_for_state(instance, fp.layer, state, fp.rows, fp.cols)
-    lp = min_area_lp(demands)
+    state: State = tuple(comp for row in fp.cell_of for comp in row)
+    lp = min_area_lp(demand_grid(instance, _state_floorplan(fp.layer, state,
+                                                             fp.rows, fp.cols)))
     ids = {comp for comp in state if comp is not None}
     intra = [(f.src, f.dst, f.bandwidth) for f in instance.core_graph.flows
              if f.src in ids and f.dst in ids]
@@ -63,20 +63,26 @@ def grid_dims(n: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _state_to_cells(state: State, rows: int, cols: int):
-    return tuple(tuple(state[r * cols + c] for c in range(cols)) for r in range(rows))
+def _state_floorplan(layer: int, state: State, rows: int, cols: int) -> MeshFloorplan:
+    """Unsized floorplan of a row-major state: 2D routers, no KOZs."""
+    cells = tuple(tuple(state[r * cols:(r + 1) * cols]) for r in range(rows))
+    return MeshFloorplan(
+        layer=layer, rows=rows, cols=cols, cell_of=cells,
+        col_widths=(0.0,) * cols, row_heights=(0.0,) * rows,
+        router_kind=tuple(tuple(ROUTER_2D if comp is not None else None for comp in row)
+                          for row in cells),
+        koz_of=((0,) * cols,) * rows)
 
 
-def _demands_for_state(instance: Instance, layer: int, state: State,
-                       rows: int, cols: int) -> list[list[float]]:
-    router_area = instance.router_entry(layer, three_d=False).area
-    grid = [[0.0] * cols for _ in range(rows)]
-    for idx, comp in enumerate(state):
-        if comp is None:
-            continue
-        entry = instance.component_entry(comp, layer)
-        grid[idx // cols][idx % cols] = entry.area + router_area
-    return grid
+def placed_floorplan(instance: Instance, layer: int, state: State,
+                     rows: int, cols: int) -> MeshFloorplan:
+    """The one constructor of a placed layer: a row-major state with 2D
+    routers and no KOZs, sized by the exact kernel on its demands. Shared by
+    the annealer, the fixed-mesh protocol and the exact oracle."""
+    fp = _state_floorplan(layer, state, rows, cols)
+    sized = min_area_exact_cached(demand_grid(instance, fp))
+    return dataclasses.replace(fp, col_widths=sized.col_widths,
+                               row_heights=sized.row_heights)
 
 
 def _xy_cost(state: State, rows: int, cols: int, widths: Sequence[float],
@@ -146,7 +152,7 @@ def floorplan_layer(instance: Instance, layer: int, members: Sequence[str],
                            for i in range(rows * cols))
 
     def cost(state: State) -> float:
-        demands = _demands_for_state(instance, layer, state, rows, cols)
+        demands = demand_grid(instance, _state_floorplan(layer, state, rows, cols))
         lp = min_area_lp(demands)
         if kernel_trace is not None:
             kernel_trace.append({"layer": layer, "demands": demands, "area": lp.area})
@@ -168,62 +174,30 @@ def floorplan_layer(instance: Instance, layer: int, members: Sequence[str],
         best = initial
     else:
         best, _, _ = anneal(initial, neighbor, cost, sa_params)
-
-    demands = _demands_for_state(instance, layer, best, rows, cols)
-    sized = min_area_exact(demands)
-    cells = _state_to_cells(best, rows, cols)
-    router = tuple(tuple(ROUTER_2D if comp is not None else None for comp in row)
-                   for row in cells)
-    koz = tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-    return MeshFloorplan(layer=layer, rows=rows, cols=cols, cell_of=cells,
-                         col_widths=sized.col_widths, row_heights=sized.row_heights,
-                         router_kind=router, koz_of=koz)
+    return placed_floorplan(instance, layer, best, rows, cols)
 
 
 # ---------------------------------------------------------------------------
 # legalization (router kinds, KOZ charging, re-sizing)
 # ---------------------------------------------------------------------------
 
-def _router_kinds_from_vlinks(floorplans: Sequence[MeshFloorplan],
-                              vlinks: Sequence[VerticalLink]):
+def _router_kinds_from_vlinks(vlinks: Sequence[VerticalLink]):
     kinds: dict[tuple[int, int, int], str] = {}
-
-    def add(key, direction):
-        prev = kinds.get(key)
-        if prev is None:
-            kinds[key] = direction
-        elif prev != direction:
-            kinds[key] = ROUTER_3D_BOTH
-
     for v in vlinks:
-        add(v.lower, ROUTER_3D_UP)
-        add(v.upper, ROUTER_3D_DOWN)
+        for key, direction in ((v.lower, ROUTER_3D_UP), (v.upper, ROUTER_3D_DOWN)):
+            kinds[key] = direction if kinds.get(key, direction) == direction else ROUTER_3D_BOTH
     return kinds
 
 
 def _apply_router_kinds(fp: MeshFloorplan, kinds) -> MeshFloorplan:
-    router = [[None] * fp.cols for _ in range(fp.rows)]
-    for (r, c), _comp in fp.occupied_cells():
-        router[r][c] = kinds.get((fp.layer, r, c), ROUTER_2D)
-    return MeshFloorplan(layer=fp.layer, rows=fp.rows, cols=fp.cols,
-                         cell_of=fp.cell_of, col_widths=fp.col_widths,
-                         row_heights=fp.row_heights,
-                         router_kind=tuple(tuple(row) for row in router),
-                         koz_of=fp.koz_of)
+    router = tuple(tuple(None if comp is None else kinds.get((fp.layer, r, c), ROUTER_2D)
+                         for c, comp in enumerate(row))
+                   for r, row in enumerate(fp.cell_of))
+    return dataclasses.replace(fp, router_kind=router)
 
 
 def _with_koz(fp: MeshFloorplan, koz) -> MeshFloorplan:
-    return MeshFloorplan(layer=fp.layer, rows=fp.rows, cols=fp.cols,
-                         cell_of=fp.cell_of, col_widths=fp.col_widths,
-                         row_heights=fp.row_heights, router_kind=fp.router_kind,
-                         koz_of=tuple(tuple(row) for row in koz))
-
-
-def _with_sizing(fp: MeshFloorplan, widths, heights) -> MeshFloorplan:
-    return MeshFloorplan(layer=fp.layer, rows=fp.rows, cols=fp.cols,
-                         cell_of=fp.cell_of, col_widths=tuple(widths),
-                         row_heights=tuple(heights), router_kind=fp.router_kind,
-                         koz_of=fp.koz_of)
+    return dataclasses.replace(fp, koz_of=tuple(tuple(row) for row in koz))
 
 
 def _place_kozs(instance: Instance, fp: MeshFloorplan,
@@ -271,39 +245,26 @@ def legalize(instance: Instance, floorplans: Sequence[MeshFloorplan],
     maximum demand, keeping routers of different layers exactly stacked
     (the conventional no-redistribution protocol).
     """
-    kinds = _router_kinds_from_vlinks(floorplans, vlinks)
-    staged = []
-    for fp in floorplans:
-        if fp.rows == 0:
-            staged.append(fp)
-            continue
-        fp2 = _apply_router_kinds(fp, kinds)
-        fp2 = _place_kozs(instance, fp2, redistribute=redistribute and not colocated)
-        staged.append(fp2)
-
-    if colocated:
-        sized = [fp for fp in staged if fp.rows > 0]
-        if not sized:
-            return staged
-        rows = sized[0].rows
-        cols = sized[0].cols
-        if any(fp.rows != rows or fp.cols != cols for fp in sized):
+    kinds = _router_kinds_from_vlinks(vlinks)
+    staged = [fp if fp.rows == 0 else
+              _place_kozs(instance, _apply_router_kinds(fp, kinds),
+                          redistribute=redistribute and not colocated)
+              for fp in floorplans]
+    sized = [fp for fp in staged if fp.rows > 0]
+    shared = None
+    if colocated and sized:
+        if any((fp.rows, fp.cols) != (sized[0].rows, sized[0].cols) for fp in sized):
             raise ValueError("colocated legalization requires identical grid dims")
-        combined = [[max(cell_d) for cell_d in zip(*rows_d)]
-                    for rows_d in zip(*(demand_grid(instance, fp) for fp in sized))]
-        solution = min_area_exact_cached(combined)
-        return [fp if fp.rows == 0 else
-                _with_sizing(fp, solution.col_widths, solution.row_heights)
-                for fp in staged]
-
+        shared = min_area_exact_cached(
+            [[max(cell_d) for cell_d in zip(*rows_d)]
+             for rows_d in zip(*(demand_grid(instance, fp) for fp in sized))])
     out = []
     for fp in staged:
-        if fp.rows == 0:
-            out.append(fp)
-            continue
-        demands = demand_grid(instance, fp)
-        solution = min_area_exact_cached(demands)
-        out.append(_with_sizing(fp, solution.col_widths, solution.row_heights))
+        if fp.rows > 0:
+            solution = shared or min_area_exact_cached(demand_grid(instance, fp))
+            fp = dataclasses.replace(fp, col_widths=solution.col_widths,
+                                     row_heights=solution.row_heights)
+        out.append(fp)
     return out
 
 

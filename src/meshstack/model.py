@@ -24,7 +24,6 @@ ROUTER_2D = "2d"
 ROUTER_3D_UP = "3d-up"
 ROUTER_3D_DOWN = "3d-down"
 ROUTER_3D_BOTH = "3d-both"
-ROUTER_KINDS = (ROUTER_2D, ROUTER_3D_UP, ROUTER_3D_DOWN, ROUTER_3D_BOTH)
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +47,6 @@ class Flow:
 class CoreGraph:
     components: tuple[Component, ...]
     flows: tuple[Flow, ...]
-
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.components)
-
-    def kind_of(self, comp_id: str) -> str:
-        for c in self.components:
-            if c.id == comp_id:
-                return c.kind
-        raise KeyError(comp_id)
 
     def kinds(self) -> dict[str, str]:
         return {c.id: c.kind for c in self.components}
@@ -202,12 +192,6 @@ class MeshFloorplan:
         x = sum(self.col_widths[:col]) + self.col_widths[col] / 2.0
         y = sum(self.row_heights[:row]) + self.row_heights[row] / 2.0
         return x, y
-
-    def position_of(self, comp_id: str) -> Cell:
-        for (r, c), comp in self.occupied_cells():
-            if comp == comp_id:
-                return (r, c)
-        raise KeyError(comp_id)
 
 
 def empty_floorplan(layer: int) -> MeshFloorplan:

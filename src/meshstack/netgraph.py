@@ -30,12 +30,6 @@ class NetworkGraph:
     component_router: dict[str, NodeKey]
     vlinks: tuple[VerticalLink, ...] = ()
 
-    def link_length(self, a: NodeKey, b: NodeKey) -> float:
-        for nbr, length in self.adjacency[a]:
-            if nbr == b:
-                return length
-        raise KeyError((a, b))
-
 
 def _planar_distance(pa: tuple[float, float], pb: tuple[float, float]) -> float:
     return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])

@@ -6,9 +6,10 @@ total cost = w_area * (sum of layer bounding areas)
            + w_peak  * (over-capacity link load excess)
            + w_util  * (bandwidth x routed mm distance)
 
-The step-1 variant (max layer area over component sums, no routers) lives in
-layer_assign.step1_cost; this module re-exports it so both area taggings have
-one home. All functions here are pure and reentrant.
+evaluate_solution prices a legalized design; the pipeline and the exact
+oracle both report through it. Step 1 prices assignments with its own
+variant (max layer area over component sums, no routers), see
+layer_assign.step1_cost. All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import IncompleteSolutionError
-from .layer_assign import step1_cost  # noqa: F401  (re-export: the "step1" area variant)
 from .model import (
     Instance,
     MeshFloorplan,

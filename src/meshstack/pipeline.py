@@ -17,14 +17,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .anneal import SaParams, mix_seed
-from .errors import InstanceTooLargeError, NoCandidatesError, UnreachableError
-from .floorplan import floorplan_layer, grid_dims, joint_size, legalize, step2_cost
+from .errors import (InstanceTooLargeError, InvalidParamsError, NoCandidatesError,
+                     UnreachableError)
+from .floorplan import (floorplan_layer, grid_dims, joint_size, legalize, placed_floorplan,
+                        step2_cost)
 from .layer_assign import assign_layers, assign_layers_greedy, step1_cost
 from .model import (
     Instance,
@@ -49,6 +52,47 @@ class SaTriple:
 
     def params(self, seed: int) -> SaParams:
         return SaParams(self.initial_temp, self.iterations, self.cooling, seed)
+
+
+def _int(v, lo: int, hi: float = math.inf) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+
+
+def _num(v, lo: float) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v < math.inf
+
+
+def _sa_triple(v) -> bool:
+    return (isinstance(v, list) and len(v) == 3 and _num(v[0], 0) and v[0] > 0
+            and _int(v[1], 1) and _num(v[2], 0) and 0 < v[2] < 1)
+
+
+_SA_TRIPLE = (_sa_triple, "[initial_temp > 0, iterations >= 1, cooling in (0, 1)]")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+
+# every key PipelineConfig.from_json reads: (check, what it expects); null
+# always means the default
+_CONFIG_KEYS = {
+    "weights": (lambda v: isinstance(v, list) and len(v) == 5
+                and all(_num(w, 0) for w in v) and any(w > 0 for w in v),
+                "five finite weights >= 0, not all zero"),
+    "seed": (lambda v: _int(v, 0, (1 << 64) - 1), "an integer in [0, 2^64)"),
+    "sa_floorplan": _SA_TRIPLE,
+    "sa_vlink": _SA_TRIPLE,
+    "samples": (lambda v: _int(v, 1), "an integer >= 1"),
+    "step1_perf_weight": (lambda v: _num(v, 0), "a finite number >= 0"),
+    "assign_cap": (lambda v: _int(v, 0), "an integer >= 0"),
+    "steps": (lambda v: _int(v, 1, 5), "an integer in 1..5"),
+    "rd_max": (lambda v: _num(v, 0), "a finite number >= 0"),
+    "no_rd": _BOOL,
+    "colocate": _BOOL,
+    "fixed_mesh": (lambda v: isinstance(v, list) and len(v) == 2
+                   and all(_int(x, 1) for x in v), "[rows >= 1, cols >= 1]"),
+    "fixed_tsv_counts": (lambda v: isinstance(v, dict) and all(
+        k.isdecimal() and _int(n, 0) for k, n in v.items()),
+        "an object of boundary index -> count >= 0"),
+    "redistribute_koz": _BOOL,
+}
 
 
 @dataclass(frozen=True)
@@ -91,22 +135,29 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConfig":
-        kwargs = {}
-        if "weights" in doc:
-            kwargs["weights"] = ObjectiveWeights(*doc["weights"])
-        for key in ("seed", "samples", "step1_perf_weight", "assign_cap",
-                    "steps", "rd_max", "no_rd", "colocate", "redistribute_koz"):
-            if key in doc and doc[key] is not None:
-                kwargs[key] = doc[key]
+        """Parse a config document; raises InvalidParamsError naming the
+        first unknown key or the first key with a wrong type or value."""
+        if not isinstance(doc, dict):
+            raise InvalidParamsError("config must be a JSON object")
+        for key, value in doc.items():
+            if key not in _CONFIG_KEYS:
+                raise InvalidParamsError(f"unknown config key {key!r}")
+            check, expected = _CONFIG_KEYS[key]
+            if value is not None and not check(value):
+                raise InvalidParamsError(
+                    f"config key {key!r} must be {expected}, got {value!r}")
+        kwargs = {key: value for key, value in doc.items() if value is not None}
+        if "weights" in kwargs:
+            kwargs["weights"] = ObjectiveWeights(*kwargs["weights"])
         for key in ("sa_floorplan", "sa_vlink"):
-            if key in doc and doc[key] is not None:
-                t, i, c = doc[key]
-                kwargs[key] = SaTriple(float(t), int(i), float(c))
-        if doc.get("fixed_mesh"):
-            kwargs["fixed_mesh"] = tuple(int(x) for x in doc["fixed_mesh"])
-        if doc.get("fixed_tsv_counts"):
-            kwargs["fixed_tsv_counts"] = {int(k): int(v)
-                                          for k, v in doc["fixed_tsv_counts"].items()}
+            if key in kwargs:
+                t, i, c = kwargs[key]
+                kwargs[key] = SaTriple(float(t), i, float(c))
+        if "fixed_mesh" in kwargs:
+            kwargs["fixed_mesh"] = tuple(kwargs["fixed_mesh"])
+        if "fixed_tsv_counts" in kwargs:
+            kwargs["fixed_tsv_counts"] = {int(k): n for k, n
+                                          in kwargs["fixed_tsv_counts"].items()}
         return PipelineConfig(**kwargs)
 
 
@@ -212,7 +263,9 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
     floorplans = []
     for l in sorted(members):
         if config.fixed_mesh is not None:
-            floorplans.append(_row_major_floorplan(instance, l, members[l], dims))
+            # application-blind: fill the fixed grid row-major in id order
+            state = tuple(members[l]) + (None,) * (dims[0] * dims[1] - len(members[l]))
+            floorplans.append(placed_floorplan(instance, l, state, *dims))
         else:
             sa = config.sa_floorplan.params(mix_seed(config.seed, 2, l))
             floorplans.append(floorplan_layer(instance, l, members[l],
@@ -306,32 +359,6 @@ def _boundary_capacity(instance: Instance, floorplans: Sequence[MeshFloorplan],
     except NoCandidatesError:
         return 0
     return max_matching_size(cands)
-
-
-def _row_major_floorplan(instance: Instance, layer: int, members: Sequence[str],
-                         dims: tuple[int, int]) -> MeshFloorplan:
-    """Application-blind placement for the conventional protocol: components
-    fill the fixed grid row-major in id order; sizing is refined later by the
-    shared (colocated) solve."""
-    from .floorplan import _state_to_cells  # same state conventions as the SA
-    from .area_kernel import min_area_exact_cached
-    from .model import ROUTER_2D
-
-    rows, cols = dims
-    state = tuple(list(sorted(members)) + [None] * (rows * cols - len(members)))
-    cells = _state_to_cells(state, rows, cols)
-    router_area = instance.router_entry(layer, three_d=False).area
-    demands = [[0.0 if cells[r][c] is None
-                else instance.component_entry(cells[r][c], layer).area + router_area
-                for c in range(cols)] for r in range(rows)]
-    sized = min_area_exact_cached(demands)
-    return MeshFloorplan(
-        layer=layer, rows=rows, cols=cols, cell_of=cells,
-        col_widths=sized.col_widths, row_heights=sized.row_heights,
-        router_kind=tuple(tuple(ROUTER_2D if c is not None else None for c in row)
-                          for row in cells),
-        koz_of=tuple(tuple(0 for _ in range(cols)) for _ in range(rows)),
-    )
 
 
 def write_report(result: PipelineResult, path: Path) -> None:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .anneal import SaParams, anneal
 from .errors import InsufficientCandidatesError, NoCandidatesError, UnreachableError
-from .model import CoreGraph, Instance, MeshFloorplan, NodeKey, ObjectiveWeights, VerticalLink
+from .model import Instance, MeshFloorplan, NodeKey, ObjectiveWeights, VerticalLink
 from .netgraph import build_network, route_all
 from .tsv_count import cross_boundary_traffic, _component_positions, _layer_of
 
@@ -48,34 +48,50 @@ def candidate_links(floorplans: Sequence[MeshFloorplan], boundary: int,
     return pairs
 
 
-def max_matching_size(candidates: Sequence[VerticalLink]) -> int:
-    """Maximum number of candidates usable at once (one link per router and
-    direction): classic augmenting-path bipartite matching."""
-    lowers = sorted({v.lower for v in candidates})
-    adjacency: dict[NodeKey, list[NodeKey]] = {l: [] for l in lowers}
-    for v in candidates:
-        adjacency[v.lower].append(v.upper)
-    match_upper: dict[NodeKey, NodeKey] = {}
+def _matching(candidates: Sequence[VerticalLink], order: Sequence[int]) -> list[int]:
+    """A maximum matching (one link per router and direction) as candidate
+    indices: classic augmenting paths over the lower routers in sorted order,
+    each trying its candidates in the given preference order."""
+    adjacency: dict[NodeKey, list[int]] = {}
+    for i in order:
+        adjacency.setdefault(candidates[i].lower, []).append(i)
+    match_upper: dict[NodeKey, int] = {}
 
     def augment(low: NodeKey, visited: set[NodeKey]) -> bool:
-        for up in adjacency[low]:
+        for i in adjacency[low]:
+            up = candidates[i].upper
             if up in visited:
                 continue
             visited.add(up)
-            if up not in match_upper or augment(match_upper[up], visited):
-                match_upper[up] = low
+            if up not in match_upper or augment(candidates[match_upper[up]].lower, visited):
+                match_upper[up] = i
                 return True
         return False
 
-    size = 0
-    for low in lowers:
-        if augment(low, set()):
-            size += 1
-    return size
+    for low in sorted(adjacency):
+        augment(low, set())
+    return list(match_upper.values())
+
+
+def max_matching_size(candidates: Sequence[VerticalLink]) -> int:
+    """Maximum number of candidates usable at once."""
+    return len(_matching(candidates, range(len(candidates))))
 
 
 def _compatible(link: VerticalLink, chosen: Sequence[VerticalLink]) -> bool:
     return all(link.lower != o.lower and link.upper != o.upper for o in chosen)
+
+
+def _greedy(candidates: Sequence[VerticalLink], order: Sequence[int],
+            count: int) -> list[int]:
+    """Up to `count` pairwise compatible candidates, taken in the given order."""
+    chosen: list[int] = []
+    for i in order:
+        if len(chosen) == count:
+            break
+        if _compatible(candidates[i], [candidates[j] for j in chosen]):
+            chosen.append(i)
+    return chosen
 
 
 def _initial_selection(candidates: Sequence[VerticalLink], count: int,
@@ -91,35 +107,11 @@ def _initial_selection(candidates: Sequence[VerticalLink], count: int,
 
     order = sorted(range(len(candidates)),
                    key=lambda i: (midpoint_dist(candidates[i]), i))
-    chosen: list[int] = []
-    for i in order:
-        if len(chosen) == count:
-            break
-        if _compatible(candidates[i], [candidates[j] for j in chosen]):
-            chosen.append(i)
+    chosen = _greedy(candidates, order, count)
     if len(chosen) < count:
         # greedy blocked itself; rebuild via matching over the preferred order
-        match_upper: dict[NodeKey, int] = {}
-        adjacency: dict[NodeKey, list[int]] = {}
-        for i in order:
-            adjacency.setdefault(candidates[i].lower, []).append(i)
-
-        def augment(low, visited):
-            for i in adjacency.get(low, []):
-                up = candidates[i].upper
-                if up in visited:
-                    continue
-                visited.add(up)
-                if up not in match_upper or augment(candidates[match_upper[up]].lower, visited):
-                    match_upper[up] = i
-                    return True
-            return False
-
-        for low in sorted(adjacency):
-            augment(low, set())
-        matched = sorted(match_upper.values(),
-                         key=lambda i: (midpoint_dist(candidates[i]), i))
-        chosen = matched[:count]
+        chosen = sorted(_matching(candidates, order),
+                        key=lambda i: (midpoint_dist(candidates[i]), i))[:count]
         if len(chosen) < count:
             raise InsufficientCandidatesError(
                 f"only {len(chosen)} compatible candidates for count {count}")
@@ -127,16 +119,11 @@ def _initial_selection(candidates: Sequence[VerticalLink], count: int,
 
 
 def _shortest_selection(candidates: Sequence[VerticalLink], count: int) -> tuple[int, ...]:
-    """Alternative start: the `count` shortest-RD compatible candidates."""
-    chosen: list[int] = []
-    for i in range(len(candidates)):  # already sorted by (rd_length, lower, upper)
-        if len(chosen) == count:
-            break
-        if _compatible(candidates[i], [candidates[j] for j in chosen]):
-            chosen.append(i)
-    if len(chosen) < count:
-        return tuple()  # blocked; caller falls back to the centroid start
-    return tuple(sorted(chosen))
+    """Alternative start: the `count` shortest-RD compatible candidates, or
+    () when the greedy pass blocks (the caller keeps the centroid start)."""
+    # candidates are already sorted by (rd_length, lower, upper)
+    chosen = _greedy(candidates, range(len(candidates)), count)
+    return tuple(sorted(chosen)) if len(chosen) == count else ()
 
 
 def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -158,11 +145,11 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
             raise InsufficientCandidatesError(
                 f"boundary {b}: {counts[b]} links requested but only "
                 f"{len(cands[b])} candidates within reach {reach:.3f} mm")
-        if counts[b] > max_matching_size(cands[b]):
+        most = max_matching_size(cands[b])
+        if counts[b] > most:
             raise InsufficientCandidatesError(
-                f"boundary {b}: {counts[b]} links requested but at most "
-                f"{max_matching_size(cands[b])} can coexist (one per router "
-                "and direction)")
+                f"boundary {b}: {counts[b]} links requested but at most {most} "
+                "can coexist (one per router and direction)")
 
     positions = _component_positions(floorplans)
     layer_of = _layer_of(floorplans)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from meshstack.anneal import SaParams, anneal, mix_seed
@@ -80,3 +82,27 @@ def test_mix_seed_stable_and_spread():
     seen = {mix_seed(1, i) for i in range(1000)}
     assert len(seen) == 1000
     assert all(0 <= s < 2 ** 64 for s in seen)
+
+
+def test_underflowed_temperature_is_greedy():
+    # 20 * 0.4**k underflows to 0.0 after about 816 iterations; from then on
+    # only improving moves are accepted and no acceptance draw is made
+    params = SaParams(initial_temp=20.0, iterations=2000, cooling=0.4, seed=1)
+    states = []
+
+    def neighbor(x, rng):
+        states.append(rng.getstate())
+        return x + (1 if rng.random() < 0.5 else -1)
+
+    def cost(x):
+        return abs(x * 37 % 11 - 5)
+
+    best, best_cost, trace = anneal(0, neighbor, cost, params)
+    assert len(trace) == 2000 and best_cost == min(min(trace), cost(0))
+    cold = trace[900:]
+    assert cold == sorted(cold, reverse=True)
+    replay = random.Random()
+    for before, after in zip(states[900:], states[901:]):
+        replay.setstate(before)
+        replay.random()  # the neighbor's own draw is the only one
+        assert replay.getstate() == after

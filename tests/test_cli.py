@@ -127,3 +127,52 @@ def test_limits_exit_code(tmp_path, corpus_dir):
     out = tmp_path / "lim"
     code = main(["baseline", inst, "--out", str(out)])
     assert code == 4
+
+
+def test_underflowing_sa_schedule_runs(tmp_path, corpus_dir):
+    # cooling 0.4 over 2000 iterations drives the temperature to 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sa_floorplan": [20.0, 2000, 0.4]}))
+    out = tmp_path / "cold"
+    assert main(["run", str(corpus_dir / "tiny_soc"), "--out", str(out),
+                 "--config", str(cfg)]) == 0
+    assert read_json(out / "report.json")["metrics"]["total_cost"] > 0
+
+
+@pytest.mark.parametrize("doc, key", [
+    ([], None),
+    ({"bogus": 1}, "bogus"),
+    ({"steps": "x"}, "steps"),
+    ({"steps": 0}, "steps"),
+    ({"steps": 6}, "steps"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"samples": 0}, "samples"),
+    ({"assign_cap": -1}, "assign_cap"),
+    ({"step1_perf_weight": -0.5}, "step1_perf_weight"),
+    ({"weights": [1, 1, 1]}, "weights"),
+    ({"weights": [-1, 1, 1, 1, 1]}, "weights"),
+    ({"weights": [0, 0, 0, 0, 0]}, "weights"),
+    ({"sa_floorplan": [20.0, 0, 0.9]}, "sa_floorplan"),
+    ({"sa_floorplan": [20.0, 100, 1.0]}, "sa_floorplan"),
+    ({"sa_vlink": [0.0, 10, 0.5]}, "sa_vlink"),
+    ({"sa_vlink": "hot"}, "sa_vlink"),
+    ({"rd_max": -1.0}, "rd_max"),
+    ({"rd_max": float("nan")}, "rd_max"),
+    ({"no_rd": "yes"}, "no_rd"),
+    ({"colocate": 1}, "colocate"),
+    ({"redistribute_koz": 0}, "redistribute_koz"),
+    ({"fixed_mesh": [0, 3]}, "fixed_mesh"),
+    ({"fixed_mesh": "3x3"}, "fixed_mesh"),
+    ({"fixed_tsv_counts": {"a": 1}}, "fixed_tsv_counts"),
+    ({"fixed_tsv_counts": {"0": -1}}, "fixed_tsv_counts"),
+])
+def test_bad_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["run", str(corpus_dir / "tiny_soc"), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert key is None or repr(key) in err

@@ -7,10 +7,22 @@ import math
 
 import pytest
 
-from meshstack.errors import InstanceTooLargeError
+from meshstack.cli import main
+from meshstack.errors import InstanceTooLargeError, UnreachableError
 from meshstack.exact import ExactLimits, enumeration_estimate, solve_exact
 from meshstack.floorplan import grid_dims, legalize
-from meshstack.model import Component, Flow, ObjectiveWeights
+from meshstack.model import (
+    Component,
+    CoreGraph,
+    Flow,
+    Layer,
+    ObjectiveWeights,
+    PpaEntry,
+    PpaTable,
+    TechParams,
+    save_instance,
+    validate_instance,
+)
 from meshstack.objective import evaluate_solution
 
 from conftest import make_instance
@@ -134,3 +146,23 @@ def test_exact_dominates_any_feasible_solution():
         except UnreachableError:
             continue
         assert metrics["total_cost"] >= sol.cost - 1e-9
+
+
+def test_unreachable_names_a_real_flow(tmp_path):
+    # ADC only in 45nm, DSP only in 28nm, reach 0: the two 1x1 layers size
+    # differently, so no router pair stacks and the flow can never route
+    entry = PpaEntry(area=1.3, perf=1.0, power=1.0)
+    ppa = PpaTable(components={"ADC": {"45nm": PpaEntry(53.0, 1.0, 1.0)},
+                               "DSP": {"28nm": PpaEntry(20.0, 1.0, 1.0)}},
+                   router_2d={"28nm": entry, "45nm": entry},
+                   router_3d={"28nm": entry, "45nm": entry})
+    inst = validate_instance(
+        CoreGraph((Component("adc0", "ADC"), Component("dsp0", "DSP")),
+                  (Flow("adc0", "dsp0", 10.0),)),
+        ppa, TechParams(koz_area=2.0, rd_max_length=0.0, link_capacity=100.0),
+        (Layer(0, "28nm"), Layer(1, "45nm")))
+    with pytest.raises(UnreachableError) as err:
+        solve_exact(inst, W)
+    assert (err.value.src, err.value.dst) == ("adc0", "dsp0")
+    save_instance(inst, tmp_path / "inst")
+    assert main(["baseline", str(tmp_path / "inst"), "--out", str(tmp_path / "o")]) == 3

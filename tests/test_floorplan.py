@@ -11,7 +11,7 @@ import pytest
 from meshstack.anneal import SaParams
 from meshstack.area_kernel import min_area_lp
 from meshstack.floorplan import (
-    _demands_for_state,
+    _state_floorplan,
     _xy_cost,
     floorplan_layer,
     grid_dims,
@@ -26,12 +26,17 @@ from meshstack.model import (
     Component,
     ObjectiveWeights,
     VerticalLink,
+    demand_grid,
 )
 
 from conftest import chain_flows, make_fp, make_instance
 
 SA = SaParams(initial_temp=20.0, iterations=120, cooling=0.97, seed=5)
 W = ObjectiveWeights()
+
+
+def _state_demands(inst, layer, state, rows, cols):
+    return demand_grid(inst, _state_floorplan(layer, state, rows, cols))
 
 
 def test_grid_dims_near_square():
@@ -70,7 +75,7 @@ def test_two_cpu_layer_area():
 
 
 def _state_cost(inst, layer, state, rows, cols, flows, weights):
-    demands = _demands_for_state(inst, layer, state, rows, cols)
+    demands = _state_demands(inst, layer, state, rows, cols)
     lp = min_area_lp(demands)
     comm = _xy_cost(state, rows, cols, lp.col_widths, lp.row_heights, flows,
                     inst.tech.link_capacity, weights.w_peak, weights.w_util)
@@ -109,8 +114,8 @@ def test_area_only_mode_matches_bruteforce_area():
     states = set()
     for perm in itertools.permutations(ids + [None]):
         states.add(perm)
-    best = min(min_area_lp(_demands_for_state(inst, 0, s, 2, 2)).area for s in states)
-    got = min_area_lp(_demands_for_state(
+    best = min(min_area_lp(_state_demands(inst, 0, s, 2, 2)).area for s in states)
+    got = min_area_lp(_state_demands(
         inst, 0, tuple(fp.cell_of[0] + fp.cell_of[1]), 2, 2)).area
     assert got == pytest.approx(best, rel=1e-9)
 

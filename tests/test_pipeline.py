@@ -119,3 +119,8 @@ def test_config_json_roundtrip():
 def test_rd_override_reaches_instance():
     result = run_pipeline(tiny_soc(), PipelineConfig(seed=1, rd_max=0.0, colocate=True))
     assert all(v.rd_length == pytest.approx(0.0, abs=1e-9) for v in result.vlinks)
+
+
+def test_config_json_null_means_default():
+    keys = PipelineConfig().to_json()
+    assert PipelineConfig.from_json({key: None for key in keys}) == PipelineConfig()

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from meshstack import vlink
 from meshstack.anneal import SaParams
 from meshstack.errors import InsufficientCandidatesError, NoCandidatesError
-from meshstack.model import Component, CoreGraph, Flow, ObjectiveWeights
+from meshstack.exact import _matchings
+from meshstack.model import Component, CoreGraph, Flow, ObjectiveWeights, VerticalLink
 from meshstack.netgraph import build_network, route_all
-from meshstack.vlink import candidate_links, max_matching_size, place_vlinks
+from meshstack.vlink import _initial_selection, candidate_links, max_matching_size, place_vlinks
 
 from conftest import make_fp, make_instance
 
@@ -129,3 +132,51 @@ def test_nested_reach_improves_exhaustive_optimum():
         small = exhaustive_best(inst, fps, candidate_links(fps, 0, 0.5), count)
         large = exhaustive_best(inst, fps, candidate_links(fps, 0, 10.0), count)
         assert large <= small + 1e-9
+
+
+def _random_candidates(rng):
+    """Up to 8 distinct lower/upper router pairs on small grids, in the
+    (rd_length, lower, upper) order candidate_links produces."""
+    lowers = [(0, r, c) for r in range(2) for c in range(rng.randint(1, 3))]
+    uppers = [(1, r, c) for r in range(2) for c in range(rng.randint(1, 3))]
+    pairs = rng.sample([(lo, up) for lo in lowers for up in uppers],
+                       rng.randint(1, min(8, len(lowers) * len(uppers))))
+    cands = [VerticalLink(lo, up, rd_length=float(rng.randint(0, 3))) for lo, up in pairs]
+    cands.sort(key=lambda v: (v.rd_length, v.lower, v.upper))
+    positions = {key: (rng.uniform(0, 10), rng.uniform(0, 10))
+                 for key in lowers + uppers}
+    return cands, positions
+
+
+def test_matching_size_matches_enumeration_oracle():
+    rng = random.Random(2024)
+    for _ in range(200):
+        cands, _positions = _random_candidates(rng)
+        assert max_matching_size(cands) == max(len(m) for m in _matchings(cands))
+
+
+def test_initial_selection_is_a_matching_of_count(monkeypatch):
+    fallbacks = []
+    matching = vlink._matching
+
+    def spy(candidates, order):
+        fallbacks.append(len(candidates))
+        return matching(candidates, order)
+
+    monkeypatch.setattr(vlink, "_matching", spy)
+    rng = random.Random(7)
+    completed = 0  # selections where the greedy pass blocked
+    for _ in range(200):
+        cands, positions = _random_candidates(rng)
+        most = max(len(m) for m in _matchings(cands))
+        centroid = (rng.uniform(0, 10), rng.uniform(0, 10))
+        for count in range(1, most + 1):
+            calls = len(fallbacks)
+            sel = _initial_selection(cands, count, centroid, positions)
+            completed += len(fallbacks) > calls
+            assert len(sel) == count == len(set(sel))
+            assert len({cands[i].lower for i in sel}) == count
+            assert len({cands[i].upper for i in sel}) == count
+        with pytest.raises(InsufficientCandidatesError):
+            _initial_selection(cands, most + 1, centroid, positions)
+    assert completed > 0

@@ -1,0 +1,102 @@
+"""Print one sha256 per pipeline report over a fixed corpus matrix.
+
+A refactor that must not change behaviour passes when two source trees print
+the same digests. Each digest covers the report's JSON (sorted keys, the
+`timing` block removed) as written by the CLI:
+
+  - tiny_soc, small_vsoc, large_vsoc, vopd at seeds 1-3, default config;
+  - the same with --fixed-mesh (2x2, 3x3, 4x4, 3x3) and --no-rd;
+  - --no-rd and colocate at seed 1;
+  - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
+    (its traffic included).
+
+Usage (from the root of a checkout):
+
+    PYTHONPATH=src python tools/report_digests.py [--corpus corpus]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from meshstack.cli import main as cli_main
+from meshstack.exact import solve_exact
+from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance,
+                             traffic_to_json, vlink_to_json)
+
+INSTANCES = (("tiny_soc", "2x2"), ("small_vsoc", "3x3"),
+             ("large_vsoc", "4x4"), ("vopd", "3x3"))
+SEEDS = (1, 2, 3)
+
+
+def digest(doc: dict) -> str:
+    doc = {k: v for k, v in doc.items() if k != "timing"}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def run_cli(argv: list[str], artifact: Path) -> dict:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    with open(artifact) as f:
+        return json.load(f)
+
+
+def cases(corpus: Path, tmp: Path):
+    """Yield (label, run flags, instance dir) for every `meshstack run` case."""
+    colocate = tmp / "colocate.json"
+    colocate.write_text(json.dumps({"colocate": True}))
+    for name, mesh in INSTANCES:
+        inst = str(corpus / name)
+        for seed in SEEDS:
+            yield f"{name} seed {seed}", ["--seed", str(seed)], inst
+        for seed in SEEDS:
+            yield (f"{name} seed {seed} fixed-mesh {mesh} no-rd",
+                   ["--seed", str(seed), "--fixed-mesh", mesh, "--no-rd"], inst)
+        yield f"{name} seed 1 no-rd", ["--seed", "1", "--no-rd"], inst
+        yield f"{name} seed 1 colocate", ["--seed", "1", "--config", str(colocate)], inst
+
+
+def exact_doc(instance_dir: Path) -> dict:
+    sol = solve_exact(load_instance(instance_dir), ObjectiveWeights())
+    return {
+        "assignment": dict(sorted(sol.assignment.items())),
+        "cost": sol.cost,
+        "floorplans": [floorplan_to_json(fp) for fp in sol.floorplans],
+        "vlinks": [vlink_to_json(v) for v in sol.vlinks],
+        "metrics": {k: v for k, v in sol.metrics.items() if k not in ("traffic", "network")},
+        "traffic": traffic_to_json(sol.metrics["traffic"]),
+        "placements_visited": sol.placements_visited,
+        "configurations_visited": sol.configurations_visited,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--corpus", default="corpus", help="corpus directory (default: corpus)")
+    args = parser.parse_args(argv)
+    corpus = Path(args.corpus)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        tmp = Path(tmpdir)
+        for i, (label, flags, inst) in enumerate(cases(corpus, tmp)):
+            out = tmp / f"run{i}"
+            doc = run_cli(["run", inst, "--out", str(out)] + flags, out / "report.json")
+            print(f"{digest(doc)}  {label}", flush=True)
+        out = tmp / "baseline"
+        doc = run_cli(["baseline", str(corpus / "tiny_soc"), "--out", str(out)],
+                      out / "exact_solution.json")
+        print(f"{digest(doc)}  tiny_soc baseline", flush=True)
+    print(f"{digest(exact_doc(corpus / 'tiny_soc'))}  tiny_soc solve_exact", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
