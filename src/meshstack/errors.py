@@ -28,6 +28,10 @@ class InvalidParamsError(MeshstackError):
     """Algorithm parameters outside their documented domain."""
 
 
+class InputError(MeshstackError):
+    """An input file (instance, config, report, artifact) is missing or malformed."""
+
+
 class SolverFailureError(MeshstackError):
     """The internal LP solver could not produce a solution."""
 

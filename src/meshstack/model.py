@@ -14,9 +14,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 
 INFEASIBLE_MARKERS = ("infeasible", "n.a.", "na", "n/a")
 
@@ -425,30 +425,40 @@ def tech_to_json(tech: TechParams) -> dict:
             "link_capacity": tech.link_capacity}
 
 
+def read_json(path: Union[str, Path], parse: Callable = lambda doc: doc):
+    """parse(JSON of path); a missing or malformed file raises InputError naming it."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror}") from exc
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_json(doc, path: Union[str, Path]) -> None:
+    """The one JSON writer: sorted keys, indent 2, trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def load_instance(path: Union[str, Path]) -> Instance:
     """Load and validate an instance directory holding coregraph/ppa/tech JSON files."""
     base = Path(path)
-    with open(base / "coregraph.json") as f:
-        cg = parse_core_graph(json.load(f))
-    with open(base / "ppa.json") as f:
-        ppa, layers = parse_ppa(json.load(f))
-    with open(base / "tech.json") as f:
-        tech = parse_tech(json.load(f))
+    cg = read_json(base / "coregraph.json", parse_core_graph)
+    ppa, layers = read_json(base / "ppa.json", parse_ppa)
+    tech = read_json(base / "tech.json", parse_tech)
     return validate_instance(cg, ppa, tech, layers)
 
 
 def save_instance(instance: Instance, path: Union[str, Path]) -> None:
     base = Path(path)
-    base.mkdir(parents=True, exist_ok=True)
-    with open(base / "coregraph.json", "w") as f:
-        json.dump(core_graph_to_json(instance.core_graph), f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(base / "ppa.json", "w") as f:
-        json.dump(ppa_to_json(instance.ppa, instance.layers), f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(base / "tech.json", "w") as f:
-        json.dump(tech_to_json(instance.tech), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(core_graph_to_json(instance.core_graph), base / "coregraph.json")
+    write_json(ppa_to_json(instance.ppa, instance.layers), base / "ppa.json")
+    write_json(tech_to_json(instance.tech), base / "tech.json")
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +480,7 @@ def floorplan_to_json(fp: MeshFloorplan) -> dict:
 
 
 def parse_floorplan(doc: dict) -> MeshFloorplan:
-    return MeshFloorplan(
+    fp = MeshFloorplan(
         layer=int(doc["layer"]),
         rows=int(doc["rows"]),
         cols=int(doc["cols"]),
@@ -480,6 +490,23 @@ def parse_floorplan(doc: dict) -> MeshFloorplan:
         router_kind=tuple(tuple(k if k is None else str(k) for k in row) for row in doc["router_kind"]),
         koz_of=tuple(tuple(int(k) for k in row) for row in doc["koz"]),
     )
+    if ((len(fp.row_heights), len(fp.col_widths)) != (fp.rows, fp.cols)
+            or any(len(g) != fp.rows or any(len(row) != fp.cols for row in g)
+                   for g in (fp.cell_of, fp.router_kind, fp.koz_of))):
+        raise ValueError(f"layer {fp.layer}: a grid or size list does not fit {fp.rows}x{fp.cols}")
+    return fp
+
+
+def parse_layers(instance: Instance, docs: Sequence[dict]) -> list[MeshFloorplan]:
+    """The floorplans of a whole solution, one per instance layer."""
+    fps = [parse_floorplan(d) for d in docs]
+    placed = [(comp, fp.layer) for fp in fps for _cell, comp in fp.occupied_cells()]
+    if ([fp.layer for fp in fps] != [l.index for l in instance.layers]
+            or sorted(comp for comp, _ in placed) != sorted(instance.kinds)
+            or any(instance.component_entry(comp, l) is None for comp, l in placed)):
+        raise ValueError("floorplans must cover the instance's layers in order and place "
+                         "every component once, on a layer where it is feasible")
+    return fps
 
 
 def vlink_to_json(v: VerticalLink) -> dict:
@@ -490,6 +517,17 @@ def parse_vlink(doc: dict) -> VerticalLink:
     return VerticalLink(lower=tuple(int(x) for x in doc["lower"]),
                         upper=tuple(int(x) for x in doc["upper"]),
                         rd_length=float(doc["rd_length"]))
+
+
+def check_vlink_ends(vlinks: Sequence[VerticalLink],
+                     floorplans: Sequence[MeshFloorplan]) -> None:
+    """Raise ValueError unless both ends of every link are routers
+    (occupied cells) of floorplans."""
+    routers = {(fp.layer, r, c) for fp in floorplans for (r, c), _ in fp.occupied_cells()}
+    for v in vlinks:
+        if v.lower not in routers or v.upper not in routers:
+            raise ValueError(f"vertical link {list(v.lower)} -> {list(v.upper)} "
+                             f"does not join two routers")
 
 
 def traffic_to_json(te: TrafficEval) -> dict:

@@ -131,3 +131,8 @@ def evaluate_solution(instance: Instance, floorplans: Sequence[MeshFloorplan],
         "traffic": traffic,
         "network": network,
     }
+
+
+def metrics_to_json(metrics: dict) -> dict:
+    """evaluate_solution's scalar metrics (its traffic and network dropped)."""
+    return {k: v for k, v in metrics.items() if k not in ("traffic", "network")}

@@ -16,16 +16,15 @@ switches cover the conventional comparisons:
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .anneal import SaParams, mix_seed
-from .errors import (InstanceTooLargeError, InvalidParamsError, NoCandidatesError,
-                     UnreachableError)
+from .errors import (InputError, InstanceTooLargeError, InvalidParamsError,
+                     NoCandidatesError, UnreachableError)
 from .floorplan import (floorplan_layer, grid_dims, joint_size, legalize, placed_floorplan,
                         step2_cost)
 from .layer_assign import assign_layers, assign_layers_greedy, step1_cost
@@ -34,12 +33,17 @@ from .model import (
     MeshFloorplan,
     ObjectiveWeights,
     VerticalLink,
+    check_vlink_ends,
     floorplan_to_json,
+    parse_layers,
+    parse_vlink,
+    read_json,
+    tech_to_json,
     traffic_to_json,
     vlink_to_json,
 )
 from .netgraph import build_network, route_all
-from .objective import evaluate_solution
+from .objective import evaluate_solution, metrics_to_json
 from .tsv_count import choose_count
 from .vlink import candidate_links, max_matching_size, place_vlinks
 
@@ -95,6 +99,16 @@ _CONFIG_KEYS = {
 }
 
 
+# the keys whose JSON form differs from the field's
+_FROM_JSON = {
+    "weights": lambda v: ObjectiveWeights(*v),
+    "sa_floorplan": lambda v: SaTriple(float(v[0]), v[1], float(v[2])),
+    "sa_vlink": lambda v: SaTriple(float(v[0]), v[1], float(v[2])),
+    "fixed_mesh": tuple,
+    "fixed_tsv_counts": lambda v: {int(k): n for k, n in v.items()},
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     weights: ObjectiveWeights = ObjectiveWeights()
@@ -113,25 +127,13 @@ class PipelineConfig:
     redistribute_koz: Optional[bool] = None    # default: reach > 0 and not colocated
 
     def to_json(self) -> dict:
-        return {
-            "weights": list(self.weights.as_tuple()),
-            "seed": self.seed,
-            "sa_floorplan": [self.sa_floorplan.initial_temp,
-                             self.sa_floorplan.iterations, self.sa_floorplan.cooling],
-            "sa_vlink": [self.sa_vlink.initial_temp,
-                         self.sa_vlink.iterations, self.sa_vlink.cooling],
-            "samples": self.samples,
-            "step1_perf_weight": self.step1_perf_weight,
-            "assign_cap": self.assign_cap,
-            "steps": self.steps,
-            "rd_max": self.rd_max,
-            "no_rd": self.no_rd,
-            "colocate": self.colocate,
-            "fixed_mesh": list(self.fixed_mesh) if self.fixed_mesh else None,
-            "fixed_tsv_counts": ({str(k): v for k, v in self.fixed_tsv_counts.items()}
-                                 if self.fixed_tsv_counts else None),
-            "redistribute_koz": self.redistribute_koz,
-        }
+        def plain(v):
+            if dataclasses.is_dataclass(v):
+                return list(dataclasses.astuple(v))
+            if isinstance(v, dict):
+                return {str(k): n for k, n in v.items()} or None
+            return list(v) if isinstance(v, tuple) else v
+        return {f.name: plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConfig":
@@ -146,19 +148,8 @@ class PipelineConfig:
             if value is not None and not check(value):
                 raise InvalidParamsError(
                     f"config key {key!r} must be {expected}, got {value!r}")
-        kwargs = {key: value for key, value in doc.items() if value is not None}
-        if "weights" in kwargs:
-            kwargs["weights"] = ObjectiveWeights(*kwargs["weights"])
-        for key in ("sa_floorplan", "sa_vlink"):
-            if key in kwargs:
-                t, i, c = kwargs[key]
-                kwargs[key] = SaTriple(float(t), i, float(c))
-        if "fixed_mesh" in kwargs:
-            kwargs["fixed_mesh"] = tuple(kwargs["fixed_mesh"])
-        if "fixed_tsv_counts" in kwargs:
-            kwargs["fixed_tsv_counts"] = {int(k): n for k, n
-                                          in kwargs["fixed_tsv_counts"].items()}
-        return PipelineConfig(**kwargs)
+        return PipelineConfig(**{key: _FROM_JSON.get(key, lambda v: v)(value)
+                                 for key, value in doc.items() if value is not None})
 
 
 @dataclass
@@ -177,7 +168,9 @@ class PipelineResult:
     timing: dict[str, float] = field(default_factory=dict)
 
     def report(self) -> dict:
-        """Self-contained, deterministic report (timing isolated on top)."""
+        """Self-contained, deterministic report (timing isolated on top).
+        Its step outputs are the stage artifacts, serialized the same way."""
+        artifact = {stage.command: stage.to_json(self) for stage in STAGES}
         doc = {
             "config": self.config.to_json(),
             "instance": {
@@ -185,23 +178,15 @@ class PipelineResult:
                 "flows": len(self.instance.core_graph.flows),
                 "layers": [{"index": l.index, "node": l.node_name}
                            for l in self.instance.layers],
-                "link_capacity": self.instance.tech.link_capacity,
-                "koz_area": self.instance.tech.koz_area,
-                "rd_max_length": self.instance.tech.rd_max_length,
+                **tech_to_json(self.instance.tech),
             },
-            "assignment": dict(sorted(self.assignment.items())),
-            "step1_cost": self.step1_cost,
-            "floorplans_step2": [floorplan_to_json(fp) for fp in self.step2_floorplans],
-            "floorplans": [floorplan_to_json(fp) for fp in self.floorplans],
-            "tsv": {
-                "counts": {str(b): n for b, n in sorted(self.tsv_counts.items())},
-                "c3_curves": {str(b): {str(i): v for i, v in sorted(curve.items())}
-                              for b, curve in sorted(self.tsv_curves.items())},
-            },
-            "vlinks": [vlink_to_json(v) for v in self.vlinks],
+            **artifact["assign"],
+            "floorplans_step2": artifact["floorplan"]["layers"],
+            "floorplans": artifact["legalize"]["layers"],
+            "tsv": artifact["tsv"],
+            **artifact["place3d"],
             "per_step_costs": self.per_step_costs,
-            "metrics": {k: v for k, v in self.metrics.items()
-                        if k not in ("traffic", "network")},
+            "metrics": metrics_to_json(self.metrics),
             "timing": dict(self.timing),
         }
         if "traffic" in self.metrics:
@@ -221,15 +206,14 @@ def _effective_instance(instance: Instance, config: PipelineConfig) -> Instance:
     return dataclasses.replace(instance, tech=tech)
 
 
-def run_pipeline(instance: Instance, config: PipelineConfig,
-                 kernel_trace: Optional[list] = None) -> PipelineResult:
-    instance = _effective_instance(instance, config)
-    colocated = config.no_rd or config.colocate or config.fixed_mesh is not None
-    result = PipelineResult(instance=instance, config=config)
-    timing = result.timing
+def _colocated(config: PipelineConfig) -> bool:
+    return config.no_rd or config.colocate or config.fixed_mesh is not None
 
-    # step 1: component-to-layer assignment
-    t0 = time.perf_counter()
+
+# the five stages; each reads what the earlier ones left on the result
+
+def _assign(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+    instance, config = result.instance, result.config
     step1_weights = ObjectiveWeights(
         w_area=config.weights.w_area, w_power=config.weights.w_power,
         w_perf=config.step1_perf_weight, w_peak=config.weights.w_peak,
@@ -240,13 +224,11 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
         assignment = assign_layers_greedy(instance, step1_weights)
     result.assignment = assignment
     result.step1_cost = step1_cost(instance, assignment, step1_weights)
-    timing["step1_assign"] = time.perf_counter() - t0
-    if config.steps < 2:
-        return result
 
-    # step 2: per-layer floorplanning
-    t0 = time.perf_counter()
-    members = {l.index: sorted(c for c, lay in assignment.items() if lay == l.index)
+
+def _floorplan(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+    instance, config = result.instance, result.config
+    members = {l.index: sorted(c for c, lay in result.assignment.items() if lay == l.index)
                for l in instance.layers}
     dims = None
     if config.fixed_mesh is not None:
@@ -256,7 +238,7 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
                 raise InstanceTooLargeError(
                     f"fixed mesh {dims[0]}x{dims[1]} cannot hold {len(mem)} "
                     f"components of layer {l}")
-    elif colocated:
+    elif _colocated(config):
         per_layer = [grid_dims(len(mem)) for mem in members.values()]
         dims = (max(r for r, _ in per_layer), max(c for _, c in per_layer))
 
@@ -271,18 +253,17 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
             floorplans.append(floorplan_layer(instance, l, members[l],
                                               config.weights, sa, dims=dims,
                                               kernel_trace=kernel_trace))
-    if colocated:
+    if _colocated(config):
         floorplans = joint_size(instance, floorplans)
     result.step2_floorplans = floorplans
     result.per_step_costs["step1"] = result.step1_cost
     result.per_step_costs["step2_per_layer"] = {
         str(fp.layer): step2_cost(instance, fp, config.weights) for fp in floorplans}
-    timing["step2_floorplan"] = time.perf_counter() - t0
-    if config.steps < 3:
-        return result
 
-    # step 3: TSV array count per boundary
-    t0 = time.perf_counter()
+
+def _tsv(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+    instance, config = result.instance, result.config
+    floorplans = result.step2_floorplans
     counts: dict[int, int] = {}
     curves: dict[int, dict[int, float]] = {}
     for b in instance.boundaries():
@@ -311,12 +292,11 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
     result.tsv_curves = curves
     result.per_step_costs["step3_c3"] = {
         str(b): curves[b].get(counts[b]) for b in counts}
-    timing["step3_tsv_count"] = time.perf_counter() - t0
-    if config.steps < 4:
-        return result
 
-    # step 4: vertical-link placement
-    t0 = time.perf_counter()
+
+def _place3d(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+    instance, config = result.instance, result.config
+    floorplans, counts = result.step2_floorplans, result.tsv_counts
     if any(n > 0 for n in counts.values()):
         vlinks = place_vlinks(instance, floorplans, counts, config.weights,
                               config.sa_vlink.params(mix_seed(config.seed, 4)))
@@ -331,23 +311,19 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
             + config.weights.w_peak * traffic4.peak_penalty)
     except UnreachableError:
         result.per_step_costs["step4"] = None
-    timing["step4_vlinks"] = time.perf_counter() - t0
-    if config.steps < 5:
-        return result
 
-    # step 5: legalization + final evaluation
-    t0 = time.perf_counter()
+
+def _legalize(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+    instance, config = result.instance, result.config
     redistribute = config.redistribute_koz
     if redistribute is None:
-        redistribute = instance.tech.rd_max_length > 0 and not colocated
-    legal = legalize(instance, floorplans, vlinks, redistribute=redistribute,
-                     colocated=colocated)
+        redistribute = instance.tech.rd_max_length > 0 and not _colocated(config)
+    legal = legalize(instance, result.step2_floorplans, result.vlinks,
+                     redistribute=redistribute, colocated=_colocated(config))
     result.floorplans = legal
-    metrics = evaluate_solution(instance, legal, vlinks, config.weights)
+    metrics = evaluate_solution(instance, legal, result.vlinks, config.weights)
     result.metrics = metrics
     result.vlinks = list(metrics["network"].vlinks)  # rd refreshed to final geometry
-    timing["step5_legalize_eval"] = time.perf_counter() - t0
-    return result
 
 
 def _boundary_capacity(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -361,9 +337,103 @@ def _boundary_capacity(instance: Instance, floorplans: Sequence[MeshFloorplan],
     return max_matching_size(cands)
 
 
-def write_report(result: PipelineResult, path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(result.report(), f, indent=2, sort_keys=True)
-        f.write("\n")
+# the stage table; each artifact's parser puts it back onto a result
+
+def _load_assignment(result: PipelineResult, doc: dict) -> None:
+    assignment, kinds = dict(doc["assignment"]), result.instance.kinds
+    for comp in sorted(set(assignment) | set(kinds)):
+        feasible = result.instance.feasible_layers(comp) if comp in kinds else ()
+        layer = assignment.get(comp)
+        if type(layer) is not int or layer not in feasible:
+            raise ValueError(f"component {comp!r} cannot sit on layer {layer!r}: "
+                             f"its feasible layers are {list(feasible)}")
+    result.assignment, result.step1_cost = assignment, float(doc["step1_cost"])
+
+
+def _load_floorplan(result: PipelineResult, doc: dict) -> None:
+    result.step2_floorplans = parse_layers(result.instance, doc["layers"])
+
+
+def _load_tsv(result: PipelineResult, doc: dict) -> None:
+    counts = {int(b): n for b, n in doc["counts"].items()}
+    boundaries = list(result.instance.boundaries())
+    if sorted(counts) != boundaries or not all(type(n) is int and n >= 0
+                                               for n in counts.values()):
+        raise ValueError(f"counts must map each boundary {boundaries} to an integer >= 0")
+    result.tsv_counts = counts
+    result.tsv_curves = {int(b): {int(i): float(v) for i, v in curve.items()}
+                         for b, curve in doc["c3_curves"].items()}
+
+
+def _load_place3d(result: PipelineResult, doc: dict) -> None:
+    result.vlinks = [parse_vlink(d) for d in doc["vlinks"]]
+    check_vlink_ends(result.vlinks, result.step2_floorplans)
+
+
+def _load_legalize(result: PipelineResult, doc: dict) -> None:
+    result.floorplans = parse_layers(result.instance, doc["layers"])
+    check_vlink_ends(result.vlinks, result.floorplans)
+    # the vertical-link lengths step 5 leaves on the result: final geometry
+    result.vlinks = list(build_network(result.floorplans, result.vlinks).vlinks)
+
+
+@dataclass(frozen=True)
+class Stage:
+    command: str       # CLI subcommand that runs this stage alone
+    title: str
+    timing_key: str    # its entry in PipelineResult.timing
+    run: Callable[[PipelineResult, Optional[list]], None]
+    artifact: str      # file the subcommand writes to the output directory
+    to_json: Callable[[PipelineResult], dict]     # the artifact; report() reuses it
+    load: Callable[[PipelineResult, dict], None]  # the artifact back onto a result
+
+
+STAGES = (
+    Stage("assign", "component-to-layer assignment", "step1_assign", _assign,
+          "assignment.json", lambda r: {"assignment": dict(sorted(r.assignment.items())),
+                                        "step1_cost": r.step1_cost},
+          _load_assignment),
+    Stage("floorplan", "per-layer floorplans", "step2_floorplan", _floorplan,
+          "floorplan.json",
+          lambda r: {"layers": [floorplan_to_json(fp) for fp in r.step2_floorplans]},
+          _load_floorplan),
+    Stage("tsv", "TSV array count per boundary", "step3_tsv_count", _tsv,
+          "tsv_plan.json", lambda r: {
+              "counts": {str(b): n for b, n in sorted(r.tsv_counts.items())},
+              "c3_curves": {str(b): {str(i): v for i, v in sorted(curve.items())}
+                            for b, curve in sorted(r.tsv_curves.items())}},
+          _load_tsv),
+    Stage("place3d", "vertical-link placement", "step4_vlinks", _place3d,
+          "vlinks.json", lambda r: {"vlinks": [vlink_to_json(v) for v in r.vlinks]},
+          _load_place3d),
+    Stage("legalize", "legalization and final evaluation", "step5_legalize_eval", _legalize,
+          "floorplan_legal.json",
+          lambda r: {"layers": [floorplan_to_json(fp) for fp in r.floorplans]}, _load_legalize),
+)
+
+
+def run_stage(stage: Stage, result: PipelineResult,
+              kernel_trace: Optional[list] = None) -> None:
+    t0 = time.perf_counter()
+    stage.run(result, kernel_trace)
+    result.timing[stage.timing_key] = time.perf_counter() - t0
+
+
+def run_pipeline(instance: Instance, config: PipelineConfig,
+                 kernel_trace: Optional[list] = None) -> PipelineResult:
+    result = PipelineResult(_effective_instance(instance, config), config)
+    for stage in STAGES[:config.steps]:
+        run_stage(stage, result, kernel_trace)
+    return result
+
+
+def load_artifacts(instance: Instance, config: PipelineConfig, out_dir: Path,
+                   stages: Sequence[Stage]) -> PipelineResult:
+    """A result holding the artifacts of `stages`, read in order from out_dir."""
+    result = PipelineResult(_effective_instance(instance, config), config)
+    for stage in stages:
+        path = Path(out_dir) / stage.artifact
+        if not path.is_file():
+            raise InputError(f"{path} is missing; run `meshstack {stage.command}` first")
+        read_json(path, lambda doc: stage.load(result, doc))
+    return result

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from meshstack import cli
 from meshstack.cli import main
 from meshstack.corpus import write_corpus
 
@@ -176,3 +178,202 @@ def test_bad_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
     assert code == 2
     assert "Traceback" not in err
     assert key is None or repr(key) in err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--samples", "0"], "samples"),
+    (["--weights", "nan,1,1,1,1"], "weights"),
+    (["--weights", "1,1,1"], "weights"),
+    (["--weights=-1,1,1,1,1"], "weights"),
+    (["--rd-max", "-1"], "rd_max"),
+    (["--rd-max", "nan"], "rd_max"),
+    (["--fixed-mesh", "0x3"], "fixed_mesh"),
+    (["--seed", "-1"], "seed"),
+])
+@pytest.mark.parametrize("command", ["run", "assign"])
+def test_bad_flag_exit_code(tmp_path, corpus_dir, capsys, command, flags, key):
+    code = main([command, str(corpus_dir / "tiny_soc"), "--out", str(tmp_path / "o")]
+                + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert repr(key) in err
+
+
+def test_flags_lay_over_config(tmp_path, corpus_dir, capsys):
+    inst = str(corpus_dir / "tiny_soc")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "samples": 8}))
+    out = tmp_path / "o"
+    assert main(["run", inst, "--out", str(out), "--config", str(cfg), "--seed", "5",
+                 "--steps", "1"]) == 0
+    config = read_json(out / "report.json")["config"]
+    assert (config["seed"], config["samples"], config["steps"]) == (5, 8, 1)
+    cfg.write_text("[]")  # a non-object config stays an error with flags given
+    assert main(["run", inst, "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+CHAIN = ("assign", "floorplan", "tsv", "place3d", "legalize", "eval", "render")
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory, corpus_dir):
+    """The step chain and `run` on tiny_soc at seed 4: (chain dir, run dir)."""
+    base = tmp_path_factory.mktemp("tiny_chain")
+    inst = str(corpus_dir / "tiny_soc")
+    for cmd in CHAIN:
+        assert main([cmd, inst, "--out", str(base / "chain"), "--seed", "4"]) == 0
+    assert main(["run", inst, "--out", str(base / "run"), "--seed", "4"]) == 0
+    return base / "chain", base / "run"
+
+
+def test_chain_matches_run(tiny_chain):
+    chain, run = tiny_chain
+    report = read_json(run / "report.json")
+    assert read_json(chain / "floorplan_legal.json")["layers"] == report["floorplans"]
+    traffic = read_json(chain / "traffic.json")
+    assert {k: traffic[k] for k in report["metrics"]} == report["metrics"]
+    assert traffic["traffic"] == report["traffic"]
+
+
+def test_chain_render_matches_run_svgs(tiny_chain):
+    # render after legalize draws the vertical links at their final lengths
+    chain, run = tiny_chain
+    for layer in (0, 1):
+        svg = f"layer{layer}.svg"
+        assert (chain / svg).read_bytes() == (run / svg).read_bytes()
+
+
+def test_edited_assignment_flows_into_floorplan(tmp_path, corpus_dir):
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "edit"
+    assert main(["assign", inst, "--out", str(out), "--seed", "4"]) == 0
+    doc = read_json(out / "assignment.json")
+    assert doc["assignment"]["cpu4"] == 0
+    doc["assignment"]["cpu4"] = 1
+    (out / "assignment.json").write_text(json.dumps(doc))
+    assert main(["floorplan", inst, "--out", str(out), "--seed", "4"]) == 0
+    layers = read_json(out / "floorplan.json")["layers"]
+    placed = {comp: fp["layer"] for fp in layers for row in fp["cells"] for comp in row
+              if comp is not None}
+    assert placed == doc["assignment"]
+
+
+@pytest.mark.parametrize("done, command, missing", [
+    ((), "floorplan", "assignment.json"),
+    (("assign",), "place3d", "floorplan.json"),
+    (("assign",), "eval", "floorplan.json"),
+    ((), "render", "assignment.json"),
+])
+def test_missing_artifact_exit_code(tmp_path, corpus_dir, capsys, done, command, missing):
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    for cmd in done:
+        assert main([cmd, inst, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main([command, inst, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(out / missing) in err and "Traceback" not in err
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("artifact, keys, value", [
+    ("assignment.json", ["assignment", "cpu9"], 0),
+    ("assignment.json", ["assignment", "cpu4"], 7),
+    ("assignment.json", ["assignment", "cpu4"], "1"),
+    ("assignment.json", ["step1_cost"], "cheap"),
+    ("floorplan.json", ["layers", 0, "cells", 0, 0], "ghost"),
+    ("floorplan.json", ["layers", 0, "layer"], "x"),
+    ("floorplan.json", ["layers", 1, "rows"], 7),
+    ("tsv_plan.json", ["counts", "0"], -1),
+    ("tsv_plan.json", ["counts"], {}),
+    ("vlinks.json", ["vlinks", 0, "lower"], [0, 9, 9]),
+    ("vlinks.json", ["vlinks", 0, "upper"], [3, 0, 0]),
+    ("floorplan_legal.json", ["layers", 1, "col_widths"], []),
+    ("floorplan_legal.json", ["layers"], []),
+])
+def test_bad_artifact_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
+                                artifact, keys, value):
+    out = tmp_path / "chain"
+    shutil.copytree(tiny_chain[0], out)
+    doc = read_json(out / artifact)
+    _set(doc, keys, value)
+    (out / artifact).write_text(json.dumps(doc))
+    code = main(["eval", str(corpus_dir / "tiny_soc"), "--out", str(out), "--seed", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(out / artifact) in err and "Traceback" not in err
+
+
+def test_not_json_artifact_exit_code(tmp_path, corpus_dir, capsys):
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "assignment.json").write_text("{cpu0: 0")
+    assert main(["floorplan", inst, "--out", str(out)]) == 2
+    assert str(out / "assignment.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adc0", [0, 2])
+def test_assignment_off_feasible_layers_exit_code(tmp_path, corpus_dir, capsys, adc0):
+    # small_vsoc: layer 0 is 28nm, where the ADC is infeasible; layer 2 is none
+    inst = str(corpus_dir / "small_vsoc")
+    out = tmp_path / "o"
+    assert main(["assign", inst, "--out", str(out)]) == 0
+    doc = read_json(out / "assignment.json")
+    doc["assignment"]["adc0"] = adc0
+    (out / "assignment.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["floorplan", inst, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "assignment.json") in err and "'adc0'" in err
+
+
+def test_bad_report_exit_code(tmp_path, tiny_chain, corpus_dir, capsys):
+    report = read_json(tiny_chain[1] / "report.json")
+    report["floorplans"][0]["layer"] = "x"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = main(["eval", str(corpus_dir / "tiny_soc"), "--out", str(tmp_path),
+                 "--report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_malformed_instance_file_exit_code(tmp_path, corpus_dir, capsys):
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus_dir / "tiny_soc", bad)
+    doc = read_json(bad / "tech.json")
+    del doc["koz_area"]
+    (bad / "tech.json").write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert str(bad / "tech.json") in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_an_input_error(tmp_path, corpus_dir, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    with pytest.raises(KeyError):
+        main(["run", str(corpus_dir / "tiny_soc"), "--out", str(tmp_path / "o")])
+
+
+def test_dump_kernel_records_every_cost_evaluation(tmp_path, tiny_chain, corpus_dir):
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "k"
+    assert main(["assign", inst, "--out", str(out), "--seed", "4"]) == 0
+    assert main(["floorplan", inst, "--out", str(out), "--seed", "4", "--dump-kernel"]) == 0
+    calls = read_json(out / "kernel_trace.json")["kernel_calls"]
+    # 2 layers x (the initial state + 120 SA iterations), default sa_floorplan
+    assert len(calls) == 2 * (120 + 1) == 242
+    assert {call["layer"] for call in calls} == {0, 1}
+    assert ((out / "floorplan.json").read_bytes()
+            == (tiny_chain[0] / "floorplan.json").read_bytes())

@@ -8,7 +8,11 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
   - the same with --fixed-mesh (2x2, 3x3, 4x4, 3x3) and --no-rd;
   - --no-rd and colocate at seed 1;
   - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
-    (its traffic included).
+    (its traffic included);
+  - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
+    eval) on the four instances at seed 1: its floorplan_legal.json and
+    traffic.json;
+  - `run --steps 1..4` on tiny_soc at seed 1.
 
 Usage (from the root of a checkout):
 
@@ -25,6 +29,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from meshstack.cli import main as cli_main
 from meshstack.exact import solve_exact
@@ -34,6 +39,7 @@ from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance,
 INSTANCES = (("tiny_soc", "2x2"), ("small_vsoc", "3x3"),
              ("large_vsoc", "4x4"), ("vopd", "3x3"))
 SEEDS = (1, 2, 3)
+CHAIN = ("assign", "floorplan", "tsv", "place3d", "legalize", "eval")
 
 
 def digest(doc: dict) -> str:
@@ -41,13 +47,18 @@ def digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def run_cli(argv: list[str], artifact: Path) -> dict:
+def read_json(path: Path) -> dict:
+    with open(path) as f:
+        return json.load(f)
+
+
+def run_cli(argv: list[str], artifact: Optional[Path] = None) -> Optional[dict]:
+    """Run one CLI command quietly; return the artifact it wrote, if named."""
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(argv)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    with open(artifact) as f:
-        return json.load(f)
+    return read_json(artifact) if artifact is not None else None
 
 
 def cases(corpus: Path, tmp: Path):
@@ -94,7 +105,19 @@ def main(argv=None) -> int:
         doc = run_cli(["baseline", str(corpus / "tiny_soc"), "--out", str(out)],
                       out / "exact_solution.json")
         print(f"{digest(doc)}  tiny_soc baseline", flush=True)
-    print(f"{digest(exact_doc(corpus / 'tiny_soc'))}  tiny_soc solve_exact", flush=True)
+        print(f"{digest(exact_doc(corpus / 'tiny_soc'))}  tiny_soc solve_exact", flush=True)
+        for name, _mesh in INSTANCES:
+            out = tmp / f"chain_{name}"
+            for command in CHAIN:
+                run_cli([command, str(corpus / name), "--out", str(out), "--seed", "1"])
+            for artifact in ("floorplan_legal.json", "traffic.json"):
+                print(f"{digest(read_json(out / artifact))}  {name} seed 1 chain {artifact}",
+                      flush=True)
+        for steps in (1, 2, 3, 4):
+            out = tmp / f"steps{steps}"
+            doc = run_cli(["run", str(corpus / "tiny_soc"), "--out", str(out), "--seed", "1",
+                           "--steps", str(steps)], out / "report.json")
+            print(f"{digest(doc)}  tiny_soc seed 1 steps {steps}", flush=True)
     return 0
 
 
