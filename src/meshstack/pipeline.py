@@ -172,7 +172,6 @@ class PipelineResult:
         Its step outputs are the stage artifacts, serialized the same way."""
         artifact = {stage.command: stage.to_json(self) for stage in STAGES}
         doc = {
-            "config": self.config.to_json(),
             "instance": {
                 "components": len(self.instance.core_graph.components),
                 "flows": len(self.instance.core_graph.flows),
@@ -180,7 +179,7 @@ class PipelineResult:
                            for l in self.instance.layers],
                 **tech_to_json(self.instance.tech),
             },
-            **artifact["assign"],
+            **artifact["assign"],  # config, assignment, step1_cost
             "floorplans_step2": artifact["floorplan"]["layers"],
             "floorplans": artifact["legalize"]["layers"],
             "tsv": artifact["tsv"],
@@ -340,6 +339,13 @@ def _boundary_capacity(instance: Instance, floorplans: Sequence[MeshFloorplan],
 # the stage table; each artifact's parser puts it back onto a result
 
 def _load_assignment(result: PipelineResult, doc: dict) -> None:
+    # every later step must run with the config the chain started with
+    made_with, config = dict(doc["config"]), result.config.to_json()
+    for key in sorted(set(made_with) | set(config)):
+        if made_with.get(key) != config.get(key):
+            raise ValueError(f"made with config {key}={made_with.get(key)!r} but this step "
+                             f"runs with {key}={config.get(key)!r}; give every step the "
+                             f"same flags and --config")
     assignment, kinds = dict(doc["assignment"]), result.instance.kinds
     for comp in sorted(set(assignment) | set(kinds)):
         feasible = result.instance.feasible_layers(comp) if comp in kinds else ()
@@ -390,7 +396,8 @@ class Stage:
 
 STAGES = (
     Stage("assign", "component-to-layer assignment", "step1_assign", _assign,
-          "assignment.json", lambda r: {"assignment": dict(sorted(r.assignment.items())),
+          "assignment.json", lambda r: {"config": r.config.to_json(),
+                                        "assignment": dict(sorted(r.assignment.items())),
                                         "step1_cost": r.step1_cost},
           _load_assignment),
     Stage("floorplan", "per-layer floorplans", "step2_floorplan", _floorplan,
@@ -429,7 +436,8 @@ def run_pipeline(instance: Instance, config: PipelineConfig,
 
 def load_artifacts(instance: Instance, config: PipelineConfig, out_dir: Path,
                    stages: Sequence[Stage]) -> PipelineResult:
-    """A result holding the artifacts of `stages`, read in order from out_dir."""
+    """A result holding the artifacts of `stages`, read in order from out_dir.
+    Raises InputError if assignment.json was made with another config."""
     result = PipelineResult(_effective_instance(instance, config), config)
     for stage in stages:
         path = Path(out_dir) / stage.artifact

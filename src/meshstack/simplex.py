@@ -1,10 +1,16 @@
-"""Self-contained dense two-phase simplex for small covering LPs.
+"""Self-contained dense simplex for small covering LPs, solved through the dual.
 
 Solves   minimize    c . x
          subject to  A x >= b,   x >= 0
-with b >= 0, via surplus + artificial variables and Bland's rule (no cycling).
-Problem sizes here are tiny (tens of variables, a few hundred constraints),
-so a dense numpy tableau is the simplest reliable choice.
+with b >= 0 and c >= 0 by running the primal simplex on its dual
+         maximize    b . y
+         subject to  A^T y <= c,   y >= 0.
+c >= 0 makes the slack basis (y = 0) dual-feasible, so no phase 1 is needed;
+b >= 0 is the covering form the callers build. The dual has one row per
+primal variable (tens) instead of one per constraint (hundreds), so its
+tableau is small. At the dual optimum the reduced costs of the slack columns
+are the primal solution x (LP duality), and an unbounded dual means an
+infeasible primal. Bland's rule prevents cycling.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> None:
-    """Run simplex iterations on the tableau (objective in the last row)."""
+    """Run simplex iterations on the dual tableau (objective in the last row)."""
     max_pivots = 50 * (tableau.shape[0] + ncols)
     for _ in range(max_pivots):
         reduced = tableau[-1, :ncols]
@@ -41,7 +47,7 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> None:
         positive = col > _TOL
         ratios[positive] = tableau[:-1, -1][positive] / col[positive]
         if not positive.any():
-            raise SolverFailureError("LP is unbounded")
+            raise SolverFailureError("LP is infeasible (its dual is unbounded)")
         rmin = ratios.min()
         leaving = -1
         for i in range(len(ratios)):  # Bland tie-break: smallest basis index
@@ -54,55 +60,28 @@ def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> None:
 def solve_cover_lp(c, a_mat, b) -> tuple[np.ndarray, float]:
     """Return (x, objective) minimizing c.x subject to a_mat @ x >= b, x >= 0.
 
-    Raises SolverFailureError if infeasible or unbounded.
+    Raises SolverFailureError if b or c has a negative entry or the LP is
+    infeasible (with c >= 0 it is never unbounded).
     """
     c = np.asarray(c, dtype=float)
     a_mat = np.asarray(a_mat, dtype=float)
     b = np.asarray(b, dtype=float)
     n = c.size
     m = b.size
+    if np.any(c < 0):
+        raise SolverFailureError("costs must be nonnegative")
     if m == 0:
         return np.zeros(n), 0.0
     if np.any(b < 0):
         raise SolverFailureError("right-hand side must be nonnegative")
 
-    # columns: [x (n)] [surplus (m)] [artificial (m)] | rhs
-    ncols = n + 2 * m
-    tableau = np.zeros((m + 2, ncols + 1))
-    tableau[:m, :n] = a_mat
-    tableau[:m, n:n + m] = -np.eye(m)
-    tableau[:m, n + m:ncols] = np.eye(m)
-    tableau[:m, -1] = b
-    basis = np.arange(n + m, ncols)
+    # dual rows: [y (m)] [slack (n)] | c; objective row: minimize -b.y
+    tableau = np.zeros((n + 1, m + n + 1))
+    tableau[:n, :m] = a_mat.T
+    tableau[:n, m:m + n] = np.eye(n)
+    tableau[:n, -1] = c
+    tableau[n, :m] = -b
+    _iterate(tableau, np.arange(m, m + n), m + n)
 
-    # phase 1: minimize sum of artificials
-    tableau[m + 1, n + m:ncols] = 1.0
-    tableau[m + 1] -= tableau[:m].sum(axis=0)  # price out the artificial basis
-    phase1 = tableau[[*range(m), m + 1]]
-    _iterate(phase1, basis, ncols)
-    tableau[[*range(m), m + 1]] = phase1
-    if tableau[m + 1, -1] < -1e-7:
-        raise SolverFailureError("LP is infeasible")
-
-    # drive any artificial still in the basis out (degenerate rows)
-    for i in range(m):
-        if basis[i] >= n + m:
-            row = tableau[i, :n + m]
-            candidates = np.flatnonzero(np.abs(row) > _TOL)
-            if candidates.size:
-                _pivot(tableau, basis, i, int(candidates[0]))
-
-    # phase 2: original objective, artificials frozen out
-    tableau[m, :n] = c
-    for i in range(m):
-        if basis[i] < n:
-            tableau[m] -= tableau[m, basis[i]] * tableau[i]
-    tableau[:, n + m:ncols] = 0.0  # forbid artificials from re-entering
-    phase2 = tableau[:m + 1]
-    _iterate(phase2, basis, n + m)
-
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
-    return np.maximum(x, 0.0), float(c @ x)
+    x = np.maximum(tableau[n, m:m + n], 0.0)
+    return x, float(c @ x)

@@ -8,6 +8,7 @@ perf/power 1 in 28nm and 1.34 in 45nm (ADC 1/1).
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from meshstack.corpus import case_study_ppa
 from meshstack.model import (
@@ -18,6 +19,12 @@ from meshstack.model import (
     TechParams,
     validate_instance,
 )
+
+# property tests draw the same examples on every run and take no wall-clock
+# deadline, so the suite's verdict does not depend on the host's load
+settings.register_profile("meshstack", derandomize=True, deadline=None, database=None,
+                          max_examples=150)
+settings.load_profile("meshstack")
 
 
 def default_tech(link_capacity: float = 100.0, rd: float = 5.0, koz: float = 2.0) -> TechParams:

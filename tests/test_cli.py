@@ -260,6 +260,22 @@ def test_edited_assignment_flows_into_floorplan(tmp_path, corpus_dir):
     assert placed == doc["assignment"]
 
 
+def test_chain_with_other_flags_exit_code(tmp_path, corpus_dir, capsys):
+    # the first steps ran the fixed-mesh protocol; the later ones must too
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    flags = ["--fixed-mesh", "2x2", "--no-rd"]
+    for cmd in ("assign", "floorplan"):
+        assert main([cmd, inst, "--out", str(out), *flags]) == 0
+    for cmd in ("tsv", "place3d", "legalize", "eval"):
+        capsys.readouterr()
+        assert main([cmd, inst, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "assignment.json") in err and "fixed_mesh" in err
+        assert "Traceback" not in err
+    assert main(["tsv", inst, "--out", str(out), *flags]) == 0
+
+
 @pytest.mark.parametrize("done, command, missing", [
     ((), "floorplan", "assignment.json"),
     (("assign",), "place3d", "floorplan.json"),

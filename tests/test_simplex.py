@@ -1,4 +1,5 @@
-"""Direct tests of the dense two-phase simplex on covering LPs."""
+"""Direct tests of the dense dual simplex on covering LPs, with HiGHS
+(scipy.optimize.linprog) as the reference."""
 
 from __future__ import annotations
 
@@ -6,7 +7,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from meshstack import area_kernel
 from meshstack.errors import SolverFailureError
 from meshstack.simplex import solve_cover_lp
 
@@ -35,8 +40,15 @@ def test_redundant_and_degenerate_rows():
 
 def test_infeasible_lp_raises():
     # x >= 1 with zero coefficient row demanding b>0 is unsatisfiable
-    with pytest.raises(SolverFailureError):
+    with pytest.raises(SolverFailureError, match="infeasible"):
         solve_cover_lp([1.0], [[0.0]], [1.0])
+
+
+@pytest.mark.parametrize("b", [[1.0], []])
+def test_negative_cost_raises(b):
+    # min -x would be unbounded; the dual form needs c >= 0
+    with pytest.raises(SolverFailureError, match="costs must be nonnegative"):
+        solve_cover_lp([-1.0], np.ones((len(b), 1)), b)
 
 
 def test_random_covering_lps_feasible_and_vertex_optimal():
@@ -64,3 +76,54 @@ def test_random_covering_lps_feasible_and_vertex_optimal():
                 shrunk[j] -= min(1e-3, x[j])
                 assert any(sum(ai * xi for ai, xi in zip(row, shrunk)) < bi - 1e-9
                            for row, bi in zip(a, b)) or c[j] == 0.0
+
+
+def _check_against_highs(c, a_mat, b) -> None:
+    """Same verdict as HiGHS; on a feasible LP the same optimum, reached by
+    a feasible x."""
+    c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
+    a_mat = np.asarray(a_mat, dtype=float).reshape(b.size, c.size)
+    ref = linprog(c, A_ub=-a_mat if b.size else None, b_ub=-b if b.size else None,
+                  bounds=(0, None), method="highs")
+    assert ref.status in (0, 2)  # optimal or infeasible: c >= 0 is never unbounded
+    if ref.status == 2:
+        with pytest.raises(SolverFailureError, match="infeasible"):
+            solve_cover_lp(c, a_mat, b)
+        return
+    x, obj = solve_cover_lp(c, a_mat, b)
+    assert obj == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+    assert np.all(x >= 0)
+    assert np.all(a_mat @ x >= b - 1e-7)
+
+
+@given(n=st.integers(1, 12), m=st.integers(0, 200), density=st.floats(0.05, 1.0),
+       integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_covering_lp_matches_highs(n, m, density, integral, seed):
+    # sparse A >= 0 (all-zero rows with b > 0 make it infeasible), b >= 0 and
+    # c >= 0 with zeros; small integers give degenerate, tied vertices
+    rng = np.random.default_rng(seed)
+    if integral:
+        draw = lambda size: rng.integers(0, 4, size).astype(float)
+    else:
+        draw = lambda size: rng.uniform(0.1, 10.0, size) * (rng.random(size) < 0.8)
+    a_mat = draw((m, n)) * (rng.random((m, n)) < density)
+    _check_against_highs(draw(n), a_mat, draw(m))
+
+
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.5, 150.0)), min_size=cols, max_size=cols),
+    min_size=1, max_size=5)))
+def test_tangent_cut_lp_matches_highs(demands):
+    """The LPs min_area_lp builds for 1x1..5x5 demand grids."""
+    lps = []
+
+    def recording(c, a_mat, b):
+        lps.append((c, a_mat, b))
+        return solve_cover_lp(c, a_mat, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(area_kernel, "solve_cover_lp", recording)
+        area_kernel.min_area_lp(demands)
+    assert len(lps) == (1 if any(map(any, demands)) else 0)
+    for lp in lps:
+        _check_against_highs(*lp)
