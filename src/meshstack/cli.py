@@ -187,8 +187,8 @@ def _add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--weights", type=_parse_weights, default=None,
-                   metavar="A,P,F,K,U", help="five objective weights")
+    p.add_argument("--weights", type=_parse_weights, default=None, metavar="A,P,F,K,U",
+                   help="five objective weights; write a leading '-' as --weights=-1,...")
     p.add_argument("--fixed-mesh", type=_parse_mesh, default=None, metavar="RxC",
                    help="conventional protocol: fixed grid, row-major placement, "
                         "shared sizing, full vertical connectivity")

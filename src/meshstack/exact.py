@@ -83,8 +83,7 @@ def _matchings(candidates: Sequence[VerticalLink]):
 
 
 def solve_exact(instance: Instance, weights: ObjectiveWeights,
-                limits: ExactLimits = ExactLimits(),
-                redistribute: Optional[bool] = None) -> ExactSolution:
+                limits: ExactLimits = ExactLimits()) -> ExactSolution:
     """Globally optimal solution within the limits; raises
     InstanceTooLargeError (with the enumeration size) when they are exceeded.
     Deterministic: ties resolve to the lexicographically smallest solution."""
@@ -102,8 +101,6 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
         raise InstanceTooLargeError(
             f"a {worst_rows}x{worst_cols} grid exceeds the exact limit of "
             f"{limits.grid_cells} cells")
-    if redistribute is None:
-        redistribute = instance.tech.rd_max_length > 0
 
     feasible = {cid: instance.feasible_layers(cid) for cid in comps}
     num_layers = len(instance.layers)
@@ -141,7 +138,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
                 configurations_visited += 1
                 links = [boundary_cands[bi][i]
                          for bi, combo_sel in enumerate(selection) for i in combo_sel]
-                legal = legalize(instance, floorplans, links, redistribute=redistribute)
+                legal = legalize(instance, floorplans, links)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
                 except UnreachableError as exc:

@@ -202,9 +202,9 @@ def _with_koz(fp: MeshFloorplan, koz) -> MeshFloorplan:
 
 def _place_kozs(instance: Instance, fp: MeshFloorplan,
                 redistribute: bool) -> MeshFloorplan:
-    """Charge one KOZ per downward-connecting router. With redistribution the
-    KOZ may move to the cell within reach whose extra demand hurts the layer
-    area least (ties: nearest cell, then row/col order)."""
+    """Charge one KOZ per downward-connecting router: in its own cell, or where
+    legalize's rule lets it move, in the cell within reach whose extra demand
+    hurts the layer area least (ties: nearest cell, then row/col order)."""
     koz = [[0] * fp.cols for _ in range(fp.rows)]
     down_routers = [(r, c) for (r, c), _comp in fp.occupied_cells()
                     if router_connects_down(fp.router_kind[r][c])]
@@ -236,19 +236,19 @@ def _place_kozs(instance: Instance, fp: MeshFloorplan,
 
 
 def legalize(instance: Instance, floorplans: Sequence[MeshFloorplan],
-             vlinks: Sequence[VerticalLink], redistribute: bool = True,
-             colocated: bool = False) -> list[MeshFloorplan]:
+             vlinks: Sequence[VerticalLink], colocated: bool = False) -> list[MeshFloorplan]:
     """Re-size every layer with the full demands: component + router kind
     (2D or 3D) + KOZs of downward connections. Placements stay fixed.
 
+    The redistribution rule: a KOZ may move within the instance's reach
+    (tech.rd_max_length) unless the reach is 0 or the layers are colocated.
     With colocated=True all layers share one sizing solved on the per-cell
     maximum demand, keeping routers of different layers exactly stacked
     (the conventional no-redistribution protocol).
     """
     kinds = _router_kinds_from_vlinks(vlinks)
     staged = [fp if fp.rows == 0 else
-              _place_kozs(instance, _apply_router_kinds(fp, kinds),
-                          redistribute=redistribute and not colocated)
+              _place_kozs(instance, _apply_router_kinds(fp, kinds), redistribute=not colocated)
               for fp in floorplans]
     sized = [fp for fp in staged if fp.rows > 0]
     shared = None
@@ -266,9 +266,3 @@ def legalize(instance: Instance, floorplans: Sequence[MeshFloorplan],
                                      row_heights=solution.row_heights)
         out.append(fp)
     return out
-
-
-def joint_size(instance: Instance, floorplans: Sequence[MeshFloorplan]) -> list[MeshFloorplan]:
-    """Share one sizing across layers (per-cell max demand); used before the
-    TSV steps when routers must be exactly stacked (no redistribution)."""
-    return legalize(instance, floorplans, vlinks=(), redistribute=False, colocated=True)

@@ -25,7 +25,6 @@ from .model import CoreGraph, MeshFloorplan, NodeKey, TrafficEval, VerticalLink
 @dataclass
 class NetworkGraph:
     nodes: tuple[NodeKey, ...]
-    positions: dict[NodeKey, tuple[float, float]]
     adjacency: dict[NodeKey, tuple[tuple[NodeKey, float], ...]]
     component_router: dict[str, NodeKey]
     vlinks: tuple[VerticalLink, ...] = ()
@@ -85,7 +84,7 @@ def build_network(floorplans: Sequence[MeshFloorplan],
 
     nodes = tuple(sorted(positions))
     adjacency = {k: tuple(sorted(edges[k])) for k in nodes}
-    return NetworkGraph(nodes=nodes, positions=positions, adjacency=adjacency,
+    return NetworkGraph(nodes=nodes, adjacency=adjacency,
                         component_router=component_router, vlinks=tuple(refreshed))
 
 

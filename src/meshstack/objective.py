@@ -14,6 +14,7 @@ layer_assign.step1_cost. All functions here are pure and reentrant.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Mapping, Sequence
 
 from .errors import IncompleteSolutionError
@@ -106,20 +107,15 @@ def evaluate_solution(instance: Instance, floorplans: Sequence[MeshFloorplan],
                   for _cell, comp in fp.occupied_cells()}
     network = build_network(floorplans, vlinks)
     traffic = route_all(network, instance.core_graph, instance.tech.link_capacity)
+    terms = cost_terms(instance, assignment, floorplans, traffic)
+    area, power, perf = terms[:3]
     ws = [whitespace(instance, fp) for fp in floorplans]
-    traffic = TrafficEval(loads=traffic.loads,
-                          bw_times_distance=traffic.bw_times_distance,
-                          bw_times_hops=traffic.bw_times_hops,
-                          max_link_load=traffic.max_link_load,
-                          peak_penalty=traffic.peak_penalty,
-                          whitespace_per_layer=tuple(ws),
-                          whitespace_total=sum(ws))
-    power, perf = power_perf_cost(instance, assignment, floorplans)
-    cost = total_cost(instance, assignment, floorplans, traffic, weights)
+    traffic = dataclasses.replace(traffic, whitespace_per_layer=tuple(ws),
+                                  whitespace_total=sum(ws))
     return {
-        "total_cost": cost,
+        "total_cost": sum(w * t for w, t in zip(weights.as_tuple(), terms)),
         "area_per_layer": [fp.area for fp in floorplans],
-        "area_total": area_cost(floorplans),
+        "area_total": area,
         "whitespace_per_layer": ws,
         "whitespace_total": sum(ws),
         "power": power,

@@ -4,8 +4,9 @@ Steps: 1 layer assignment, 2 per-layer floorplanning, 3 TSV array counts,
 4 vertical-link placement, 5 legalization + final evaluation. Three protocol
 switches cover the conventional comparisons:
 
-  colocate    all layers share one grid sizing so routers stack exactly;
-              isolates reach sweeps on a fixed geometry.
+  colocate    all layers share one grid sizing so routers stack exactly
+              and KOZs stay in their routers' cells (floorplan.legalize
+              owns that rule); isolates reach sweeps on a fixed geometry.
   no_rd       redistribution reach forced to 0, plus colocate (otherwise no
               vertical link could ever be placed).
   fixed_mesh  the full conventional protocol: a fixed RxC grid per layer,
@@ -25,8 +26,7 @@ from typing import Callable, Optional, Sequence
 from .anneal import SaParams, mix_seed
 from .errors import (InputError, InstanceTooLargeError, InvalidParamsError,
                      NoCandidatesError, UnreachableError)
-from .floorplan import (floorplan_layer, grid_dims, joint_size, legalize, placed_floorplan,
-                        step2_cost)
+from .floorplan import floorplan_layer, grid_dims, legalize, placed_floorplan, step2_cost
 from .layer_assign import assign_layers, assign_layers_greedy, step1_cost
 from .model import (
     Instance,
@@ -84,8 +84,6 @@ _CONFIG_KEYS = {
     "sa_floorplan": _SA_TRIPLE,
     "sa_vlink": _SA_TRIPLE,
     "samples": (lambda v: _int(v, 1), "an integer >= 1"),
-    "step1_perf_weight": (lambda v: _num(v, 0), "a finite number >= 0"),
-    "assign_cap": (lambda v: _int(v, 0), "an integer >= 0"),
     "steps": (lambda v: _int(v, 1, 5), "an integer in 1..5"),
     "rd_max": (lambda v: _num(v, 0), "a finite number >= 0"),
     "no_rd": _BOOL,
@@ -95,7 +93,6 @@ _CONFIG_KEYS = {
     "fixed_tsv_counts": (lambda v: isinstance(v, dict) and all(
         k.isdecimal() and _int(n, 0) for k, n in v.items()),
         "an object of boundary index -> count >= 0"),
-    "redistribute_koz": _BOOL,
 }
 
 
@@ -116,15 +113,12 @@ class PipelineConfig:
     sa_floorplan: SaTriple = SaTriple(20.0, 120, 0.97)
     sa_vlink: SaTriple = SaTriple(100.0, 50, 0.97)
     samples: int = 64
-    step1_perf_weight: float = 0.0
-    assign_cap: int = 30
     steps: int = 5
     rd_max: Optional[float] = None             # override the instance reach
     no_rd: bool = False
     colocate: bool = False
     fixed_mesh: Optional[tuple[int, int]] = None
     fixed_tsv_counts: Optional[dict[int, int]] = None
-    redistribute_koz: Optional[bool] = None    # default: reach > 0 and not colocated
 
     def to_json(self) -> dict:
         def plain(v):
@@ -213,12 +207,10 @@ def _colocated(config: PipelineConfig) -> bool:
 
 def _assign(result: PipelineResult, kernel_trace: Optional[list]) -> None:
     instance, config = result.instance, result.config
-    step1_weights = ObjectiveWeights(
-        w_area=config.weights.w_area, w_power=config.weights.w_power,
-        w_perf=config.step1_perf_weight, w_peak=config.weights.w_peak,
-        w_util=config.weights.w_util)
+    # step 1 prices area and power; w_util = 1, never read there, keeps perf-only weights valid
+    step1_weights = dataclasses.replace(config.weights, w_perf=0.0, w_util=1.0)
     try:
-        assignment = assign_layers(instance, step1_weights, config.assign_cap)
+        assignment = assign_layers(instance, step1_weights)
     except InstanceTooLargeError:
         assignment = assign_layers_greedy(instance, step1_weights)
     result.assignment = assignment
@@ -252,8 +244,8 @@ def _floorplan(result: PipelineResult, kernel_trace: Optional[list]) -> None:
             floorplans.append(floorplan_layer(instance, l, members[l],
                                               config.weights, sa, dims=dims,
                                               kernel_trace=kernel_trace))
-    if _colocated(config):
-        floorplans = joint_size(instance, floorplans)
+    if _colocated(config):  # one shared sizing keeps the routers stacked
+        floorplans = legalize(instance, floorplans, (), colocated=True)
     result.step2_floorplans = floorplans
     result.per_step_costs["step1"] = result.step1_cost
     result.per_step_costs["step2_per_layer"] = {
@@ -314,11 +306,8 @@ def _place3d(result: PipelineResult, kernel_trace: Optional[list]) -> None:
 
 def _legalize(result: PipelineResult, kernel_trace: Optional[list]) -> None:
     instance, config = result.instance, result.config
-    redistribute = config.redistribute_koz
-    if redistribute is None:
-        redistribute = instance.tech.rd_max_length > 0 and not _colocated(config)
     legal = legalize(instance, result.step2_floorplans, result.vlinks,
-                     redistribute=redistribute, colocated=_colocated(config))
+                     colocated=_colocated(config))
     result.floorplans = legal
     metrics = evaluate_solution(instance, legal, result.vlinks, config.weights)
     result.metrics = metrics

@@ -7,6 +7,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstack import cli
 from meshstack.cli import main
@@ -168,6 +170,10 @@ def test_underflowing_sa_schedule_runs(tmp_path, corpus_dir):
     ({"fixed_mesh": "3x3"}, "fixed_mesh"),
     ({"fixed_tsv_counts": {"a": 1}}, "fixed_tsv_counts"),
     ({"fixed_tsv_counts": {"0": -1}}, "fixed_tsv_counts"),
+    # keys that were removed, with a value they used to accept: now unknown
+    ({"assign_cap": 30}, "assign_cap"),
+    ({"step1_perf_weight": 0.0}, "step1_perf_weight"),
+    ({"redistribute_koz": True}, "redistribute_koz"),
 ])
 def test_bad_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
@@ -178,6 +184,61 @@ def test_bad_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
     assert code == 2
     assert "Traceback" not in err
     assert key is None or repr(key) in err
+
+
+@pytest.mark.parametrize("weights", ["1,0,0,0,0", "0,1,0,0,0", "0,0,1,0,0", "0,0,0,1,0",
+                                     "0,0,0,0,1"])
+def test_one_hot_weights_run(tmp_path, corpus_dir, capsys, weights):
+    # step 1 ignores perf, so with perf alone it is indifferent and keeps
+    # its greedy incumbent, as with peak or util alone
+    out = tmp_path / "o"
+    assert main(["run", str(corpus_dir / "tiny_soc"), "--out", str(out),
+                 "--weights", weights]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert read_json(out / "report.json")["config"]["weights"] == [
+        float(w) for w in weights.split(",")]
+
+
+_SA = st.tuples(st.floats(0.1, 100.0), st.integers(1, 30), st.floats(0.05, 0.99)).map(list)
+_VALID_CONFIG = st.fixed_dictionaries({}, optional={
+    "weights": st.lists(st.sampled_from([0, 1, 2.5]), min_size=5, max_size=5)
+               .filter(any),
+    "seed": st.integers(0, 2**64 - 1),
+    "sa_floorplan": _SA,
+    "sa_vlink": _SA,
+    "samples": st.integers(1, 8),
+    "steps": st.integers(1, 5),
+    "rd_max": st.sampled_from([0, 0.5, 2.5, 5.0, 20.0]),
+    "no_rd": st.booleans(),
+    "colocate": st.booleans(),
+    "fixed_tsv_counts": st.dictionaries(st.sampled_from(["0", "1"]), st.integers(0, 4)),
+})
+
+
+@settings(max_examples=50)
+@given(doc=_VALID_CONFIG)
+def test_valid_config_never_raises(corpus_dir, tmp_path_factory, doc):
+    # a config --config accepts either runs or is infeasible / over a limit
+    base = tmp_path_factory.mktemp("valid_config")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["run", str(corpus_dir / "tiny_soc"), "--out", str(base / "o"),
+                 "--config", str(cfg)])
+    assert code in (0, 3, 4)
+
+
+def test_artifact_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
+    # an assignment.json written before a config key was removed
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    assert main(["assign", inst, "--out", str(out)]) == 0
+    doc = read_json(out / "assignment.json")
+    doc["config"]["assign_cap"] = 30
+    (out / "assignment.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["floorplan", inst, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "assignment.json") in err and "assign_cap" in err
 
 
 @pytest.mark.parametrize("flags, key", [

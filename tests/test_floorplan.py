@@ -15,7 +15,6 @@ from meshstack.floorplan import (
     _xy_cost,
     floorplan_layer,
     grid_dims,
-    joint_size,
     legalize,
 )
 from meshstack.model import (
@@ -193,7 +192,7 @@ def test_koz_redistribution_picks_area_minimizing_cell():
     base = make_fp(0, [["base"]], [6.2], [6.2])
     top = make_fp(1, [["a", "b"], ["c", None]], [6.1, 6.1], [6.1, 6.1])
     links = [VerticalLink(lower=(0, 0, 0), upper=(1, 0, 0), rd_length=0.0)]
-    legal = legalize(inst2, [base, top], links, redistribute=True)[1]
+    legal = legalize(inst2, [base, top], links)[1]
     assert sum(sum(row) for row in legal.koz_of) == 1
 
     # oracle: try charging the KOZ to every cell and keep the best area
@@ -212,12 +211,14 @@ def test_koz_redistribution_picks_area_minimizing_cell():
 
 
 def test_koz_stays_in_cell_without_redistribution():
+    from conftest import default_tech
+
     inst = make_instance([Component("lo", "CPU"), Component("hi", "CPU")],
-                         [], ["28nm", "28nm"])
+                         [], ["28nm", "28nm"], tech=default_tech(rd=0.0))
     fps = [make_fp(0, [["lo", None]], [6.1, 6.1], [6.1]),
            make_fp(1, [["hi", None]], [6.1, 6.1], [6.1])]
     links = [VerticalLink(lower=(0, 0, 0), upper=(1, 0, 0), rd_length=0.0)]
-    legal = legalize(inst, fps, links, redistribute=False)[1]
+    legal = legalize(inst, fps, links)[1]
     assert legal.koz_of[0][0] == 1 and legal.koz_of[0][1] == 0
 
 
@@ -225,7 +226,7 @@ def test_joint_sizing_colocates_routers():
     inst = make_instance([Component("a", "CPU"), Component("b", "SIMD")],
                          [], ["28nm", "28nm"])
     fps = [make_fp(0, [["a"]], [6.1], [6.1]), make_fp(1, [["b"]], [8.6], [8.6])]
-    shared = joint_size(inst, fps)
+    shared = legalize(inst, fps, (), colocated=True)
     assert shared[0].col_widths == shared[1].col_widths
     assert shared[0].row_heights == shared[1].row_heights
     # shared cell must fit the bigger demand (SIMD 71 + router 1.3)

@@ -6,7 +6,8 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
 
   - tiny_soc, small_vsoc, large_vsoc, vopd at seeds 1-3, default config;
   - the same with --fixed-mesh (2x2, 3x3, 4x4, 3x3) and --no-rd;
-  - --no-rd and colocate at seed 1;
+  - --no-rd, colocate and --rd-max 2.5 at seed 1 (the last searches KOZ
+    hosts within a reach other than the instance's);
   - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
     (its traffic included);
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
@@ -74,6 +75,7 @@ def cases(corpus: Path, tmp: Path):
                    ["--seed", str(seed), "--fixed-mesh", mesh, "--no-rd"], inst)
         yield f"{name} seed 1 no-rd", ["--seed", "1", "--no-rd"], inst
         yield f"{name} seed 1 colocate", ["--seed", "1", "--config", str(colocate)], inst
+        yield f"{name} seed 1 rd-max 2.5", ["--seed", "1", "--rd-max", "2.5"], inst
 
 
 def exact_doc(instance_dir: Path) -> dict:
