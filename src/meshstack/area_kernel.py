@@ -1,19 +1,11 @@
-"""Bounding-area solver for one layer's mesh grid.
+"""Bounding-area solver for one layer's mesh grid: shared column widths W_i
+and row heights H_j with W_i * H_j covering each occupied cell's demand and
+(sum W)(sum H) small. Two variants, both pure functions:
 
-Given per-cell area demands, size shared column widths W_i and row heights
-H_j so that W_i * H_j covers every occupied cell while (sum W)(sum H) stays
-small. Two variants:
-
-  min_area_lp     linear lower bound: the hyperbola H = a/W is replaced by
-                  tangent cuts and the half-perimeter sum W + sum H is
-                  minimized. Fast enough to sit inside an annealing loop;
-                  cell products may undershoot their demand (relaxation).
-  min_area_exact  feasible minimizer: alternating closed-form updates plus a
-                  golden-section search over a log-space column/row spread
-                  factor (the alternation alone can stall on kinks of the
-                  max() terms).
-
-Both are pure functions and reentrant.
+  min_area_lp     tangent cuts of H = a/W: a lower bound, fast enough for an
+                  annealing loop; cell products may undershoot their demand.
+  min_area_exact  the minimizer of a strictly convex geometric program, by an
+                  interior-point method; feasible by construction.
 """
 
 from __future__ import annotations
@@ -22,12 +14,12 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidParamsError
 from .simplex import solve_cover_lp
 
 Grid = Sequence[Sequence[float]]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class LpResult(NamedTuple):
@@ -72,10 +64,8 @@ def min_area_lp(demands: Grid, tangent_count: int = 8) -> LpResult:
     rows, cols, occupied = _check_demands(demands)
     if not occupied:
         return LpResult(tuple(0.0 for _ in range(cols)), tuple(0.0 for _ in range(rows)), 0.0)
-
     nvars = cols + rows  # [W_0..W_{cols-1}, H_0..H_{rows-1}]
-    a_rows = []
-    b_rhs = []
+    a_rows, b_rhs = [], []
     for r, c, a in occupied:
         lo = math.sqrt(a) / 4.0
         ratio = 16.0 ** (1.0 / (tangent_count - 1))
@@ -86,9 +76,7 @@ def min_area_lp(demands: Grid, tangent_count: int = 8) -> LpResult:
             coeffs[cols + r] = 1.0
             a_rows.append(coeffs)
             b_rhs.append(2.0 * a / w_t)
-
-    cost = [1.0] * nvars
-    x, _ = solve_cover_lp(cost, a_rows, b_rhs)
+    x, _ = solve_cover_lp([1.0] * nvars, a_rows, b_rhs)
     widths = tuple(float(v) for v in x[:cols])
     heights = tuple(float(v) for v in x[cols:])
     return LpResult(widths, heights, sum(widths) * sum(heights))
@@ -104,42 +92,32 @@ def repair_heights(demands: Grid, col_widths: Sequence[float]) -> ExactResult:
     heights = [0.0] * rows
     for r, c, a in occupied:
         heights[r] = max(heights[r], a / widths[c])
-    area = sum(widths) * sum(heights)
-    return ExactResult(tuple(widths), tuple(heights), area, True)
+    return ExactResult(tuple(widths), tuple(heights), sum(widths) * sum(heights), True)
 
 
-def _spread_search(values: list[float], reminimize, lo: float = 0.0, hi: float = 2.0) -> list[float]:
-    """Golden-section over the exponent s of v_i -> m * (v_i / m)^s, m the
-    geometric mean. s = 1 keeps the vector; s = 0 collapses it to uniform.
-    The objective is convex along this log-space ray, so the section search
-    is exact up to its resolution."""
-    active = [v for v in values if v > 0]
-    if len(active) < 2:
-        return values
-    log_m = sum(math.log(v) for v in active) / len(active)
+def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps v + step * dv >= 0."""
+    return min(1.0, float(np.divide(-v, dv, out=np.ones_like(v), where=dv < 0).min()))
 
-    def scaled(s: float) -> list[float]:
-        return [math.exp(log_m + s * (math.log(v) - log_m)) if v > 0 else 0.0
-                for v in values]
 
-    def f(s: float) -> float:
-        return reminimize(scaled(s))
-
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(60):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    s_best = min((f(1.0), 1.0), (f1, x1), (f2, x2))[1]  # never worse than s=1
-    return scaled(s_best)
+def _solve_on_tight_cells(x: np.ndarray, A: np.ndarray, b: np.ndarray, ncols: int) -> tuple:
+    """The KKT point for given tight cells, the rows of A x = b, and its spanning
+    forest: the forest fixes x up to one scale per connected component, and
+    stationarity fixes that, as sum W and sum H both sum its multipliers."""
+    x, label, forest = x.copy(), np.arange(len(x)), np.zeros(len(b), dtype=bool)
+    sign = np.where(label < ncols, 1.0, -1.0)  # shifting a component keeps its u + v
+    for k, (cell, bk) in enumerate(zip(A, b)):
+        i, j = np.flatnonzero(cell)
+        if label[i] != label[j]:
+            forest[k] = True
+            moved = label == label[j]
+            x[moved] += sign[moved] * (x[i] + x[j] - bk)
+            label[moved] = label[i]
+    for part in (label == k for k in range(len(x))):  # labels not in use select nothing
+        col_sum, row_sum = np.exp(x[part & (sign > 0)]).sum(), np.exp(x[part & (sign < 0)]).sum()
+        if col_sum and row_sum:
+            x[part] += sign[part] * 0.5 * np.log(row_sum / col_sum)
+    return x, forest
 
 
 @lru_cache(maxsize=1 << 18)
@@ -154,76 +132,69 @@ def min_area_exact_cached(demands: Grid) -> ExactResult:
 
 
 def min_area_exact(demands: Grid, init_widths: Optional[Sequence[float]] = None,
-                   tol: float = 1e-9, max_iters: int = 1000) -> ExactResult:
-    """Feasible minimum-area sizing; initialized from the LP unless widths given.
-
-    Alternates H_j = max_i a_ij/W_i and W_i = max_j a_ij/H_j (each update is
-    the closed-form optimum for the other side fixed), interleaved with
-    golden-section spread searches over columns and rows. Returns the best
-    iterate with converged=False if max_iters is exhausted.
-    """
+                   tol: float = 1e-9, max_iters: int = 100) -> ExactResult:
+    """The minimum-area sizing: with u = log W, v = log H, min sum e^u + sum
+    e^v s.t. u_i + v_j >= log a_ij is strictly convex, and its one minimizer
+    has sum W = sum H, so it minimizes (sum W)(sum H) too. A Mehrotra
+    predictor-corrector from a start computed from the demands alone (so
+    init_widths is ignored) finds the tight cells; the result is their exact
+    KKT point. converged: the solve stopped by itself within max_iters and
+    that point is certified. Heights are max a_ij / W_i: always feasible."""
     rows, cols, occupied = _check_demands(demands)
     if not occupied:
-        return ExactResult(tuple(0.0 for _ in range(cols)), tuple(0.0 for _ in range(rows)),
-                           0.0, True)
-
-    if init_widths is None:
-        init_widths = min_area_lp(demands).col_widths
-    widths = [max(float(w), 0.0) for w in init_widths]
-    for r, c, a in occupied:
-        if widths[c] <= 0.0:
-            widths[c] = math.sqrt(a)
-
-    by_col: dict[int, list[tuple[int, float]]] = {}
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c, a in occupied:
-        by_col.setdefault(c, []).append((r, a))
-        by_row.setdefault(r, []).append((c, a))
-
-    def heights_for(ws: Sequence[float]) -> list[float]:
-        hs = [0.0] * rows
-        for r, cells in by_row.items():
-            hs[r] = max(a / ws[c] for c, a in cells)
-        return hs
-
-    def widths_for(hs: Sequence[float]) -> list[float]:
-        ws = [0.0] * cols
-        for c, cells in by_col.items():
-            ws[c] = max(a / hs[r] for r, a in cells)
-        return ws
-
-    def area_of(ws: Sequence[float]) -> float:
-        return sum(ws) * sum(heights_for(ws))
-
-    heights = heights_for(widths)
-    area = sum(widths) * sum(heights)
-    converged = False
-    iters = 0
-    while iters < max_iters:
-        prev_area = area
-        # alternate to a fixed point
-        while iters < max_iters:
-            iters += 1
-            widths = widths_for(heights)
-            heights = heights_for(widths)
-            new_area = sum(widths) * sum(heights)
-            if abs(area - new_area) <= tol * max(new_area, 1.0):
-                area = new_area
-                break
-            area = new_area
-        # escape kinks of the max() terms: spread searches in log space
-        widths = _spread_search(widths, area_of)
-        heights = heights_for(widths)
-
-        def area_of_heights(hs: Sequence[float]) -> float:
-            return sum(widths_for(hs)) * sum(hs)
-
-        heights = _spread_search(heights, area_of_heights)
-        widths = widths_for(heights)
-        heights = heights_for(widths)
-        area = sum(widths) * sum(heights)
-        if abs(prev_area - area) <= tol * max(area, 1.0):
-            converged = True
+        return repair_heights(demands, [0.0] * cols)
+    used_cols, used_rows = (sorted({cell[k] for cell in occupied}) for k in (1, 0))
+    # one log-width per occupied column, then one log-height per occupied row
+    A = np.array([[float(c == u) for u in used_cols] + [float(r == v) for v in used_rows]
+                  for r, c, _ in occupied])
+    scale = max(a for _, _, a in occupied)  # solve for a / scale; sizes scale by sqrt
+    b = np.log([a / scale for _, _, a in occupied])
+    # start: each line takes half of its largest log demand; slacks >= 1, duals 1
+    x = 0.5 * np.max(np.where(A > 0, b[:, None], -np.inf), axis=0)
+    (m, n), s = A.shape, np.maximum(A @ x - b, 1.0)
+    lam = np.ones(m)
+    converged, alpha = True, 1.0  # converged unless max_iters or the certificate fails
+    for _ in range(max_iters):
+        w, mu = np.exp(x), s @ lam / m
+        r_d, r_p = w - A.T @ lam, A @ x - s - b
+        # at tol, or no step is left in double precision
+        if max(np.max(np.abs(r_d)) / np.max(w), np.max(np.abs(r_p)), mu) <= tol or alpha < tol:
             break
+        d = lam / s
+        normal = np.diag(w) + A.T @ (d[:, None] * A)
 
-    return ExactResult(tuple(widths), tuple(heights), area, converged)
+        def direction(r_c):
+            dx = np.linalg.solve(normal, -r_d - A.T @ (d * r_p + r_c / s))
+            dlam = -d * (r_p + A @ dx) - r_c / s
+            return dx, dlam, -(r_c + s * dlam) / lam
+        try:
+            dx, dlam, ds = direction(s * lam)  # predictor: the affine-scaling step
+            mu_aff = (s + _to_boundary(s, ds) * ds) @ (lam + _to_boundary(lam, dlam) * dlam) / m
+            dx, dlam, ds = direction(s * lam + ds * dlam - (mu_aff / mu) ** 3 * mu)
+        except np.linalg.LinAlgError:  # singular: demands about 1e11 and more apart
+            break
+        alpha = min(0.99 * _to_boundary(s, ds), 0.99 * _to_boundary(lam, dlam),
+                    1.0 / max(1.0, np.max(np.abs(dx))))  # at most e-fold per step
+        x, s, lam = x + alpha * dx, s + alpha * ds, lam + alpha * dlam
+    else:
+        converged = False
+    # tight cells, surest first: slack below multiplier. Their KKT point is
+    # certified if no cell is violated, no multiplier negative, no line bare;
+    # else violated cells and bare lines' least-slack cells go first, negatives go
+    order = sorted(np.flatnonzero(s < lam), key=lambda k: s[k] / lam[k])
+    for _ in range(m + n):
+        y, forest = _solve_on_tight_cells(x, A[order], b[order], len(used_cols))
+        on_forest, slack = A[order][forest], A @ y - b
+        negative = set(np.array(order, dtype=int)[forest][np.linalg.solve(
+            on_forest @ on_forest.T, on_forest @ np.exp(y)) < -tol])
+        violated = list(np.flatnonzero(slack < -tol)) + [
+            np.flatnonzero(line)[np.argmin(slack[line])]
+            for line in (A > 0).T[~on_forest.any(axis=0)]]
+        if not (violated or negative):
+            break
+        order = violated + [k for k in order if k not in negative and k not in violated]
+    else:
+        converged = False
+    widths = dict(zip(used_cols, np.sqrt(scale) * np.exp(y)))  # y: the columns come first
+    return repair_heights(demands, [widths.get(c, 0.0) for c in range(cols)])._replace(
+        converged=converged)

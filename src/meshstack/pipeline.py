@@ -188,6 +188,10 @@ class PipelineResult:
 
 
 def _effective_instance(instance: Instance, config: PipelineConfig) -> Instance:
+    unknown = sorted(set(config.fixed_tsv_counts or {}) - set(instance.boundaries()))
+    if unknown:
+        raise InvalidParamsError(f"fixed_tsv_counts names boundaries {unknown}, but the "
+                                 f"instance's boundaries are {list(instance.boundaries())}")
     reach = instance.tech.rd_max_length
     if config.rd_max is not None:
         reach = config.rd_max
@@ -346,7 +350,12 @@ def _load_assignment(result: PipelineResult, doc: dict) -> None:
 
 
 def _load_floorplan(result: PipelineResult, doc: dict) -> None:
-    result.step2_floorplans = parse_layers(result.instance, doc["layers"])
+    floorplans = parse_layers(result.instance, doc["layers"])
+    grids = {fp.layer: (fp.rows, fp.cols) for fp in floorplans if fp.rows > 0}
+    if _colocated(result.config) and len(set(grids.values())) > 1:
+        raise ValueError("colocated layers must share one grid, but " + ", ".join(
+            f"layer {l} is {r}x{c}" for l, (r, c) in grids.items()))
+    result.step2_floorplans = floorplans
 
 
 def _load_tsv(result: PipelineResult, doc: dict) -> None:

@@ -5,7 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from meshstack.area_kernel import min_area_exact, min_area_lp, repair_heights
 from meshstack.errors import InvalidParamsError
@@ -56,8 +60,8 @@ def test_tangent_count_validation():
 
 
 def test_known_kink_instance():
-    # cross demands stall plain alternation started from a lopsided point; the
-    # spread search must recover the symmetric optimum 4 * 100 = 400
+    # cross demands: the optimum is symmetric, 4 * 100 = 400, whatever the
+    # (ignored) starting widths
     demands = [[1.0, 100.0], [100.0, 1.0]]
     res = min_area_exact(demands, init_widths=[1.0, 2.0])
     assert res.area == pytest.approx(400.0, rel=1e-6)
@@ -132,3 +136,88 @@ def test_exact_matches_bruteforce_scan_small():
             best = min(best, sum(widths) * sum(h))
         res = min_area_exact(demands)
         assert res.area <= best * (1 + 1e-3)
+
+
+# zeros, ties, and demands across four decades
+_DEMAND = st.one_of(st.just(0.0), st.sampled_from([0.01, 1.0, 100.0]),
+                    st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def demand_grids(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = [[draw(_DEMAND) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):  # a lone small demand in its own column
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[c] = 0.0
+        grid[r][c] = draw(st.floats(-2.0, 0.0).map(lambda e: 10.0 ** e))
+    assume(any(any(row) for row in grid))
+    return grid
+
+
+def assert_kkt_point(demands, res):
+    widths, heights = res.col_widths, res.row_heights
+    cells = [(r, c, a) for r, row in enumerate(demands) for c, a in enumerate(row) if a > 0]
+    assert res.converged
+    assert all(widths[c] * heights[r] >= a * (1 - 1e-12) for r, c, a in cells)
+    assert sum(widths) == pytest.approx(sum(heights), rel=1e-9)
+    assert res.area >= sum(a for _, _, a in cells) * (1 - 1e-12)
+    # KKT certificate: multipliers >= 0 on the tight cells whose column sums
+    # are the widths and whose row sums are the heights
+    tight = [(r, c) for r, c, a in cells if widths[c] * heights[r] <= a * (1 + 1e-9)]
+    sums = np.zeros((len(widths) + len(heights), len(tight)))
+    for k, (r, c) in enumerate(tight):
+        sums[c, k] = sums[len(widths) + r, k] = 1.0
+    target = np.array(widths + heights)
+    multipliers, _ = nnls(sums, target)
+    assert np.all(np.abs(sums @ multipliers - target) <= 1e-8 * target)
+
+
+@given(demands=demand_grids())
+def test_exact_is_the_kkt_point(demands):
+    res = min_area_exact(demands)
+    assert_kkt_point(demands, res)
+    # one minimizer: the same bits on every call, from any starting widths
+    assert min_area_exact(demands) == res
+    cols = len(res.col_widths)
+    for init in ([1.0] * cols, [50.0 * (c + 1) for c in range(cols)]):
+        assert min_area_exact(demands, init_widths=init) == res
+
+
+@pytest.mark.parametrize("demands", [
+    # five decades in one column: a full Newton step overshoots e^u
+    [[210.0], [0.001]],
+    # a tie: cell (0, 0) is tight at the minimizer but carries no multiplier
+    [[100.0, 100.0], [100.0, 1.0]],
+    # the interior iterate leaves a tight cell (2, 0) out of the tight set
+    [[0.8362821795861743, 0.059740440946837926, 79.49388873439518, 0.04959415977324486],
+     [0.14543512519074075, 9.107462792325938, 41.55815493996111, 0.0],
+     [0.013050095060227763, 0.17527797657535016, 0.5146729348584218, 0.0],
+     [0.026575564945637273, 0.33770069931328967, 0.01303199040839179, 0.0]],
+    # a near tie: cell (0, 0) is 2.7e-7 from tight, so it looks tight
+    [[0.01, 0.01], [1.0, 0.9999997255105045]],
+    # near ties: a cell that looks tight gets a negative multiplier and leaves
+    [[0.009999999, 0.01], [0.009999999, 0.009998]],
+    # multipliers five decades apart: the small rows' cells look slack
+    [[0.037646783542805706], [465.9197630800511], [698.6852129230318],
+     [0.049394873820259574], [37.1], [0.006312810340878955]],
+])
+def test_exact_kkt_point_on_hard_grids(demands):
+    assert_kkt_point(demands, min_area_exact(demands))
+
+
+def test_exact_on_far_apart_demands():
+    # 11 decades and more apart the normal equations go singular short of tol;
+    # the certified tight set still gives the minimizer (the certificate's own
+    # rounding, not the sizes, keeps the nnls check above out of reach here)
+    for demands in ([[87100.0, 1.04e-06]], [[9000.0], [1.1e-07]]):  # one row, one column
+        res = min_area_exact(demands)
+        assert res.converged
+        assert res.area == pytest.approx(sum(map(sum, demands)), rel=1e-12)
+    demands = [[0.0, 1.0], [1.25e-07, 1.0], [0.0, 6.9e-4], [0.2, 1.0], [4.05e6, 3.1e-08],
+               [8.7e-05, 0.0]]
+    res = min_area_exact(demands)
+    assert res.converged
+    assert cell_products_feasible(demands, res.col_widths, res.row_heights, slack=1e-12)
+    assert sum(res.col_widths) == pytest.approx(sum(res.row_heights), rel=1e-9)

@@ -211,7 +211,8 @@ _VALID_CONFIG = st.fixed_dictionaries({}, optional={
     "rd_max": st.sampled_from([0, 0.5, 2.5, 5.0, 20.0]),
     "no_rd": st.booleans(),
     "colocate": st.booleans(),
-    "fixed_tsv_counts": st.dictionaries(st.sampled_from(["0", "1"]), st.integers(0, 4)),
+    # tiny_soc has one boundary; other keys are rejected (test_unknown_tsv_boundary_exit_code)
+    "fixed_tsv_counts": st.dictionaries(st.just("0"), st.integers(0, 4)),
 })
 
 
@@ -225,6 +226,43 @@ def test_valid_config_never_raises(corpus_dir, tmp_path_factory, doc):
     code = main(["run", str(corpus_dir / "tiny_soc"), "--out", str(base / "o"),
                  "--config", str(cfg)])
     assert code in (0, 3, 4)
+
+
+@pytest.mark.parametrize("counts", [{"7": 3}, {"0": 1, "1": 0}])
+@pytest.mark.parametrize("command", ["run", "assign", "legalize"])
+def test_unknown_tsv_boundary_exit_code(tmp_path, corpus_dir, capsys, command, counts):
+    # tiny_soc's two layers meet at boundary 0 only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixed_tsv_counts": counts}))
+    code = main([command, str(corpus_dir / "tiny_soc"), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "fixed_tsv_counts" in err and str(max(map(int, counts))) in err
+    assert "[0]" in err and "Traceback" not in err
+
+
+def test_colocated_chain_with_unequal_grids_exit_code(tmp_path, corpus_dir, capsys):
+    # a floorplan.json edited by hand: under --no-rd every layer must share one grid
+    inst = str(corpus_dir / "small_vsoc")
+    out = tmp_path / "o"
+    for cmd in ("assign", "floorplan"):
+        assert main([cmd, inst, "--out", str(out), "--no-rd"]) == 0
+    doc = read_json(out / "floorplan.json")
+    layer = doc["layers"][1]
+    assert layer["rows"] > 1
+    for key in ("cells", "router_kind", "koz"):  # the same cells, laid out in one row
+        layer[key] = [[v for row in layer[key] for v in row]]
+    layer["col_widths"] = layer["col_widths"] * layer["rows"]
+    layer["row_heights"] = [max(layer["row_heights"])]
+    layer["cols"], layer["rows"] = layer["rows"] * layer["cols"], 1
+    (out / "floorplan.json").write_text(json.dumps(doc))
+    for cmd in ("tsv", "legalize"):
+        capsys.readouterr()
+        assert main([cmd, inst, "--out", str(out), "--no-rd"]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "floorplan.json") in err and "one grid" in err
+        assert "Traceback" not in err
 
 
 def test_artifact_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
