@@ -9,7 +9,9 @@ redistribution length (the through-silicon hop itself is sub-mm and ignored).
 Every link is a pair of directed edges with independent loads. Routing is
 static single-path: Dijkstra on mm length with ties broken by hop count and
 then by the lexicographically smallest (layer, row, col) node sequence, which
-makes paths fully deterministic.
+makes paths fully deterministic. A search pops labels in an order that does
+not depend on its destination, so `route_all` keeps one resumable search per
+source router and every flow reads the same label a single-pair search gives.
 """
 
 from __future__ import annotations
@@ -88,43 +90,69 @@ def build_network(floorplans: Sequence[MeshFloorplan],
                         component_router=component_router, vlinks=tuple(refreshed))
 
 
-def shortest_path(network: NetworkGraph, src: NodeKey, dst: NodeKey
-                  ) -> Optional[tuple[float, int, tuple[NodeKey, ...]]]:
+Label = tuple[float, int, tuple[NodeKey, ...]]
+
+
+class _Search:
+    """Dijkstra from one source that stops once the asked-for node settles
+    and resumes from there on the next request. Each settled node is expanded
+    before the search yields, so a resumed search pops the same labels, in
+    the same order, as a fresh search for the new destination."""
+
+    def __init__(self, network: NetworkGraph, src: NodeKey):
+        self.adjacency = network.adjacency
+        self.heap: list[Label] = [(0.0, 0, (src,))]
+        self.settled: dict[NodeKey, Label] = {}
+
+    def label(self, dst: NodeKey) -> Optional[Label]:
+        settled = self.settled
+        if dst in settled:
+            return settled[dst]
+        heap, adjacency = self.heap, self.adjacency
+        while heap:
+            entry = heapq.heappop(heap)
+            dist, hops, path = entry
+            node = path[-1]
+            if node in settled:
+                continue
+            settled[node] = entry
+            for nbr, length in adjacency[node]:
+                if nbr not in settled:
+                    heapq.heappush(heap, (dist + length, hops + 1, path + (nbr,)))
+            if node == dst:
+                return entry
+        return None
+
+
+def shortest_path(network: NetworkGraph, src: NodeKey, dst: NodeKey) -> Optional[Label]:
     """Dijkstra label: (mm length, hops, node sequence); None if unreachable.
 
     The full label is the heap key, so equal-length routes resolve by hop
-    count and then by lexicographic node sequence.
+    count and then by lexicographic node sequence. This is one request of
+    the resumable search that `route_all` shares between flows.
     """
-    if src == dst:
-        return (0.0, 0, (src,))
-    heap: list[tuple[float, int, tuple[NodeKey, ...]]] = [(0.0, 0, (src,))]
-    done: set[NodeKey] = set()
-    while heap:
-        dist, hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == dst:
-            return (dist, hops, path)
-        for nbr, length in network.adjacency[node]:
-            if nbr not in done:
-                heapq.heappush(heap, (dist + length, hops + 1, path + (nbr,)))
-    return None
+    return _Search(network, src).label(dst)
 
 
 def route_all(network: NetworkGraph, core_graph: CoreGraph,
               link_capacity: float) -> TrafficEval:
-    """Route every flow on its shortest path and accumulate per-link loads."""
+    """Route every flow, in flow order, on its shortest path and accumulate
+    per-link loads. Flows from one source router share one resumable search,
+    so each source's labels are settled once; raises UnreachableError for the
+    first flow that has no route."""
     loads: dict[tuple[NodeKey, NodeKey], float] = {}
     bw_dist = 0.0
     bw_hops = 0.0
+    searches: dict[NodeKey, _Search] = {}
     for flow in core_graph.flows:
         src = network.component_router.get(flow.src)
         dst = network.component_router.get(flow.dst)
         if src is None or dst is None:
             raise UnreachableError(flow.src, flow.dst)
-        result = shortest_path(network, src, dst)
+        search = searches.get(src)
+        if search is None:
+            search = searches[src] = _Search(network, src)
+        result = search.label(dst)
         if result is None:
             raise UnreachableError(flow.src, flow.dst)
         dist, hops, path = result

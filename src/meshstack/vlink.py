@@ -132,7 +132,8 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
     """Choose counts[b] vertical links per boundary b by simulated annealing.
 
     Cost routes the entire core graph over the full 3D network built from the
-    current selection; states that leave a flow unreachable price as +inf.
+    current selection, once per distinct selection; states that leave a flow
+    unreachable price as +inf.
     """
     boundaries = sorted(b for b, cnt in counts.items() if cnt > 0)
     if not boundaries:
@@ -174,13 +175,22 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
     def links_of(state) -> list[VerticalLink]:
         return [cands[b][i] for b, sel in zip(boundaries, state) for i in sel]
 
-    def cost(state) -> float:
+    def route_cost(state) -> float:
         network = build_network(floorplans, links_of(state))
         try:
             traffic = route_all(network, instance.core_graph, instance.tech.link_capacity)
         except UnreachableError:
             return float("inf")
         return weights.w_util * traffic.bw_times_distance + weights.w_peak * traffic.peak_penalty
+
+    # the annealer proposes many states more than once (no-op proposals,
+    # swaps undone); each distinct state is routed once
+    priced: dict[tuple, float] = {}
+
+    def cost(state) -> float:
+        if state not in priced:
+            priced[state] = route_cost(state)
+        return priced[state]
 
     # the centroid start chases traffic, the shortest-RD start keeps vertical
     # hops cheap; begin from whichever prices better

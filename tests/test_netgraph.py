@@ -1,12 +1,16 @@
 """Network construction and routing: worked examples, all-pairs oracle,
-conservation, determinism, vertical-link monotonicity."""
+per-flow routing oracle, conservation, determinism, vertical-link
+monotonicity."""
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meshstack.errors import UnreachableError
 from meshstack.model import Component, CoreGraph, Flow, VerticalLink
@@ -141,6 +145,72 @@ def test_load_conservation_and_determinism():
         assert te1.bw_times_distance == te2.bw_times_distance
         # sum of link loads == sum over flows of bandwidth * hop count
         assert sum(te1.loads.values()) == pytest.approx(te1.bw_times_hops, rel=1e-12)
+
+
+def early_exit_label(net, src, dst):
+    """Reference single-pair Dijkstra: returns as soon as dst pops."""
+    heap = [(0.0, 0, (src,))]
+    done = set()
+    while heap:
+        dist, hops, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        done.add(node)
+        if node == dst:
+            return (dist, hops, path)
+        for nbr, length in net.adjacency[node]:
+            if nbr not in done:
+                heapq.heappush(heap, (dist + length, hops + 1, path + (nbr,)))
+    return None
+
+
+def route_each_flow(net, cg, capacity):
+    """route_all's metrics from a fresh shortest_path per flow, in flow order."""
+    loads = {}
+    bw_dist = bw_hops = 0.0
+    for flow in cg.flows:
+        src, dst = net.component_router[flow.src], net.component_router[flow.dst]
+        result = shortest_path(net, src, dst)
+        assert result == early_exit_label(net, src, dst)
+        if result is None:
+            raise UnreachableError(flow.src, flow.dst)
+        dist, hops, path = result
+        bw_dist += flow.bandwidth * dist
+        bw_hops += flow.bandwidth * hops
+        for a, b in zip(path, path[1:]):
+            loads[(a, b)] = loads.get((a, b), 0.0) + flow.bandwidth
+    return (loads, bw_dist, bw_hops, max(loads.values(), default=0.0),
+            sum(max(0.0, load - capacity) for load in loads.values()))
+
+
+@st.composite
+def routed_networks(draw):
+    """A random_network plus flows that repeat a few sources and
+    destinations; with no vertical link, or a layer split by holes, some
+    flows are unreachable."""
+    fps, comps, vlinks = random_network(draw(st.randoms(use_true_random=False)))
+    ids = [c.id for c in comps]
+    hubs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+    end = st.sampled_from(hubs) | st.sampled_from(ids)
+    flows = draw(st.lists(st.builds(Flow, end, end, st.floats(0.5, 80.0)), max_size=16))
+    return build_network(fps, vlinks), CoreGraph(components=tuple(comps), flows=tuple(flows))
+
+
+@given(case=routed_networks())
+def test_route_all_equals_per_flow_routing(case):
+    net, cg = case
+    try:
+        expected = route_each_flow(net, cg, 100.0)
+    except UnreachableError as err:
+        with pytest.raises(UnreachableError) as got:
+            route_all(net, cg, 100.0)
+        assert (got.value.src, got.value.dst) == (err.src, err.dst)
+        return
+    te = route_all(net, cg, 100.0)
+    assert list(te.loads.items()) == list(expected[0].items())
+    assert (te.bw_times_distance, te.bw_times_hops, te.max_link_load,
+            te.peak_penalty) == expected[1:]
 
 
 def test_removing_vlink_never_shortens_paths():

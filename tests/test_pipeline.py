@@ -6,13 +6,22 @@ import copy
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from meshstack.corpus import small_vsoc, tiny_soc
+from meshstack.corpus import case_study_ppa, small_vsoc, tiny_soc
+from meshstack.errors import MeshstackError
 from meshstack.model import (
     Component,
+    CoreGraph,
+    Flow,
+    Layer,
     ObjectiveWeights,
+    TechParams,
+    instance_violations,
     parse_floorplan,
     parse_vlink,
+    validate_instance,
 )
 from meshstack.objective import evaluate_solution
 from meshstack.pipeline import PipelineConfig, SaTriple, run_pipeline
@@ -124,3 +133,38 @@ def test_rd_override_reaches_instance():
 def test_config_json_null_means_default():
     keys = PipelineConfig().to_json()
     assert PipelineConfig.from_json({key: None for key in keys}) == PipelineConfig()
+
+
+_SA = st.builds(SaTriple, st.floats(0.5, 50.0), st.integers(1, 6), st.floats(0.5, 0.99))
+
+
+@st.composite
+def valid_instances(draw):
+    kinds = draw(st.lists(st.sampled_from(["CPU", "ADC", "SIMD"]), min_size=1, max_size=6))
+    comps = tuple(Component(f"c{i}", kind) for i, kind in enumerate(kinds))
+    ids = [c.id for c in comps]
+    flows = ()
+    if len(ids) > 1:
+        ends = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+        flows = tuple(Flow(a, b, bw) for (a, b), bw in draw(
+            st.lists(st.tuples(ends, st.floats(0.1, 200.0)), max_size=10)))
+    nodes = draw(st.lists(st.sampled_from(["28nm", "45nm"]), min_size=1, max_size=3))
+    layers = tuple(Layer(i, node) for i, node in enumerate(nodes))
+    tech = TechParams(koz_area=draw(st.sampled_from([0.0, 2.0, 8.0])),
+                      rd_max_length=draw(st.sampled_from([0.0, 2.5, 5.0, 30.0])),
+                      link_capacity=draw(st.sampled_from([5.0, 100.0])))
+    cg = CoreGraph(components=comps, flows=flows)
+    assume(not instance_violations(cg, case_study_ppa(), tech, layers))
+    return validate_instance(cg, case_study_ppa(), tech, layers)
+
+
+@settings(max_examples=100)
+@given(inst=valid_instances(), seed=st.integers(0, 2**64 - 1), sa_fp=_SA, sa_vl=_SA,
+       samples=st.integers(1, 4))
+def test_valid_instance_never_raises(inst, seed, sa_fp, sa_vl, samples):
+    # a valid instance either yields a design or a MeshstackError (exit 3/4)
+    config = PipelineConfig(seed=seed, sa_floorplan=sa_fp, sa_vlink=sa_vl, samples=samples)
+    try:
+        run_pipeline(inst, config)
+    except MeshstackError:
+        pass

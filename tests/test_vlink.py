@@ -180,3 +180,35 @@ def test_initial_selection_is_a_matching_of_count(monkeypatch):
         with pytest.raises(InsufficientCandidatesError):
             _initial_selection(cands, most + 1, centroid, positions)
     assert completed > 0
+
+
+def test_each_selection_is_routed_once(monkeypatch):
+    # four links out of a 3x3 stack: the annealer proposes no-ops and undoes
+    # swaps, so it prices some states more than once
+    ids_l = [["a", "b", "c"], ["d", "e", "f"], ["g", "h", "i"]]
+    ids_u = [["j", "k", "l"], ["m", "n", "o"], ["p", "q", "r"]]
+    flows = [Flow("a", "r", 10.0), Flow("c", "p", 8.0), Flow("e", "j", 6.0),
+             Flow("i", "k", 4.0), Flow("q", "d", 5.0), Flow("n", "b", 3.0)]
+    inst, fps = stacked_instance(flows, ids_l, ids_u)
+    built = []
+    build = vlink.build_network
+
+    def spy_build(floorplans, links):
+        built.append(tuple((v.lower, v.upper) for v in links))
+        return build(floorplans, links)
+
+    pricings = []
+    anneal = vlink.anneal
+
+    def spy_anneal(initial, neighbor, cost, params):
+        def counted(state):
+            pricings.append(state)
+            return cost(state)
+        return anneal(initial, neighbor, counted, params)
+
+    monkeypatch.setattr(vlink, "build_network", spy_build)
+    monkeypatch.setattr(vlink, "anneal", spy_anneal)
+    first = place_vlinks(inst, fps, {0: 4}, W, SA)
+    assert len(built) == len(set(built))
+    assert len(set(pricings)) < len(pricings)
+    assert place_vlinks(inst, fps, {0: 4}, W, SA) == first

@@ -8,6 +8,8 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
   - the same with --fixed-mesh (2x2, 3x3, 4x4, 3x3) and --no-rd;
   - --no-rd, colocate and --rd-max 2.5 at seed 1 (the last searches KOZ
     hosts within a reach other than the instance's);
+  - large_vsoc at seeds 1-3 and small_vsoc at seed 1 with uniform traffic
+    (`corpus.uniform_traffic`), where step 4 routes every component pair;
   - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
     (its traffic included);
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
@@ -33,13 +35,16 @@ from pathlib import Path
 from typing import Optional
 
 from meshstack.cli import main as cli_main
+from meshstack.corpus import uniform_traffic
 from meshstack.exact import solve_exact
 from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance,
-                             traffic_to_json, vlink_to_json)
+                             save_instance, traffic_to_json, validate_instance,
+                             vlink_to_json)
 
 INSTANCES = (("tiny_soc", "2x2"), ("small_vsoc", "3x3"),
              ("large_vsoc", "4x4"), ("vopd", "3x3"))
 SEEDS = (1, 2, 3)
+UNIFORM = (("large_vsoc", SEEDS), ("small_vsoc", (1,)))
 CHAIN = ("assign", "floorplan", "tsv", "place3d", "legalize", "eval")
 
 
@@ -76,6 +81,13 @@ def cases(corpus: Path, tmp: Path):
         yield f"{name} seed 1 no-rd", ["--seed", "1", "--no-rd"], inst
         yield f"{name} seed 1 colocate", ["--seed", "1", "--config", str(colocate)], inst
         yield f"{name} seed 1 rd-max 2.5", ["--seed", "1", "--rd-max", "2.5"], inst
+    for name, seeds in UNIFORM:
+        base = load_instance(corpus / name)
+        inst = tmp / f"{name}_uniform"
+        save_instance(validate_instance(uniform_traffic(base.core_graph), base.ppa,
+                                        base.tech, base.layers), inst)
+        for seed in seeds:
+            yield f"{name} uniform seed {seed}", ["--seed", str(seed)], str(inst)
 
 
 def exact_doc(instance_dir: Path) -> dict:
