@@ -11,7 +11,8 @@ static single-path: Dijkstra on mm length with ties broken by hop count and
 then by the lexicographically smallest (layer, row, col) node sequence, which
 makes paths fully deterministic. A search pops labels in an order that does
 not depend on its destination, so `route_all` keeps one resumable search per
-source router and every flow reads the same label a single-pair search gives.
+source router, continued through `shortest_path` for each flow, and every
+flow reads the same label a single-pair search gives.
 """
 
 from __future__ import annotations
@@ -124,22 +125,30 @@ class _Search:
         return None
 
 
-def shortest_path(network: NetworkGraph, src: NodeKey, dst: NodeKey) -> Optional[Label]:
+def shortest_path(network: NetworkGraph, src: NodeKey, dst: NodeKey,
+                  searches: Optional[dict[NodeKey, _Search]] = None) -> Optional[Label]:
     """Dijkstra label: (mm length, hops, node sequence); None if unreachable.
 
     The full label is the heap key, so equal-length routes resolve by hop
-    count and then by lexicographic node sequence. This is one request of
-    the resumable search that `route_all` shares between flows.
+    count and then by lexicographic node sequence. `searches` holds resumable
+    searches by source router: the request continues `src`'s search there,
+    starting one if it has none, and gets the label a fresh search gives.
+    Without it the search is one-shot.
     """
-    return _Search(network, src).label(dst)
+    if searches is None:
+        return _Search(network, src).label(dst)
+    search = searches.get(src)
+    if search is None:
+        search = searches[src] = _Search(network, src)
+    return search.label(dst)
 
 
 def route_all(network: NetworkGraph, core_graph: CoreGraph,
               link_capacity: float) -> TrafficEval:
     """Route every flow, in flow order, on its shortest path and accumulate
     per-link loads. Flows from one source router share one resumable search,
-    so each source's labels are settled once; raises UnreachableError for the
-    first flow that has no route."""
+    continued through `shortest_path`, so each source's labels are settled
+    once; raises UnreachableError for the first flow that has no route."""
     loads: dict[tuple[NodeKey, NodeKey], float] = {}
     bw_dist = 0.0
     bw_hops = 0.0
@@ -149,10 +158,7 @@ def route_all(network: NetworkGraph, core_graph: CoreGraph,
         dst = network.component_router.get(flow.dst)
         if src is None or dst is None:
             raise UnreachableError(flow.src, flow.dst)
-        search = searches.get(src)
-        if search is None:
-            search = searches[src] = _Search(network, src)
-        result = search.label(dst)
+        result = shortest_path(network, src, dst, searches)
         if result is None:
             raise UnreachableError(flow.src, flow.dst)
         dist, hops, path = result
