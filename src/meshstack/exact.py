@@ -7,6 +7,21 @@ space mirrors the heuristic's conventions (near-square grids, one link per
 router and direction), so the result is a true lower bound for the pipeline
 and serves as its oracle. Complexity is factorial; the limits keep it at
 desk scale.
+
+Only configurations that can still win are routed. Each one first gets a
+cost floor: the weighted area, power and perf of its legalized layers plus
+w_util * sum over flows of bw * |dx| + |dy| between the two components'
+router centers. The floor never exceeds the cost, so skipping by it is
+exact: every network edge, mesh hop or vertical link, is as long as the
+planar Manhattan distance between its ends (netgraph.build_network), so no
+route is shorter than its ends' distance, and w_peak * peak >= 0 because
+weights are nonnegative. A configuration whose floor exceeds the best cost
+so far (strictly, with 1e-9 relative slack for rounding) can neither win
+nor tie, so it is skipped; the rest go through legalize and
+evaluate_solution unchanged, and since the winner is the least
+(cost, key), the result does not depend on the visit order. A layer's floor
+terms depend only on its placement and the router kinds its links give it,
+so they are memoized per layer for as long as they can recur.
 """
 
 from __future__ import annotations
@@ -17,9 +32,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InstanceTooLargeError, NoCandidatesError, UnreachableError
-from .floorplan import grid_dims, legalize, placed_floorplan
+from .floorplan import grid_dims, legalize, legalize_layer, placed_floorplan, router_kinds
 from .model import Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
-from .objective import evaluate_solution
+from .objective import evaluate_solution, power_perf_cost
 from .vlink import candidate_links
 
 
@@ -33,6 +48,10 @@ class ExactLimits:
 
 @dataclass
 class ExactSolution:
+    """The optimum and the enumeration's size. configurations_visited counts
+    every enumerated (placement, link matching) pair, the ones skipped by
+    their cost floor included, so it does not depend on the floor."""
+
     assignment: dict[str, int]
     floorplans: list[MeshFloorplan]
     vlinks: list[VerticalLink]
@@ -82,6 +101,40 @@ def _matchings(candidates: Sequence[VerticalLink]):
     return out
 
 
+FloorTerms = tuple[float, dict[str, tuple[float, float]]]  # weighted terms, router centers
+
+
+def _layer_floor(instance: Instance, fp: MeshFloorplan, kinds,
+                 weights: ObjectiveWeights) -> FloorTerms:
+    """One layer's share of the cost floor: the weighted area, power and perf
+    of the layer legalized with `kinds`, and its components' router centers."""
+    legal = legalize_layer(instance, fp, kinds)
+    cells = list(legal.occupied_cells())
+    power, perf = power_perf_cost(instance, {comp: legal.layer for _cell, comp in cells},
+                                  [legal])
+    return (weights.w_area * legal.area + weights.w_power * power + weights.w_perf * perf,
+            {comp: legal.cell_center(r, c) for (r, c), comp in cells})
+
+
+def _floor(instance: Instance, layers: Sequence[FloorTerms], w_util: float) -> float:
+    total = sum(term for term, _centers in layers)
+    if w_util:
+        centers = {comp: xy for _term, layer in layers for comp, xy in layer.items()}
+        for flow in instance.core_graph.flows:
+            (xs, ys), (xd, yd) = centers[flow.src], centers[flow.dst]
+            total += w_util * flow.bandwidth * (abs(xs - xd) + abs(ys - yd))
+    return total
+
+
+def cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
+               vlinks: Sequence[VerticalLink], weights: ObjectiveWeights) -> float:
+    """A lower bound on the total cost of the placed `floorplans` with
+    `vlinks`, after legalize, that routes nothing (see the module docstring)."""
+    kinds = router_kinds(vlinks)
+    return _floor(instance, [_layer_floor(instance, fp, kinds, weights)
+                             for fp in floorplans], weights.w_util)
+
+
 def solve_exact(instance: Instance, weights: ObjectiveWeights,
                 limits: ExactLimits = ExactLimits()) -> ExactSolution:
     """Globally optimal solution within the limits; raises
@@ -118,8 +171,18 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
             rows, cols = grid_dims(len(members[l]))
             cell_choices.append(list(itertools.permutations(range(rows * cols),
                                                             len(members[l]))))
+        # a layer's floor terms recur only while an earlier layer cycles
+        # through several placements; otherwise they expire with its own
+        recur = [any(len(choices) > 1 for choices in cell_choices[:l])
+                 for l in range(num_layers)]
+        memos: list[dict] = [{} for _ in range(num_layers)]
+        previous: tuple = (None,) * num_layers
         for cells_combo in itertools.product(*cell_choices):
             placements_visited += 1
+            for l in range(num_layers):
+                if not recur[l] and cells_combo[l] != previous[l]:
+                    memos[l].clear()
+            previous = cells_combo
             floorplans = [_layer_floorplan(instance, l, members[l], cells_combo[l])
                           for l in range(num_layers)]
             boundary_cands: list[list[VerticalLink]] = []
@@ -138,6 +201,18 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
                 configurations_visited += 1
                 links = [boundary_cands[bi][i]
                          for bi, combo_sel in enumerate(selection) for i in combo_sel]
+                if best is not None:
+                    kinds = router_kinds(links)
+                    layers = []
+                    for l, fp in enumerate(floorplans):
+                        state = (cells_combo[l],
+                                 tuple(sorted(kv for kv in kinds.items() if kv[0][0] == l)))
+                        terms = memos[l].get(state)
+                        if terms is None:
+                            terms = memos[l][state] = _layer_floor(instance, fp, kinds, weights)
+                        layers.append(terms)
+                    if _floor(instance, layers, weights.w_util) * (1.0 - 1e-9) > best[0]:
+                        continue
                 legal = legalize(instance, floorplans, links)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)

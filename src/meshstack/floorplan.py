@@ -80,9 +80,7 @@ def placed_floorplan(instance: Instance, layer: int, state: State,
     routers and no KOZs, sized by the exact kernel on its demands. Shared by
     the annealer, the fixed-mesh protocol and the exact oracle."""
     fp = _state_floorplan(layer, state, rows, cols)
-    sized = min_area_exact_cached(demand_grid(instance, fp))
-    return dataclasses.replace(fp, col_widths=sized.col_widths,
-                               row_heights=sized.row_heights)
+    return _sized(fp, min_area_exact_cached(demand_grid(instance, fp)))
 
 
 def _xy_cost(state: State, rows: int, cols: int, widths: Sequence[float],
@@ -181,7 +179,7 @@ def floorplan_layer(instance: Instance, layer: int, members: Sequence[str],
 # legalization (router kinds, KOZ charging, re-sizing)
 # ---------------------------------------------------------------------------
 
-def _router_kinds_from_vlinks(vlinks: Sequence[VerticalLink]):
+def router_kinds(vlinks: Sequence[VerticalLink]):
     kinds: dict[tuple[int, int, int], str] = {}
     for v in vlinks:
         for key, direction in ((v.lower, ROUTER_3D_UP), (v.upper, ROUTER_3D_DOWN)):
@@ -235,6 +233,25 @@ def _place_kozs(instance: Instance, fp: MeshFloorplan,
     return _with_koz(fp, koz)
 
 
+def legalize_layer(instance: Instance, fp: MeshFloorplan, kinds,
+                   colocated: bool = False) -> MeshFloorplan:
+    """One layer's legalization: router kinds from `kinds` ((layer, row, col)
+    -> ROUTER_3D_*, others 2D), one KOZ per downward-connecting router under
+    legalize's redistribution rule, and, unless colocated (legalize then sizes
+    all layers together), exact sizing on the layer's own demands."""
+    if fp.rows == 0:
+        return fp
+    fp = _place_kozs(instance, _apply_router_kinds(fp, kinds), redistribute=not colocated)
+    if colocated:
+        return fp
+    return _sized(fp, min_area_exact_cached(demand_grid(instance, fp)))
+
+
+def _sized(fp: MeshFloorplan, solution) -> MeshFloorplan:
+    return dataclasses.replace(fp, col_widths=solution.col_widths,
+                               row_heights=solution.row_heights)
+
+
 def legalize(instance: Instance, floorplans: Sequence[MeshFloorplan],
              vlinks: Sequence[VerticalLink], colocated: bool = False) -> list[MeshFloorplan]:
     """Re-size every layer with the full demands: component + router kind
@@ -246,23 +263,14 @@ def legalize(instance: Instance, floorplans: Sequence[MeshFloorplan],
     maximum demand, keeping routers of different layers exactly stacked
     (the conventional no-redistribution protocol).
     """
-    kinds = _router_kinds_from_vlinks(vlinks)
-    staged = [fp if fp.rows == 0 else
-              _place_kozs(instance, _apply_router_kinds(fp, kinds), redistribute=not colocated)
-              for fp in floorplans]
+    kinds = router_kinds(vlinks)
+    staged = [legalize_layer(instance, fp, kinds, colocated) for fp in floorplans]
     sized = [fp for fp in staged if fp.rows > 0]
-    shared = None
-    if colocated and sized:
-        if any((fp.rows, fp.cols) != (sized[0].rows, sized[0].cols) for fp in sized):
-            raise ValueError("colocated legalization requires identical grid dims")
-        shared = min_area_exact_cached(
-            [[max(cell_d) for cell_d in zip(*rows_d)]
-             for rows_d in zip(*(demand_grid(instance, fp) for fp in sized))])
-    out = []
-    for fp in staged:
-        if fp.rows > 0:
-            solution = shared or min_area_exact_cached(demand_grid(instance, fp))
-            fp = dataclasses.replace(fp, col_widths=solution.col_widths,
-                                     row_heights=solution.row_heights)
-        out.append(fp)
-    return out
+    if not colocated or not sized:
+        return staged
+    if any((fp.rows, fp.cols) != (sized[0].rows, sized[0].cols) for fp in sized):
+        raise ValueError("colocated legalization requires identical grid dims")
+    shared = min_area_exact_cached(
+        [[max(cell_d) for cell_d in zip(*rows_d)]
+         for rows_d in zip(*(demand_grid(instance, fp) for fp in sized))])
+    return [fp if fp.rows == 0 else _sized(fp, shared) for fp in staged]

@@ -6,10 +6,15 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from meshstack.cli import main
-from meshstack.errors import InstanceTooLargeError, UnreachableError
-from meshstack.exact import ExactLimits, enumeration_estimate, solve_exact
+from meshstack.corpus import case_study_ppa
+from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidatesError,
+                              UnreachableError)
+from meshstack.exact import (ExactLimits, _layer_floorplan, _matchings, cost_floor,
+                             enumeration_estimate, solve_exact)
 from meshstack.floorplan import grid_dims, legalize
 from meshstack.model import (
     Component,
@@ -20,10 +25,13 @@ from meshstack.model import (
     PpaEntry,
     PpaTable,
     TechParams,
+    instance_violations,
     save_instance,
     validate_instance,
 )
 from meshstack.objective import evaluate_solution
+from meshstack.pipeline import PipelineConfig, SaTriple, run_pipeline
+from meshstack.vlink import candidate_links
 
 from conftest import make_instance
 
@@ -56,10 +64,7 @@ def test_two_components_hand_enumeration():
         placements = [list(itertools.permutations(range(math.prod(grid_dims(len(m)))),
                                                   len(m))) for m in members]
         for cells in itertools.product(*placements):
-            from meshstack.exact import _layer_floorplan
             fps = [_layer_floorplan(inst, l, members[l], cells[l]) for l in (0, 1)]
-            from meshstack.vlink import candidate_links
-            from meshstack.errors import NoCandidatesError, UnreachableError
             try:
                 cands = candidate_links(fps, 0, inst.tech.rd_max_length)
             except NoCandidatesError:
@@ -121,9 +126,6 @@ def test_exact_dominates_any_feasible_solution():
         ["28nm", "28nm"],
     )
     sol = solve_exact(inst, W)
-    from meshstack.exact import _layer_floorplan
-    from meshstack.errors import UnreachableError
-    from meshstack.vlink import candidate_links
     import random
 
     rng = random.Random(12)
@@ -148,21 +150,159 @@ def test_exact_dominates_any_feasible_solution():
         assert metrics["total_cost"] >= sol.cost - 1e-9
 
 
-def test_unreachable_names_a_real_flow(tmp_path):
-    # ADC only in 45nm, DSP only in 28nm, reach 0: the two 1x1 layers size
-    # differently, so no router pair stacks and the flow can never route
+def _unroutable_instance():
+    """ADC only in 45nm, DSP only in 28nm, reach 0: the two 1x1 layers size
+    differently, so no router pair stacks and the flow can never route."""
     entry = PpaEntry(area=1.3, perf=1.0, power=1.0)
     ppa = PpaTable(components={"ADC": {"45nm": PpaEntry(53.0, 1.0, 1.0)},
                                "DSP": {"28nm": PpaEntry(20.0, 1.0, 1.0)}},
                    router_2d={"28nm": entry, "45nm": entry},
                    router_3d={"28nm": entry, "45nm": entry})
-    inst = validate_instance(
+    return validate_instance(
         CoreGraph((Component("adc0", "ADC"), Component("dsp0", "DSP")),
                   (Flow("adc0", "dsp0", 10.0),)),
         ppa, TechParams(koz_area=2.0, rd_max_length=0.0, link_capacity=100.0),
         (Layer(0, "28nm"), Layer(1, "45nm")))
+
+
+def test_unreachable_names_a_real_flow(tmp_path):
+    inst = _unroutable_instance()
     with pytest.raises(UnreachableError) as err:
         solve_exact(inst, W)
     assert (err.value.src, err.value.dst) == ("adc0", "dsp0")
     save_instance(inst, tmp_path / "inst")
     assert main(["baseline", str(tmp_path / "inst"), "--out", str(tmp_path / "o")]) == 3
+
+
+@st.composite
+def small_instances(draw):
+    """Case-study components, random flows, 1-2 layers, reach 0-10 mm."""
+    kinds = draw(st.lists(st.sampled_from(["CPU", "ADC", "SIMD"]), min_size=2,
+                          max_size=5))
+    comps = tuple(Component(f"c{i}", kind) for i, kind in enumerate(kinds))
+    ends = st.lists(st.sampled_from([c.id for c in comps]), min_size=2, max_size=2,
+                    unique=True)
+    flows = tuple(Flow(a, b, bw) for (a, b), bw in draw(
+        st.lists(st.tuples(ends, st.floats(0.1, 200.0)), max_size=6)))
+    nodes = draw(st.lists(st.sampled_from(["28nm", "45nm"]), min_size=1, max_size=2))
+    layers = tuple(Layer(i, node) for i, node in enumerate(nodes))
+    tech = TechParams(koz_area=draw(st.sampled_from([0.0, 2.0, 8.0])),
+                      rd_max_length=draw(st.floats(0.0, 10.0)),
+                      link_capacity=draw(st.sampled_from([5.0, 100.0])))
+    cg = CoreGraph(components=comps, flows=flows)
+    assume(not instance_violations(cg, case_study_ppa(), tech, layers))
+    return validate_instance(cg, case_study_ppa(), tech, layers)
+
+
+WEIGHTS = st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 5).filter(any).map(
+    lambda w: ObjectiveWeights(*w))
+
+
+def _configurations(instance):
+    """Every (assignment, placement, link matching) in solve_exact's order, as
+    (assignment, cells per layer, placed floorplans, links, new placement?)."""
+    comps = sorted(c.id for c in instance.core_graph.components)
+    layers = range(len(instance.layers))
+    for combo in itertools.product(*(instance.feasible_layers(c) for c in comps)):
+        assignment = dict(zip(comps, combo))
+        members = [sorted(c for c in comps if assignment[c] == l) for l in layers]
+        for cells in itertools.product(*(
+                itertools.permutations(range(math.prod(grid_dims(len(m)))), len(m))
+                for m in members)):
+            fps = [_layer_floorplan(instance, l, members[l], cells[l]) for l in layers]
+            cands = []
+            for b in instance.boundaries():
+                try:
+                    cands.append(candidate_links(fps, b, instance.tech.rd_max_length))
+                except NoCandidatesError:
+                    cands.append([])
+                if len(cands[-1]) > ExactLimits().vcands:
+                    raise InstanceTooLargeError(f"boundary {b}")
+            for i, selection in enumerate(itertools.product(*map(_matchings, cands))):
+                links = [cands[b][k] for b, picked in enumerate(selection) for k in picked]
+                yield assignment, cells, fps, links, i == 0
+
+
+def _exhaustive(instance, weights):
+    """Reference oracle: legalize and evaluate every configuration."""
+    best, unreachable, placements, configurations = None, None, 0, 0
+    for assignment, cells, fps, links, new_placement in _configurations(instance):
+        placements += new_placement
+        configurations += 1
+        legal = legalize(instance, fps, links)
+        try:
+            cost = evaluate_solution(instance, legal, links, weights)["total_cost"]
+        except UnreachableError as exc:
+            unreachable = exc
+            continue
+        key = (tuple(sorted(assignment.items())), cells,
+               tuple((v.lower, v.upper) for v in links))
+        if best is None or (cost, key) < best[:2]:
+            best = (cost, key, assignment, legal, links)
+    if best is None:
+        raise unreachable
+    return best[0], best[2], best[3], best[4], placements, configurations
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except UnreachableError as exc:
+        return ("unreachable", exc.src, exc.dst)
+    except InstanceTooLargeError:
+        return "too large"
+
+
+@settings(max_examples=40)
+@example(inst=_unroutable_instance(), weights=ObjectiveWeights())
+@given(inst=small_instances(), weights=WEIGHTS)
+def test_exact_equals_exhaustive_reference(inst, weights):
+    """Skipping configurations by their cost floor changes nothing: the same
+    optimum (cost, assignment, geometry, links), the same enumeration counts,
+    and, where nothing routes, the same unroutable flow."""
+    def fast():
+        sol = solve_exact(inst, weights)
+        return (sol.cost, sol.assignment, sol.floorplans, sol.vlinks,
+                sol.placements_visited, sol.configurations_visited)
+
+    assert _outcome(fast) == _outcome(lambda: _exhaustive(inst, weights))
+
+
+@settings(max_examples=40)
+@given(inst=small_instances(), weights=WEIGHTS, pick=st.randoms(use_true_random=False))
+def test_cost_floor_never_exceeds_cost(inst, weights, pick):
+    """The floor solve_exact skips by is below the legalized, routed cost (up
+    to rounding: the terms are summed in another order, which the skip's 1e-9
+    relative slack absorbs)."""
+    configurations = []
+    try:
+        for config in _configurations(inst):
+            configurations.append(config)
+    except InstanceTooLargeError:
+        pass
+    for _assignment, _cells, fps, links, _new in pick.sample(
+            configurations, min(20, len(configurations))):
+        try:
+            cost = evaluate_solution(inst, legalize(inst, fps, links), links,
+                                     weights)["total_cost"]
+        except UnreachableError:
+            continue
+        assert cost_floor(inst, fps, links, weights) <= cost * (1.0 + 1e-12)
+
+
+@settings(max_examples=25)
+@given(inst=small_instances(), weights=WEIGHTS, seed=st.integers(0, 2**32))
+def test_pipeline_never_beats_exact(inst, weights, seed):
+    """The exact oracle's optimum is a lower bound for the heuristic on
+    generated instances within ExactLimits."""
+    try:
+        exact = solve_exact(inst, weights).cost
+    except MeshstackError:
+        assume(False)
+    config = PipelineConfig(weights=weights, seed=seed, sa_floorplan=SaTriple(20.0, 20, 0.9),
+                            sa_vlink=SaTriple(100.0, 10, 0.9), samples=8)
+    try:
+        heuristic = run_pipeline(inst, config).metrics["total_cost"]
+    except MeshstackError:
+        assume(False)
+    assert heuristic >= exact - 1e-9

@@ -21,11 +21,9 @@ SA = SaParams(initial_temp=100.0, iterations=50, cooling=0.97, seed=17)
 W = ObjectiveWeights()
 
 
-def stacked_instance(flows, lower_cells, upper_cells, cell=6.0, rd=5.0):
+def stacked_instance(flows, lower_cells, upper_cells, cell=6.0):
     ids = sorted({c for row in lower_cells + upper_cells for c in row if c})
-    inst = make_instance([Component(i, "CPU") for i in ids], flows,
-                         ["28nm", "28nm"],
-                         tech=None)
+    inst = make_instance([Component(i, "CPU") for i in ids], flows, ["28nm", "28nm"])
     fps = [
         make_fp(0, lower_cells, [cell] * len(lower_cells[0]), [cell] * len(lower_cells)),
         make_fp(1, upper_cells, [cell] * len(upper_cells[0]), [cell] * len(upper_cells)),
