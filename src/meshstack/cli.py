@@ -46,8 +46,8 @@ from .model import (
     write_json,
 )
 from .objective import evaluate_solution, metrics_to_json
-from .pipeline import (STAGES, PipelineConfig, PipelineResult, load_artifacts, run_pipeline,
-                       run_stage)
+from .pipeline import (STAGES, PipelineConfig, PipelineResult, _effective_instance,
+                       load_artifacts, run_pipeline, run_stage)
 from .render import render_svg
 
 EXIT_OK = 0
@@ -149,8 +149,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    solution = solve_exact(load_instance(args.instance), _config_from_args(args).weights,
-                           ExactLimits())
+    config = _config_from_args(args)
+    instance = _effective_instance(load_instance(args.instance), config)
+    for key in ("no_rd", "colocate", "fixed_mesh", "fixed_tsv_counts"):
+        if getattr(config, key):
+            raise InvalidParamsError(f"baseline cannot honour config key {key!r}: the exact "
+                                     f"oracle models no shared sizing, fixed grid or fixed count")
+    solution = solve_exact(instance, config.weights, ExactLimits())
     out = Path(args.out)
     doc = {
         "assignment": dict(sorted(solution.assignment.items())),
@@ -219,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
     sub.choices["floorplan"].add_argument(
         "--dump-kernel", action="store_true",
-        help="also write kernel_trace.json: the demand grid and LP area of "
+        help="also write kernel_trace.json: the demand grid and exact area of "
              "every annealing cost evaluation")
     sub.choices["run"].add_argument("--steps", type=int, choices=range(1, 6), default=None,
                                     help="run only the first N steps")

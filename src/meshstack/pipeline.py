@@ -263,12 +263,10 @@ def _tsv(result: PipelineResult, kernel_trace: Optional[list]) -> None:
     curves: dict[int, dict[int, float]] = {}
     for b in instance.boundaries():
         cap = _boundary_capacity(instance, floorplans, b)
-        if config.fixed_mesh is not None:
-            counts[b] = cap  # conventional: fully vertically connected
-            curves[b] = {}
-            continue
-        if config.fixed_tsv_counts is not None and b in config.fixed_tsv_counts:
-            counts[b] = min(config.fixed_tsv_counts[b], cap)
+        fixed = (config.fixed_tsv_counts or {}).get(b)
+        if fixed is not None or config.fixed_mesh is not None:
+            # an explicit count wins; else the conventional protocol connects fully
+            counts[b] = cap if fixed is None else min(fixed, cap)
             curves[b] = {}
             continue
         upper = next(fp for fp in floorplans if fp.layer == b + 1)

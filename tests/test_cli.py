@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshstack import cli
+from meshstack.area_kernel import min_area_exact
 from meshstack.cli import main
 from meshstack.corpus import write_corpus
+from meshstack.exact import ExactLimits, solve_exact
+from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance, save_instance,
+                             vlink_to_json)
+
+from test_pipeline import valid_instances
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +138,44 @@ def test_limits_exit_code(tmp_path, corpus_dir):
     out = tmp_path / "lim"
     code = main(["baseline", inst, "--out", str(out)])
     assert code == 4
+
+
+@pytest.mark.parametrize("flags, doc, key", [
+    (["--no-rd"], {}, "no_rd"),
+    (["--fixed-mesh", "3x3"], {}, "fixed_mesh"),
+    ([], {"colocate": True}, "colocate"),
+    ([], {"fixed_tsv_counts": {"0": 1}}, "fixed_tsv_counts"),
+    ([], {"fixed_tsv_counts": {"7": 1}}, "fixed_tsv_counts"),  # tiny_soc has boundary 0 only
+])
+def test_baseline_unsupported_config_exit_code(tmp_path, corpus_dir, capsys, flags, doc, key):
+    # the oracle models neither shared sizing, fixed grids nor fixed TSV counts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main(["baseline", str(corpus_dir / "tiny_soc"), "--out", str(out),
+                 "--config", str(cfg)] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert key in err and "Traceback" not in err
+    assert not (out / "exact_solution.json").exists()
+
+
+def test_baseline_rd_max_sets_oracle_reach(tmp_path, corpus_dir):
+    inst = corpus_dir / "tiny_soc"
+    out = tmp_path / "o"
+    assert main(["baseline", str(inst), "--out", str(out), "--rd-max", "2.5"]) == 0
+    got = read_json(out / "exact_solution.json")
+    instance = load_instance(inst)
+    tech = dataclasses.replace(instance.tech, rd_max_length=2.5)
+    want = solve_exact(dataclasses.replace(instance, tech=tech), ObjectiveWeights(),
+                       ExactLimits())
+    assert got["cost"] == want.cost
+    assert got["assignment"] == want.assignment
+    assert got["floorplans"] == json.loads(json.dumps(
+        [floorplan_to_json(fp) for fp in want.floorplans]))
+    assert got["vlinks"] == json.loads(json.dumps([vlink_to_json(v) for v in want.vlinks]))
+    # the 5 mm default reach enumerates more configurations
+    assert got["configurations_visited"] == want.configurations_visited < 5520
 
 
 def test_underflowing_sa_schedule_runs(tmp_path, corpus_dir):
@@ -327,6 +372,30 @@ def tiny_chain(tmp_path_factory, corpus_dir):
     return base / "chain", base / "run"
 
 
+_RUN_FLAGS = st.sampled_from([[], ["--no-rd"], ["--fixed-mesh", "3x3", "--no-rd"],
+                              ["--rd-max", "2.5"]])
+
+
+@settings(max_examples=100)
+@given(inst=valid_instances(), flags=_RUN_FLAGS,
+       weights=st.lists(st.sampled_from([0, 1, 2.5]), min_size=5, max_size=5).filter(any))
+def test_eval_report_reproduces_generated_runs(tmp_path_factory, inst, flags, weights):
+    base = tmp_path_factory.mktemp("eval_report")
+    save_instance(inst, base / "inst")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps({"weights": weights, "sa_floorplan": [20.0, 8, 0.9],
+                               "sa_vlink": [100.0, 8, 0.9], "samples": 4}))
+    out = base / "o"
+    code = main(["run", str(base / "inst"), "--out", str(out), "--config", str(cfg)] + flags)
+    assume(code not in (3, 4))  # infeasible or over a limit: no report to re-evaluate
+    assert code == 0
+    assert main(["eval", str(base / "inst"), "--out", str(out),
+                 "--report", str(out / "report.json")]) == 0
+    report, traffic = read_json(out / "report.json"), read_json(out / "traffic.json")
+    assert {k: traffic[k] for k in report["metrics"]} == report["metrics"]
+    assert traffic["traffic"] == report["traffic"]
+
+
 def test_chain_matches_run(tiny_chain):
     chain, run = tiny_chain
     report = read_json(run / "report.json")
@@ -490,5 +559,7 @@ def test_dump_kernel_records_every_cost_evaluation(tmp_path, tiny_chain, corpus_
     # 2 layers x (the initial state + 120 SA iterations), default sa_floorplan
     assert len(calls) == 2 * (120 + 1) == 242
     assert {call["layer"] for call in calls} == {0, 1}
+    # the annealer prices the exact kernel's area, the sizing it returns
+    assert all(call["area"] == min_area_exact(call["demands"]).area for call in calls)
     assert ((out / "floorplan.json").read_bytes()
             == (tiny_chain[0] / "floorplan.json").read_bytes())

@@ -100,6 +100,14 @@ def test_fixed_mesh_conventional_protocol():
     assert again.metrics["total_cost"] == result.metrics["total_cost"]
 
 
+def test_fixed_tsv_count_wins_over_fixed_mesh():
+    # fixed_mesh connects every stacked pair unless the count is given
+    config = PipelineConfig(seed=1, fixed_mesh=(2, 2), no_rd=True, fixed_tsv_counts={0: 1})
+    result = run_pipeline(tiny_soc(), config)
+    assert result.tsv_counts == {0: 1}
+    assert len(result.vlinks) == 1
+
+
 def test_empty_instance_pipeline():
     inst = make_instance([], [], ["28nm", "28nm"])
     result = run_pipeline(inst, PipelineConfig(seed=1))
