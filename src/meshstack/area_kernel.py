@@ -2,13 +2,10 @@
 and row heights H_j with W_i * H_j covering each occupied cell's demand and
 (sum W)(sum H) small. Two variants, both pure functions:
 
-  min_area_lp     tangent cuts of H = a/W: a lower bound whose cell products
-                  may undershoot their demand. No pipeline step calls it; it
-                  is the reference that acceptance criterion 2 and the
-                  simplex tests check the exact kernel and the LP against.
+  min_area_lp     tangent cuts of H = a/W: a lower bound, fast enough for an
+                  annealing loop; cell products may undershoot their demand.
   min_area_exact  the minimizer of a strictly convex geometric program, by an
-                  interior-point method; feasible by construction. It sizes
-                  every layer, from the step-2 annealer's states to the report.
+                  interior-point method; feasible by construction.
 """
 
 from __future__ import annotations

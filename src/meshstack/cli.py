@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
     sub.choices["floorplan"].add_argument(
         "--dump-kernel", action="store_true",
-        help="also write kernel_trace.json: the demand grid and exact area of "
+        help="also write kernel_trace.json: the demand grid and LP area of "
              "every annealing cost evaluation")
     sub.choices["run"].add_argument("--steps", type=int, choices=range(1, 6), default=None,
                                     help="run only the first N steps")

@@ -3,24 +3,21 @@ legalization once 3D routers and KOZs are known.
 
 The annealer state is the cell->component map of a near-square grid
 (ceil(sqrt(n)) columns x ceil(n / cols) rows); a move swaps two cells. Each
-state is priced as step2_cost of its placed_floorplan: the exact kernel's
-area plus dimension-order (XY) routing of the layer's internal flows on that
-same geometry, so the best state comes back with the sizing it was priced
-on. Interlayer traffic is deliberately ignored here, it is handled by the
-TSV and vertical-link steps.
+state is priced with the LP area kernel plus dimension-order (XY) routing of
+the layer's internal flows on the LP geometry; the best state is re-sized
+once with the exact kernel. Interlayer traffic is deliberately ignored here,
+it is handled by the TSV and vertical-link steps.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import random
 from typing import Optional, Sequence
 
 from .anneal import SaParams, anneal
-# min_area_exact and min_area_lp are unused here but kept: perfbench/layertrace.py
-# patches floorplan.min_area_exact and floorplan.min_area_lp
+# min_area_exact is unused here but kept: perfbench/layertrace.py patches floorplan.min_area_exact
 from .area_kernel import min_area_exact, min_area_exact_cached, min_area_lp  # noqa: F401
 from .model import (
     ROUTER_2D,
@@ -41,41 +38,13 @@ State = tuple[Optional[str], ...]  # row-major cell contents
 
 def step2_cost(instance: Instance, fp: MeshFloorplan,
                weights: ObjectiveWeights) -> float:
-    """Step 2's objective on a sized layer, the one the annealer minimizes
-    over placed_floorplan states: the layer's area plus dimension-order (XY)
-    routing of its intralayer flows over the full grid, columns first, then
-    rows, each hop as long as the center-to-center distance of the layer's
-    own column widths and row heights."""
+    """The annealer's objective for an existing placement (reporting /
+    post-hoc comparison): the same pricing floorplan_layer anneals on."""
     if fp.rows == 0:
         return 0.0
-    area = weights.w_area * fp.area
-    at = {comp: cell for cell, comp in fp.occupied_cells()}
-    intra = [f for f in instance.core_graph.flows if f.src in at and f.dst in at]
-    if not intra or (weights.w_peak == 0.0 and weights.w_util == 0.0):
-        return area
-    xs = [acc + w / 2.0 for acc, w in zip(itertools.accumulate(fp.col_widths, initial=0.0),
-                                          fp.col_widths)]
-    ys = [acc + h / 2.0 for acc, h in zip(itertools.accumulate(fp.row_heights, initial=0.0),
-                                          fp.row_heights)]
-    util = 0.0
-    loads: dict[tuple[int, int, int, int], float] = {}
-    for f in intra:
-        (r1, c1), (r2, c2) = at[f.src], at[f.dst]
-        util += f.bandwidth * (abs(xs[c2] - xs[c1]) + abs(ys[r2] - ys[r1]))
-        if weights.w_peak > 0.0:
-            r, c = r1, c1
-            step = 1 if c2 > c else -1
-            while c != c2:
-                key = (r, c, r, c + step)
-                loads[key] = loads.get(key, 0.0) + f.bandwidth
-                c += step
-            step = 1 if r2 > r else -1
-            while r != r2:
-                key = (r, c, r + step, c)
-                loads[key] = loads.get(key, 0.0) + f.bandwidth
-                r += step
-    peak = sum(max(0.0, load - instance.tech.link_capacity) for load in loads.values())
-    return area + (weights.w_peak * peak + weights.w_util * util)
+    state: State = tuple(comp for row in fp.cell_of for comp in row)
+    members = [comp for comp in state if comp is not None]
+    return _step2_objective(instance, fp.layer, members, fp.rows, fp.cols, weights)(state)
 
 
 def grid_dims(n: int) -> tuple[int, int]:
@@ -87,28 +56,94 @@ def grid_dims(n: int) -> tuple[int, int]:
     return rows, cols
 
 
-def placed_floorplan(instance: Instance, layer: int, state: State,
-                     rows: int, cols: int) -> MeshFloorplan:
-    """The one constructor of a placed layer: a row-major state with 2D
-    routers and no KOZs, sized by the exact kernel on its demands. Shared by
-    the annealer (every state it prices, and the one it returns), the
-    fixed-mesh protocol and the exact oracle."""
+def _state_floorplan(layer: int, state: State, rows: int, cols: int) -> MeshFloorplan:
+    """Unsized floorplan of a row-major state: 2D routers, no KOZs."""
     cells = tuple(tuple(state[r * cols:(r + 1) * cols]) for r in range(rows))
-    fp = MeshFloorplan(
+    return MeshFloorplan(
         layer=layer, rows=rows, cols=cols, cell_of=cells,
         col_widths=(0.0,) * cols, row_heights=(0.0,) * rows,
         router_kind=tuple(tuple(ROUTER_2D if comp is not None else None for comp in row)
                           for row in cells),
         koz_of=((0,) * cols,) * rows)
+
+
+def placed_floorplan(instance: Instance, layer: int, state: State,
+                     rows: int, cols: int) -> MeshFloorplan:
+    """The one constructor of a placed layer: a row-major state with 2D
+    routers and no KOZs, sized by the exact kernel on its demands. Shared by
+    the annealer, the fixed-mesh protocol and the exact oracle."""
+    fp = _state_floorplan(layer, state, rows, cols)
     return _sized(fp, min_area_exact_cached(demand_grid(instance, fp)))
+
+
+def _xy_cost(state: State, rows: int, cols: int, widths: Sequence[float],
+             heights: Sequence[float], intra_flows, capacity: float,
+             w_peak: float, w_util: float) -> float:
+    """Dimension-order routing over the full grid: columns first, then rows.
+    Per-hop length is the center-to-center distance of the kernel geometry."""
+    if not intra_flows or (w_peak == 0.0 and w_util == 0.0):
+        return 0.0
+    cell_index = {comp: i for i, comp in enumerate(state) if comp is not None}
+    xs = []
+    acc = 0.0
+    for w in widths:
+        xs.append(acc + w / 2.0)
+        acc += w
+    ys = []
+    acc = 0.0
+    for h in heights:
+        ys.append(acc + h / 2.0)
+        acc += h
+
+    util = 0.0
+    loads: dict[tuple[int, int, int, int], float] = {}
+    for src, dst, bw in intra_flows:
+        si, di = cell_index[src], cell_index[dst]
+        r1, c1 = si // cols, si % cols
+        r2, c2 = di // cols, di % cols
+        util += bw * (abs(xs[c2] - xs[c1]) + abs(ys[r2] - ys[r1]))
+        if w_peak > 0.0:
+            r, c = r1, c1
+            step = 1 if c2 > c else -1
+            while c != c2:
+                key = (r, c, r, c + step)
+                loads[key] = loads.get(key, 0.0) + bw
+                c += step
+            step = 1 if r2 > r else -1
+            while r != r2:
+                key = (r, c, r + step, c)
+                loads[key] = loads.get(key, 0.0) + bw
+                r += step
+    peak = sum(max(0.0, load - capacity) for load in loads.values())
+    return w_peak * peak + w_util * util
+
+
+def _step2_objective(instance: Instance, layer: int, members: Sequence[str], rows: int,
+                     cols: int, weights: ObjectiveWeights,
+                     kernel_trace: Optional[list] = None):
+    """Step 2's cost of a row-major state of members: the LP area plus the
+    XY-routed communication of the flows between members on the LP geometry.
+    kernel_trace, if given, gets one record per evaluation."""
+    ids = set(members)
+    intra_flows = [(f.src, f.dst, f.bandwidth) for f in instance.core_graph.flows
+                   if f.src in ids and f.dst in ids]
+
+    def cost(state: State) -> float:
+        demands = demand_grid(instance, _state_floorplan(layer, state, rows, cols))
+        lp = min_area_lp(demands)
+        if kernel_trace is not None:
+            kernel_trace.append({"layer": layer, "demands": demands, "area": lp.area})
+        comm = _xy_cost(state, rows, cols, lp.col_widths, lp.row_heights, intra_flows,
+                        instance.tech.link_capacity, weights.w_peak, weights.w_util)
+        return weights.w_area * lp.area + comm
+    return cost
 
 
 def floorplan_layer(instance: Instance, layer: int, members: Sequence[str],
                     weights: ObjectiveWeights, sa_params: SaParams,
                     dims: Optional[tuple[int, int]] = None,
                     kernel_trace: Optional[list] = None) -> MeshFloorplan:
-    """Anneal one layer's placement on step2_cost and return the best state's
-    placed_floorplan: the sizing it was priced on.
+    """Anneal one layer's placement and return it with exact-kernel sizing.
 
     members must all be assigned to this layer. An empty layer yields the
     trivial 0x0 plan.
@@ -122,13 +157,7 @@ def floorplan_layer(instance: Instance, layer: int, members: Sequence[str],
 
     initial: State = tuple(members[i] if i < len(members) else None
                            for i in range(rows * cols))
-
-    def cost(state: State) -> float:
-        fp = placed_floorplan(instance, layer, state, rows, cols)
-        if kernel_trace is not None:
-            kernel_trace.append({"layer": layer, "demands": demand_grid(instance, fp),
-                                 "area": fp.area})
-        return step2_cost(instance, fp, weights)
+    cost = _step2_objective(instance, layer, members, rows, cols, weights, kernel_trace)
 
     def neighbor(state: State, rng: random.Random) -> State:
         n = len(state)

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshstack import cli
-from meshstack.area_kernel import min_area_exact
 from meshstack.cli import main
 from meshstack.corpus import write_corpus
 from meshstack.exact import ExactLimits, solve_exact
@@ -559,7 +558,5 @@ def test_dump_kernel_records_every_cost_evaluation(tmp_path, tiny_chain, corpus_
     # 2 layers x (the initial state + 120 SA iterations), default sa_floorplan
     assert len(calls) == 2 * (120 + 1) == 242
     assert {call["layer"] for call in calls} == {0, 1}
-    # the annealer prices the exact kernel's area, the sizing it returns
-    assert all(call["area"] == min_area_exact(call["demands"]).area for call in calls)
     assert ((out / "floorplan.json").read_bytes()
             == (tiny_chain[0] / "floorplan.json").read_bytes())

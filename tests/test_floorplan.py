@@ -4,16 +4,18 @@ oracle, KOZ charging rules."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
 from meshstack.anneal import SaParams
+from meshstack.area_kernel import min_area_lp
 from meshstack.floorplan import (
+    _state_floorplan,
+    _xy_cost,
     floorplan_layer,
     grid_dims,
     legalize,
-    placed_floorplan,
-    step2_cost,
 )
 from meshstack.model import (
     ROUTER_2D,
@@ -23,12 +25,17 @@ from meshstack.model import (
     Component,
     ObjectiveWeights,
     VerticalLink,
+    demand_grid,
 )
 
 from conftest import chain_flows, make_fp, make_instance
 
 SA = SaParams(initial_temp=20.0, iterations=120, cooling=0.97, seed=5)
 W = ObjectiveWeights()
+
+
+def _state_demands(inst, layer, state, rows, cols):
+    return demand_grid(inst, _state_floorplan(layer, state, rows, cols))
 
 
 def test_grid_dims_near_square():
@@ -66,8 +73,12 @@ def test_two_cpu_layer_area():
     assert fp.area == pytest.approx(74.2, rel=1e-9)
 
 
-def _state_cost(inst, layer, state, rows, cols, weights):
-    return step2_cost(inst, placed_floorplan(inst, layer, state, rows, cols), weights)
+def _state_cost(inst, layer, state, rows, cols, flows, weights):
+    demands = _state_demands(inst, layer, state, rows, cols)
+    lp = min_area_lp(demands)
+    comm = _xy_cost(state, rows, cols, lp.col_widths, lp.row_heights, flows,
+                    inst.tech.link_capacity, weights.w_peak, weights.w_util)
+    return weights.w_area * lp.area + comm
 
 
 def test_chain_of_four_matches_bruteforce():
@@ -75,9 +86,12 @@ def test_chain_of_four_matches_bruteforce():
     inst = make_instance([Component(i, "CPU") for i in ids],
                          chain_flows(ids, 10.0), ["28nm"])
     fp = floorplan_layer(inst, 0, ids, W, SA)
+    flows = [(f.src, f.dst, f.bandwidth) for f in inst.core_graph.flows]
 
-    best = min(_state_cost(inst, 0, perm, 2, 2, W) for perm in itertools.permutations(ids))
-    got = _state_cost(inst, 0, tuple(fp.cell_of[0] + fp.cell_of[1]), 2, 2, W)
+    best = math.inf
+    for perm in itertools.permutations(ids):
+        best = min(best, _state_cost(inst, 0, perm, 2, 2, flows, W))
+    got = _state_cost(inst, 0, tuple(fp.cell_of[0] + fp.cell_of[1]), 2, 2, flows, W)
     assert got == pytest.approx(best, rel=1e-9)
 
 
@@ -96,19 +110,13 @@ def test_area_only_mode_matches_bruteforce_area():
                           Component("c", "CPU")], [], ["28nm"])
     weights = ObjectiveWeights(w_area=1.0, w_power=0.0, w_perf=0.0, w_peak=0.0, w_util=0.0)
     fp = floorplan_layer(inst, 0, ids, weights, SA)
-    states = set(itertools.permutations(ids + [None]))
-    best = min(placed_floorplan(inst, 0, s, 2, 2).area for s in states)
-    assert fp.area == pytest.approx(best, rel=1e-9)
-
-
-def test_step2_cost_prices_the_returned_sizing():
-    # the annealer's objective, the report's step2_per_layer and the returned
-    # floorplan share one sizing; the tangent-cut LP undershoots this grid
-    inst = make_instance([Component("a", "CPU"), Component("b", "SIMD"),
-                          Component("c", "CPU")], [], ["28nm"])
-    weights = ObjectiveWeights(w_area=1.0, w_power=0.0, w_perf=0.0, w_peak=0.0, w_util=0.0)
-    fp = floorplan_layer(inst, 0, ["a", "b", "c"], weights, SA)
-    assert step2_cost(inst, fp, weights) == fp.area
+    states = set()
+    for perm in itertools.permutations(ids + [None]):
+        states.add(perm)
+    best = min(min_area_lp(_state_demands(inst, 0, s, 2, 2)).area for s in states)
+    got = min_area_lp(_state_demands(
+        inst, 0, tuple(fp.cell_of[0] + fp.cell_of[1]), 2, 2)).area
+    assert got == pytest.approx(best, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
