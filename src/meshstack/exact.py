@@ -21,7 +21,8 @@ nor tie, so it is skipped; the rest go through legalize and
 evaluate_solution unchanged, and since the winner is the least
 (cost, key), the result does not depend on the visit order. A layer's floor
 terms depend only on its placement and the router kinds its links give it,
-so they are memoized per layer for as long as they can recur.
+so they are memoized per layer for as long as they can recur, and a layer's
+placed floorplan is rebuilt only when its own cells change.
 """
 
 from __future__ import annotations
@@ -177,14 +178,16 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
                  for l in range(num_layers)]
         memos: list[dict] = [{} for _ in range(num_layers)]
         previous: tuple = (None,) * num_layers
+        floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
         for cells_combo in itertools.product(*cell_choices):
             placements_visited += 1
+            # only the layers whose cells changed are placed again
             for l in range(num_layers):
-                if not recur[l] and cells_combo[l] != previous[l]:
-                    memos[l].clear()
+                if cells_combo[l] != previous[l]:
+                    floorplans[l] = _layer_floorplan(instance, l, members[l], cells_combo[l])
+                    if not recur[l]:
+                        memos[l].clear()
             previous = cells_combo
-            floorplans = [_layer_floorplan(instance, l, members[l], cells_combo[l])
-                          for l in range(num_layers)]
             boundary_cands: list[list[VerticalLink]] = []
             for b in instance.boundaries():
                 try:

@@ -5,8 +5,10 @@ The annealer state is the cell->component map of a near-square grid
 (ceil(sqrt(n)) columns x ceil(n / cols) rows); a move swaps two cells. Each
 state is priced with the LP area kernel plus dimension-order (XY) routing of
 the layer's internal flows on the LP geometry; the best state is re-sized
-once with the exact kernel. Interlayer traffic is deliberately ignored here,
-it is handled by the TSV and vertical-link steps.
+once with the exact kernel. States with equal demand grids (as when two
+identical components swap) share one LP solve per anneal. Interlayer traffic
+is deliberately ignored here, it is handled by the TSV and vertical-link
+steps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 from .anneal import SaParams, anneal
 # min_area_exact is unused here but kept: perfbench/layertrace.py patches floorplan.min_area_exact
-from .area_kernel import min_area_exact, min_area_exact_cached, min_area_lp  # noqa: F401
+from .area_kernel import LpResult, min_area_exact, min_area_exact_cached, min_area_lp  # noqa: F401
 from .model import (
     ROUTER_2D,
     ROUTER_3D_BOTH,
@@ -123,14 +125,21 @@ def _step2_objective(instance: Instance, layer: int, members: Sequence[str], row
                      kernel_trace: Optional[list] = None):
     """Step 2's cost of a row-major state of members: the LP area plus the
     XY-routed communication of the flows between members on the LP geometry.
+    min_area_lp is a pure function of the demand grid, so states with equal
+    grids share one LP solve for as long as this objective lives (one anneal);
+    the XY term depends on where components sit and is priced every time.
     kernel_trace, if given, gets one record per evaluation."""
     ids = set(members)
     intra_flows = [(f.src, f.dst, f.bandwidth) for f in instance.core_graph.flows
                    if f.src in ids and f.dst in ids]
+    solved: dict[tuple, LpResult] = {}
 
     def cost(state: State) -> float:
         demands = demand_grid(instance, _state_floorplan(layer, state, rows, cols))
-        lp = min_area_lp(demands)
+        key = tuple(map(tuple, demands))
+        lp = solved.get(key)
+        if lp is None:
+            lp = solved[key] = min_area_lp(demands)
         if kernel_trace is not None:
             kernel_trace.append({"layer": layer, "demands": demands, "area": lp.area})
         comm = _xy_cost(state, rows, cols, lp.col_widths, lp.row_heights, intra_flows,

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from meshstack import exact
 from meshstack.cli import main
-from meshstack.corpus import case_study_ppa
+from meshstack.corpus import case_study_ppa, tiny_soc
 from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidatesError,
                               UnreachableError)
 from meshstack.exact import (ExactLimits, _layer_floorplan, _matchings, cost_floor,
@@ -148,6 +149,36 @@ def test_exact_dominates_any_feasible_solution():
         except UnreachableError:
             continue
         assert metrics["total_cost"] >= sol.cost - 1e-9
+
+
+def test_only_changed_layers_are_placed_again(monkeypatch):
+    """Between consecutive placements a layer keeps its placed floorplan
+    unless its own cells change: on tiny_soc, one _layer_floorplan call per
+    (assignment, layer) placement change, not one per layer and placement."""
+    inst = tiny_soc()
+    calls = []
+
+    def counted(instance, layer, members, cells):
+        calls.append((layer, cells))
+        return _layer_floorplan(instance, layer, members, cells)
+
+    monkeypatch.setattr(exact, "_layer_floorplan", counted)
+    sol = solve_exact(inst, W)
+
+    comps = sorted(c.id for c in inst.core_graph.components)
+    layers = range(len(inst.layers))
+    changes = 0
+    for combo in itertools.product(*(inst.feasible_layers(c) for c in comps)):
+        sizes = [combo.count(l) for l in layers]
+        previous = (None,) * len(sizes)
+        for cells in itertools.product(*(
+                itertools.permutations(range(math.prod(grid_dims(k))), k) for k in sizes)):
+            changes += sum(cells[l] != previous[l] for l in layers)
+            previous = cells
+    assert len(calls) == changes < len(inst.layers) * sol.placements_visited
+    assert sol.placements_visited == 2640
+    assert sol.cost == 245.98884748530335
+    assert sol.assignment == {"cpu0": 1, "cpu1": 0, "cpu2": 0, "cpu3": 0, "cpu4": 0}
 
 
 def _unroutable_instance():

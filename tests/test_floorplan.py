@@ -7,11 +7,15 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from meshstack import floorplan
 from meshstack.anneal import SaParams
 from meshstack.area_kernel import min_area_lp
 from meshstack.floorplan import (
     _state_floorplan,
+    _step2_objective,
     _xy_cost,
     floorplan_layer,
     grid_dims,
@@ -23,12 +27,13 @@ from meshstack.model import (
     ROUTER_3D_DOWN,
     ROUTER_3D_UP,
     Component,
+    Flow,
     ObjectiveWeights,
     VerticalLink,
     demand_grid,
 )
 
-from conftest import chain_flows, make_fp, make_instance
+from conftest import chain_flows, default_tech, make_fp, make_instance
 
 SA = SaParams(initial_temp=20.0, iterations=120, cooling=0.97, seed=5)
 W = ObjectiveWeights()
@@ -119,6 +124,66 @@ def test_area_only_mode_matches_bruteforce_area():
     assert got == pytest.approx(best, rel=1e-9)
 
 
+def test_equal_demand_grids_share_one_lp_solve(monkeypatch):
+    """Four identical CPUs: swapping two of them leaves the demand grid as it
+    was, so the anneal solves the LP once per distinct grid, while the trace
+    still gets one record per evaluation."""
+    ids = ["c0", "c1", "c2", "c3", "s0"]
+    inst = make_instance([Component(i, "CPU") for i in ids[:4]] + [Component("s0", "SIMD")],
+                         chain_flows(ids, 10.0), ["28nm"])
+    solves = []
+
+    def counted(demands):
+        solves.append(demands)
+        return min_area_lp(demands)
+
+    monkeypatch.setattr(floorplan, "min_area_lp", counted)
+    trace: list = []
+    floorplan_layer(inst, 0, ids, W, SA, kernel_trace=trace)
+    distinct = {tuple(map(tuple, call["demands"])) for call in trace}
+    assert len(trace) == SA.iterations + 1
+    assert len(solves) == len(distinct) < len(trace)
+    assert all(call["area"] == min_area_lp(call["demands"]).area for call in trace)
+
+
+@st.composite
+def layers_and_walks(draw):
+    """A one-layer instance with identical components on purpose, and a walk
+    of cell swaps that is then retraced, so every state recurs."""
+    kinds = draw(st.lists(st.sampled_from(["CPU", "SIMD", "ADC"]), min_size=1, max_size=4))
+    kinds += [kinds[0]] * draw(st.integers(1, 3))
+    comps = [Component(f"c{i}", kind) for i, kind in enumerate(kinds)]
+    ends = st.lists(st.sampled_from([c.id for c in comps]), min_size=2, max_size=2,
+                    unique=True)
+    flows = [Flow(a, b, bw) for (a, b), bw in draw(
+        st.lists(st.tuples(ends, st.floats(0.1, 200.0)), max_size=8))]
+    node = "45nm" if "ADC" in kinds else draw(st.sampled_from(["28nm", "45nm"]))
+    inst = make_instance(comps, flows, [node],
+                         tech=default_tech(link_capacity=draw(st.sampled_from([5.0, 100.0]))))
+    rows, cols = grid_dims(len(comps))
+    cell = st.integers(0, rows * cols - 1)
+    swaps = draw(st.lists(st.tuples(cell, cell), max_size=25))
+    return inst, rows, cols, swaps + swaps[::-1]
+
+
+@given(case=layers_and_walks(),
+       weights=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 5).filter(any).map(
+           lambda w: ObjectiveWeights(*w)))
+def test_step2_objective_equals_uncached_pricing(case, weights):
+    """Sharing LP solves between equal demand grids changes no cost: every
+    state of the walk prices exactly as a fresh LP solve plus XY routing."""
+    inst, rows, cols, swaps = case
+    members = sorted(c.id for c in inst.core_graph.components)
+    flows = [(f.src, f.dst, f.bandwidth) for f in inst.core_graph.flows]
+    cost = _step2_objective(inst, 0, members, rows, cols, weights)
+    state = tuple(members) + (None,) * (rows * cols - len(members))
+    for i, j in [(0, 0)] + swaps:  # the no-op (0, 0) prices the initial state
+        cells = list(state)
+        cells[i], cells[j] = cells[j], cells[i]
+        state = tuple(cells)
+        assert cost(state) == _state_cost(inst, 0, state, rows, cols, flows, weights)
+
+
 # ---------------------------------------------------------------------------
 # legalization
 # ---------------------------------------------------------------------------
@@ -180,8 +245,6 @@ def test_koz_redistribution_picks_area_minimizing_cell():
     of the downward router) keeps the layer area smallest."""
     from meshstack.area_kernel import min_area_exact
     from meshstack.model import demand_grid
-
-    from conftest import default_tech
 
     # the upper router of the link connects downward, so redistribution acts
     # on the 2x2 upper layer
