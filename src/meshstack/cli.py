@@ -201,8 +201,6 @@ def _add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
                    help="redistribution reach 0 (co-located routers only)")
     p.add_argument("--rd-max", type=float, default=None, metavar="MM",
                    help="override the redistribution reach")
-    p.add_argument("--samples", type=int, default=None,
-                   help="TSV estimation trials per count")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -83,7 +83,6 @@ _CONFIG_KEYS = {
     "seed": (lambda v: _int(v, 0, (1 << 64) - 1), "an integer in [0, 2^64)"),
     "sa_floorplan": _SA_TRIPLE,
     "sa_vlink": _SA_TRIPLE,
-    "samples": (lambda v: _int(v, 1), "an integer >= 1"),
     "steps": (lambda v: _int(v, 1, 5), "an integer in 1..5"),
     "rd_max": (lambda v: _num(v, 0), "a finite number >= 0"),
     "no_rd": _BOOL,
@@ -112,7 +111,6 @@ class PipelineConfig:
     seed: int = 1
     sa_floorplan: SaTriple = SaTriple(20.0, 120, 0.97)
     sa_vlink: SaTriple = SaTriple(100.0, 50, 0.97)
-    samples: int = 64
     steps: int = 5
     rd_max: Optional[float] = None             # override the instance reach
     no_rd: bool = False
@@ -276,9 +274,7 @@ def _tsv(result: PipelineResult, kernel_trace: Optional[list]) -> None:
             curves[b] = {0: 0.0}
             continue
         choice = choose_count(floorplans, b, instance.core_graph,
-                              instance.tech.koz_area, config.weights,
-                              max_i=max_i, samples=config.samples,
-                              seed=mix_seed(config.seed, 3, b))
+                              instance.tech.koz_area, config.weights, max_i=max_i)
         counts[b] = min(choice.count, cap)
         curves[b] = choice.c3_by_count
     result.tsv_counts = counts

@@ -1,20 +1,21 @@
 """TSV array count per adjacent-layer boundary (exhaustive search on C3).
 
-For a candidate count i, arrays are dropped uniformly at random on the upper
-layer's grid-cell centers; every component with traffic crossing the boundary
-attaches to its nearest array (planar Manhattan distance). The objective
+For a candidate count i, arrays land on i distinct upper-layer grid-cell
+centers, every placement equally likely; every component with traffic
+crossing the boundary attaches to its nearest array (planar Manhattan
+distance). The objective
     C3(i) = w_area * i * K  +  w_util * sum_j b_j * d_j
 trades KOZ area against expected approach wiring, with b_j the bandwidth the
 j-th array attracts and d_j its bandwidth-weighted mean approach distance.
-Counts are small, so the argmin over i is found exhaustively.
+The expectation is computed exactly, not sampled. Counts are small, so the
+argmin over i is found exhaustively.
 """
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple, Sequence
+from math import comb
+from typing import NamedTuple, Optional, Sequence
 
-from .anneal import mix_seed
 from .errors import TooManyArraysError
 from .model import CoreGraph, MeshFloorplan, ObjectiveWeights
 
@@ -52,50 +53,50 @@ def _layer_of(floorplans: Sequence[MeshFloorplan]) -> dict[str, int]:
 
 
 def estimate_arrays(floorplans: Sequence[MeshFloorplan], boundary: int,
-                    core_graph: CoreGraph, i: int, samples: int,
-                    seed: int) -> list[ArrayEstimate]:
-    """Average per-array (b_j, d_j) over `samples` random array placements.
-
-    Arrays land on upper-layer grid cell centers, sampled without
-    replacement; within a trial they are canonically ordered by position so
-    rank j is stable across trials.
+                    core_graph: CoreGraph, i: int, samples: Optional[int] = None,
+                    seed: Optional[int] = None) -> list[ArrayEstimate]:
+    """Exact per-array (b_j, d_j), averaged over all C(N, i) placements of
+    i arrays on the upper layer's N cell centers; `samples` and `seed` are
+    accepted and ignored. Arrays rank j by position (x, y); a component
+    attaches to its nearest array, distances within 1e-12 tying to the
+    earlier position. Take the cells in that (distance, position) order: the
+    k-th (0-based) is the nearest array when chosen with none before it, the
+    other i - 1 drawn from the N - k - 1 after it, m of which lie earlier in
+    position. So it is the array of rank j with probability
+    C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i).
     """
     if i < 1:
         raise TooManyArraysError(f"array count must be >= 1, got {i}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     upper = next(fp for fp in floorplans if fp.layer == boundary + 1)
-    cells = [(r, c) for r in range(upper.rows) for c in range(upper.cols)]
-    if i > len(cells):
+    spots = sorted(upper.cell_center(r, c) for r in range(upper.rows) for c in range(upper.cols))
+    n = len(spots)
+    if i > n:
         raise TooManyArraysError(
-            f"{i} arrays requested but the upper grid has only {len(cells)} cells")
+            f"{i} arrays requested but the upper grid has only {n} cells")
 
     traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
     positions = _component_positions(floorplans)
-    comps = sorted(traffic)
+    placements = comb(n, i)
 
     acc_b = [0.0] * i
     acc_wd = [0.0] * i
-    for trial in range(samples):
-        rng = random.Random(mix_seed(seed, boundary, i, trial))
-        chosen = rng.sample(cells, i)
-        spots = sorted(upper.cell_center(r, c) for r, c in chosen)
-        for comp in comps:
-            px, py = positions[comp]
-            best_j = 0
-            best_dist = None
-            for j, (ax, ay) in enumerate(spots):
-                dist = abs(px - ax) + abs(py - ay)
-                if best_dist is None or dist < best_dist - 1e-12:
-                    best_j, best_dist = j, dist
-            acc_b[best_j] += traffic[comp]
-            acc_wd[best_j] += traffic[comp] * best_dist
+    for comp in sorted(traffic):
+        px, py = positions[comp]
+        dist = [abs(px - ax) + abs(py - ay) for ax, ay in spots]
+        # key each spot by the least distance it ties with, then by position
+        ties, lead = [], -1.0
+        for p in sorted(range(n), key=dist.__getitem__):
+            lead = dist[p] if dist[p] > lead + 1e-12 else lead
+            ties.append((lead, p))
+        order = [p for _lead, p in sorted(ties)]
+        for k, p in enumerate(order[:n - i + 1]):  # a later cell is never the nearest
+            m = sum(1 for q in order[k + 1:] if q < p)
+            for j in range(min(m, i - 1) + 1):
+                w = comb(m, j) * comb(n - k - 1 - m, i - 1 - j) / placements * traffic[comp]
+                acc_b[j] += w
+                acc_wd[j] += w * dist[p]
 
-    # bandwidth-weighted mean distance across trials keeps sum_j b_j * d_j an
-    # unbiased estimate of the expected total approach wiring
-    return [ArrayEstimate(acc_b[j] / samples,
-                          (acc_wd[j] / acc_b[j]) if acc_b[j] > 0 else 0.0)
-            for j in range(i)]
+    return [ArrayEstimate(b, wd / b if b > 0 else 0.0) for b, wd in zip(acc_b, acc_wd)]
 
 
 def c3_value(estimates: Sequence[ArrayEstimate], koz_area: float,
@@ -106,9 +107,11 @@ def c3_value(estimates: Sequence[ArrayEstimate], koz_area: float,
 
 def choose_count(floorplans: Sequence[MeshFloorplan], boundary: int,
                  core_graph: CoreGraph, koz_area: float, weights: ObjectiveWeights,
-                 max_i: int, samples: int, seed: int) -> TsvChoice:
-    """Exhaustive argmin of C3 over 1..max_i; ties go to the smaller count.
-    A boundary without crossing traffic needs no arrays at all (count 0)."""
+                 max_i: int, samples: Optional[int] = None,
+                 seed: Optional[int] = None) -> TsvChoice:
+    """Exhaustive argmin of the exact C3 over 1..max_i; ties go to the
+    smaller count. A boundary without crossing traffic needs no arrays at all
+    (count 0). `samples` and `seed` are accepted and ignored."""
     traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
     if not traffic:
         return TsvChoice(0, {0: 0.0})
@@ -116,7 +119,7 @@ def choose_count(floorplans: Sequence[MeshFloorplan], boundary: int,
     curve: dict[int, float] = {}
     best_i = None
     for i in range(1, max_i + 1):
-        estimates = estimate_arrays(floorplans, boundary, core_graph, i, samples, seed)
+        estimates = estimate_arrays(floorplans, boundary, core_graph, i)
         curve[i] = c3_value(estimates, koz_area, weights)
         if best_i is None or curve[i] < curve[best_i]:
             best_i = i

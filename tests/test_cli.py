@@ -195,7 +195,7 @@ def test_underflowing_sa_schedule_runs(tmp_path, corpus_dir):
     ({"steps": 6}, "steps"),
     ({"seed": -1}, "seed"),
     ({"seed": 1.5}, "seed"),
-    ({"samples": 0}, "samples"),
+    ({"samples": 0}, "samples"),  # a removed key: now unknown
     ({"assign_cap": -1}, "assign_cap"),
     ({"step1_perf_weight": -0.5}, "step1_perf_weight"),
     ({"weights": [1, 1, 1]}, "weights"),
@@ -250,7 +250,6 @@ _VALID_CONFIG = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**64 - 1),
     "sa_floorplan": _SA,
     "sa_vlink": _SA,
-    "samples": st.integers(1, 8),
     "steps": st.integers(1, 5),
     "rd_max": st.sampled_from([0, 0.5, 2.5, 5.0, 20.0]),
     "no_rd": st.booleans(),
@@ -323,8 +322,22 @@ def test_artifact_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
     assert str(out / "assignment.json") in err and "assign_cap" in err
 
 
+def test_report_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
+    # a report.json written while `samples` still set step 3's sampling trials
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    assert main(["run", inst, "--out", str(out)]) == 0
+    doc = read_json(out / "report.json")
+    doc["config"]["samples"] = 64
+    (out / "report.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", inst, "--out", str(out), "--report", str(out / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'samples'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags, key", [
-    (["--samples", "0"], "samples"),
+    (["--weights", "0,0,0,0,0"], "weights"),
     (["--weights", "nan,1,1,1,1"], "weights"),
     (["--weights", "1,1,1"], "weights"),
     (["--weights=-1,1,1,1,1"], "weights"),
@@ -346,12 +359,12 @@ def test_bad_flag_exit_code(tmp_path, corpus_dir, capsys, command, flags, key):
 def test_flags_lay_over_config(tmp_path, corpus_dir, capsys):
     inst = str(corpus_dir / "tiny_soc")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3, "samples": 8}))
+    cfg.write_text(json.dumps({"seed": 3, "sa_vlink": [50.0, 8, 0.9]}))
     out = tmp_path / "o"
     assert main(["run", inst, "--out", str(out), "--config", str(cfg), "--seed", "5",
                  "--steps", "1"]) == 0
     config = read_json(out / "report.json")["config"]
-    assert (config["seed"], config["samples"], config["steps"]) == (5, 8, 1)
+    assert (config["seed"], config["sa_vlink"], config["steps"]) == (5, [50.0, 8, 0.9], 1)
     cfg.write_text("[]")  # a non-object config stays an error with flags given
     assert main(["run", inst, "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 2
     assert "must be a JSON object" in capsys.readouterr().err
@@ -383,7 +396,7 @@ def test_eval_report_reproduces_generated_runs(tmp_path_factory, inst, flags, we
     save_instance(inst, base / "inst")
     cfg = base / "cfg.json"
     cfg.write_text(json.dumps({"weights": weights, "sa_floorplan": [20.0, 8, 0.9],
-                               "sa_vlink": [100.0, 8, 0.9], "samples": 4}))
+                               "sa_vlink": [100.0, 8, 0.9]}))
     out = base / "o"
     code = main(["run", str(base / "inst"), "--out", str(out), "--config", str(cfg)] + flags)
     assume(code not in (3, 4))  # infeasible or over a limit: no report to re-evaluate

@@ -331,7 +331,7 @@ def test_pipeline_never_beats_exact(inst, weights, seed):
     except MeshstackError:
         assume(False)
     config = PipelineConfig(weights=weights, seed=seed, sa_floorplan=SaTriple(20.0, 20, 0.9),
-                            sa_vlink=SaTriple(100.0, 10, 0.9), samples=8)
+                            sa_vlink=SaTriple(100.0, 10, 0.9))
     try:
         heuristic = run_pipeline(inst, config).metrics["total_cost"]
     except MeshstackError:

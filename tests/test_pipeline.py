@@ -128,7 +128,7 @@ def test_config_json_roundtrip():
     cfg = PipelineConfig(
         weights=ObjectiveWeights(1.0, 2.0, 0.5, 1.0, 3.0), seed=42,
         sa_floorplan=SaTriple(30.0, 200, 0.98), sa_vlink=SaTriple(1000.0, 50, 0.97),
-        samples=32, steps=4, rd_max=2.5, no_rd=False, colocate=True,
+        steps=4, rd_max=2.5, no_rd=False, colocate=True,
         fixed_mesh=(3, 4), fixed_tsv_counts={0: 2, 1: 3})
     assert PipelineConfig.from_json(cfg.to_json()) == cfg
 
@@ -167,11 +167,10 @@ def valid_instances(draw):
 
 
 @settings(max_examples=100)
-@given(inst=valid_instances(), seed=st.integers(0, 2**64 - 1), sa_fp=_SA, sa_vl=_SA,
-       samples=st.integers(1, 4))
-def test_valid_instance_never_raises(inst, seed, sa_fp, sa_vl, samples):
+@given(inst=valid_instances(), seed=st.integers(0, 2**64 - 1), sa_fp=_SA, sa_vl=_SA)
+def test_valid_instance_never_raises(inst, seed, sa_fp, sa_vl):
     # a valid instance either yields a design or a MeshstackError (exit 3/4)
-    config = PipelineConfig(seed=seed, sa_floorplan=sa_fp, sa_vlink=sa_vl, samples=samples)
+    config = PipelineConfig(seed=seed, sa_floorplan=sa_fp, sa_vlink=sa_vl)
     try:
         run_pipeline(inst, config)
     except MeshstackError:

@@ -1,11 +1,13 @@
-"""TSV count selection: formula examples, subset oracle, conservation."""
+"""TSV count selection: formula examples, placement enumeration, conservation."""
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshstack.errors import TooManyArraysError
 from meshstack.model import Component, CoreGraph, Flow, ObjectiveWeights
@@ -97,7 +99,7 @@ def test_choose_count_matches_direct_argmin():
 
 def test_sampled_estimate_near_subset_oracle():
     """Exhaustive placement oracle: average the wiring term over all C(4, i)
-    array subsets and require the sampled estimate within 10%."""
+    array subsets; the exact expectation matches it to rounding."""
     flows = [Flow("a", "x", 30.0), Flow("b", "y", 30.0),
              Flow("c", "z", 30.0), Flow("d", "w", 30.0)]
     cg, fps = two_layer_grids(flows, [["a", "b"], ["c", "d"]],
@@ -121,7 +123,7 @@ def test_sampled_estimate_near_subset_oracle():
         oracle = 2.0 * i + sum(wiring_values) / len(wiring_values)
         est = estimate_arrays(fps, 0, cg, i, samples=64, seed=5)
         sampled = c3_value(est, 2.0, W)
-        assert sampled == pytest.approx(oracle, rel=0.10)
+        assert sampled == pytest.approx(oracle, rel=1e-9)
 
 
 def test_koz_term_monotone_and_wiring_shrinks():
@@ -133,7 +135,8 @@ def test_koz_term_monotone_and_wiring_shrinks():
     for i in (1, 2, 3, 4):
         est = estimate_arrays(fps, 0, cg, i, samples=64, seed=11)
         wiring.append(sum(e.bandwidth * e.distance for e in est))
-    # seed chosen so the sampled wiring term is non-increasing in i
+    # more arrays can only bring the nearest one closer, so the expected
+    # wiring term is non-increasing in i
     assert all(a >= b - 1e-9 for a, b in zip(wiring, wiring[1:]))
 
 
@@ -145,3 +148,74 @@ def test_determinism_and_too_many_arrays():
     assert e1 == e2
     with pytest.raises(TooManyArraysError):
         estimate_arrays(fps, 0, cg, 3, samples=4, seed=1)
+
+
+def enumerated_arrays(fps, boundary, cg, i):
+    """Per-array (b_j, d_j) averaged over every C(N, i) placement: arrays
+    ranked by position; each component scans them in that order and moves to
+    an array only when it is nearer by more than 1e-12."""
+    upper = fps[boundary + 1]
+    cells = [(r, c) for r in range(upper.rows) for c in range(upper.cols)]
+    layer_of = {comp: fp.layer for fp in fps for _cell, comp in fp.occupied_cells()}
+    traffic = cross_boundary_traffic(cg, layer_of, boundary)
+    positions = {comp: fp.cell_center(r, c)
+                 for fp in fps for (r, c), comp in fp.occupied_cells()}
+    acc_b, acc_wd = [0.0] * i, [0.0] * i
+    for chosen in itertools.combinations(cells, i):
+        spots = sorted(upper.cell_center(r, c) for r, c in chosen)
+        for comp, bw in traffic.items():
+            px, py = positions[comp]
+            best_j, best_dist = 0, None
+            for j, (ax, ay) in enumerate(spots):
+                dist = abs(px - ax) + abs(py - ay)
+                if best_dist is None or dist < best_dist - 1e-12:
+                    best_j, best_dist = j, dist
+            acc_b[best_j] += bw
+            acc_wd[best_j] += bw * best_dist
+    placements = math.comb(len(cells), i)
+    return [ArrayEstimate(b / placements, wd / b if b > 0 else 0.0)
+            for b, wd in zip(acc_b, acc_wd)]
+
+
+@st.composite
+def small_two_layer_grids(draw):
+    """Two layers of at most 3x3 cells with one cell size per axis, so that
+    many approach distances tie (up to float rounding)."""
+    size = st.sampled_from([0.1, 0.3, 1.1, 2.7, 6.0])
+    layers = []
+    for layer in (0, 1):
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        width, height = draw(size), draw(size)
+        layers.append((layer, rows, cols, width, height))
+    slots = [(layer, r, c) for layer, rows, cols, _w, _h in layers
+             for r in range(rows) for c in range(cols)]
+    taken = draw(st.lists(st.sampled_from(slots), min_size=2, max_size=len(slots),
+                          unique=True))
+    names = {slot: f"c{n}" for n, slot in enumerate(taken)}
+    fps = [make_fp(layer, [[names.get((layer, r, c)) for c in range(cols)]
+                           for r in range(rows)], [width] * cols, [height] * rows)
+           for layer, rows, cols, width, height in layers]
+    comps = sorted(names.values())
+    flows = draw(st.lists(st.tuples(st.sampled_from(comps), st.sampled_from(comps),
+                                    st.sampled_from([1.0, 2.5, 7.0])),
+                          min_size=1, max_size=6).filter(
+        lambda fl: all(a != b for a, b, _bw in fl)))
+    cg = CoreGraph(components=tuple(Component(c, "CPU") for c in comps),
+                   flows=tuple(Flow(a, b, bw) for a, b, bw in flows))
+    return cg, fps
+
+
+@settings(max_examples=100)
+@given(grids=small_two_layer_grids())
+def test_exact_estimate_matches_placement_enumeration(grids):
+    cg, fps = grids
+    for i in range(1, fps[1].rows * fps[1].cols + 1):
+        exact = estimate_arrays(fps, 0, cg, i)
+        enumerated = enumerated_arrays(fps, 0, cg, i)
+        assert len(exact) == i
+        for got, want in zip(exact, enumerated):
+            assert got.bandwidth == pytest.approx(want.bandwidth, rel=1e-9, abs=1e-12)
+            assert got.distance == pytest.approx(want.distance, rel=1e-9, abs=1e-12)
+        assert (sum(e.bandwidth * e.distance for e in exact)
+                == pytest.approx(sum(e.bandwidth * e.distance for e in enumerated),
+                                 rel=1e-9, abs=1e-12))
