@@ -6,7 +6,9 @@ steps' artifacts from --out, runs its own step and writes its artifact
 (assignment.json, floorplan.json, tsv_plan.json, vlinks.json,
 floorplan_legal.json). eval reads all five and writes traffic.json; render
 draws the chain as far as it has run (layer*.svg). Flags are laid over the
---config document and validated with it.
+--config document and validated with it. validate takes only the instance;
+eval --report evaluates under the report's own config and refuses --config
+and config flags (exit 2).
 
 Exit codes: 0 ok, 2 invalid instance, parameters or artifact, 3 infeasible,
 4 limits exceeded.
@@ -15,7 +17,6 @@ Exit codes: 0 ok, 2 invalid instance, parameters or artifact, 3 infeasible,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -46,8 +47,8 @@ from .model import (
     write_json,
 )
 from .objective import evaluate_solution, metrics_to_json
-from .pipeline import (STAGES, PipelineConfig, PipelineResult, _effective_instance,
-                       load_artifacts, run_pipeline, run_stage)
+from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult,
+                       _effective_instance, load_artifacts, run_pipeline, run_stage)
 from .render import render_svg
 
 EXIT_OK = 0
@@ -64,12 +65,15 @@ def _parse_mesh(text: str) -> list[int]:
     return [int(n) for n in text.lower().split("x")]
 
 
+def _flags(args) -> dict:  # the config flags given: every flag's dest is its config key
+    return {key: value for key, value in vars(args).items()
+            if key in _CONFIG_KEYS and value is not None}
+
+
 def _config_from_args(args) -> PipelineConfig:
     """--config with the flags laid over it, validated as one document."""
     doc = read_json(args.config) if args.config else {}
-    keys = {f.name for f in dataclasses.fields(PipelineConfig)}  # every flag's dest is one
-    flags = {key: value for key, value in vars(args).items() if key in keys and value is not None}
-    return PipelineConfig.from_json({**doc, **flags} if isinstance(doc, dict) else doc)
+    return PipelineConfig.from_json({**doc, **_flags(args)} if isinstance(doc, dict) else doc)
 
 
 def _resume(args, stages) -> PipelineResult:
@@ -87,8 +91,8 @@ def cmd_stage(args) -> int:
     """A step subcommand: read the earlier artifacts, run the step, write its own."""
     i = [stage.command for stage in STAGES].index(args.command)
     result, stage = _resume(args, STAGES[:i]), STAGES[i]
-    trace: list | None = [] if getattr(args, "dump_kernel", False) else None
-    run_stage(stage, result, trace)
+    trace = result.kernel_calls = [] if getattr(args, "dump_kernel", False) else None
+    run_stage(stage, result)
     out = Path(args.out)
     write_json(stage.to_json(result), out / stage.artifact)
     if trace is not None:
@@ -108,6 +112,10 @@ def _report_solution(instance, doc: dict):
 def cmd_eval(args) -> int:
     out = Path(args.out)
     if args.report:
+        given = (["config"] if args.config else []) + list(_flags(args))
+        if given:
+            raise InvalidParamsError("eval --report takes the report's own config; drop "
+                                     + ", ".join("--" + key.replace("_", "-") for key in given))
         instance = load_instance(args.instance)
         fps, vlinks, weights = read_json(args.report,
                                          lambda doc: _report_solution(instance, doc))
@@ -186,10 +194,8 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
-    p.add_argument("instance", help="instance directory (coregraph/ppa/tech JSON)")
-    if with_out:
-        p.add_argument("--out", default="out", help="artifact directory (default: out)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", default="out", help="artifact directory (default: out)")
     p.add_argument("--config", default=None, help="pipeline config JSON")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--weights", type=_parse_weights, default=None, metavar="A,P,F,K,U",
@@ -218,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                 ("render", cmd_render, "render the step artifacts' floorplans to SVG")])
     for name, fn, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, with_out=name != "validate")
+        p.add_argument("instance", help="instance directory (coregraph/ppa/tech JSON)")
+        if fn is not cmd_validate:
+            _add_common(p)
         p.set_defaults(handler=fn)
     sub.choices["floorplan"].add_argument(
         "--dump-kernel", action="store_true",

@@ -78,7 +78,7 @@ def placed_floorplan(instance: Instance, layer: int, state: State,
     return _sized(fp, min_area_exact_cached(demand_grid(instance, fp)))
 
 
-def _xy_cost(state: State, rows: int, cols: int, widths: Sequence[float],
+def _xy_cost(state: State, cols: int, widths: Sequence[float],
              heights: Sequence[float], intra_flows, capacity: float,
              w_peak: float, w_util: float) -> float:
     """Dimension-order routing over the full grid: columns first, then rows.
@@ -142,7 +142,7 @@ def _step2_objective(instance: Instance, layer: int, members: Sequence[str], row
             lp = solved[key] = min_area_lp(demands)
         if kernel_trace is not None:
             kernel_trace.append({"layer": layer, "demands": demands, "area": lp.area})
-        comm = _xy_cost(state, rows, cols, lp.col_widths, lp.row_heights, intra_flows,
+        comm = _xy_cost(state, cols, lp.col_widths, lp.row_heights, intra_flows,
                         instance.tech.link_capacity, weights.w_peak, weights.w_util)
         return weights.w_area * lp.area + comm
     return cost

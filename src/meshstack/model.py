@@ -494,6 +494,12 @@ def parse_floorplan(doc: dict) -> MeshFloorplan:
             or any(len(g) != fp.rows or any(len(row) != fp.cols for row in g)
                    for g in (fp.cell_of, fp.router_kind, fp.koz_of))):
         raise ValueError(f"layer {fp.layer}: a grid or size list does not fit {fp.rows}x{fp.cols}")
+    # an empty column or row has size 0
+    if not all(0 <= size < math.inf for size in fp.col_widths + fp.row_heights):
+        raise ValueError(f"layer {fp.layer}: column widths and row heights must be "
+                         f"finite and >= 0")
+    if any(k < 0 for row in fp.koz_of for k in row):
+        raise ValueError(f"layer {fp.layer}: KOZ counts must be >= 0")
     return fp
 
 

@@ -71,37 +71,29 @@ def _sa_triple(v) -> bool:
             and _int(v[1], 1) and _num(v[2], 0) and 0 < v[2] < 1)
 
 
-_SA_TRIPLE = (_sa_triple, "[initial_temp > 0, iterations >= 1, cooling in (0, 1)]")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_SA_TRIPLE = (_sa_triple, "[initial_temp > 0, iterations >= 1, cooling in (0, 1)]",
+              lambda v: SaTriple(float(v[0]), v[1], float(v[2])))
+_BOOL = (lambda v: isinstance(v, bool), "true or false", bool)
 
-# every key PipelineConfig.from_json reads: (check, what it expects); null
-# always means the default
+# every config key: (check, what it expects, its field from the JSON); null means default
 _CONFIG_KEYS = {
     "weights": (lambda v: isinstance(v, list) and len(v) == 5
                 and all(_num(w, 0) for w in v) and any(w > 0 for w in v),
-                "five finite weights >= 0, not all zero"),
-    "seed": (lambda v: _int(v, 0, (1 << 64) - 1), "an integer in [0, 2^64)"),
+                "five finite weights >= 0, not all zero", lambda v: ObjectiveWeights(*v)),
+    "seed": (lambda v: _int(v, 0, (1 << 64) - 1), "an integer in [0, 2^64)", int),
     "sa_floorplan": _SA_TRIPLE,
     "sa_vlink": _SA_TRIPLE,
-    "steps": (lambda v: _int(v, 1, 5), "an integer in 1..5"),
-    "rd_max": (lambda v: _num(v, 0), "a finite number >= 0"),
+    "steps": (lambda v: _int(v, 1, 5), "an integer in 1..5", int),
+    "rd_max": (lambda v: _num(v, 0), "a finite number >= 0", lambda v: v),
     "no_rd": _BOOL,
     "colocate": _BOOL,
     "fixed_mesh": (lambda v: isinstance(v, list) and len(v) == 2
-                   and all(_int(x, 1) for x in v), "[rows >= 1, cols >= 1]"),
+                   and all(_int(x, 1) for x in v), "[rows >= 1, cols >= 1]", tuple),
+    # one spelling per boundary, so "0" and "00" cannot both name boundary 0
     "fixed_tsv_counts": (lambda v: isinstance(v, dict) and all(
-        k.isdecimal() and _int(n, 0) for k, n in v.items()),
-        "an object of boundary index -> count >= 0"),
-}
-
-
-# the keys whose JSON form differs from the field's
-_FROM_JSON = {
-    "weights": lambda v: ObjectiveWeights(*v),
-    "sa_floorplan": lambda v: SaTriple(float(v[0]), v[1], float(v[2])),
-    "sa_vlink": lambda v: SaTriple(float(v[0]), v[1], float(v[2])),
-    "fixed_mesh": tuple,
-    "fixed_tsv_counts": lambda v: {int(k): n for k, n in v.items()},
+        k.isdecimal() and str(int(k)) == k and _int(n, 0) for k, n in v.items()),
+        "an object of boundary index (no leading zeros) -> count >= 0",
+        lambda v: {int(k): n for k, n in v.items()}),
 }
 
 
@@ -136,11 +128,11 @@ class PipelineConfig:
         for key, value in doc.items():
             if key not in _CONFIG_KEYS:
                 raise InvalidParamsError(f"unknown config key {key!r}")
-            check, expected = _CONFIG_KEYS[key]
+            check, expected, _ = _CONFIG_KEYS[key]
             if value is not None and not check(value):
                 raise InvalidParamsError(
                     f"config key {key!r} must be {expected}, got {value!r}")
-        return PipelineConfig(**{key: _FROM_JSON.get(key, lambda v: v)(value)
+        return PipelineConfig(**{key: _CONFIG_KEYS[key][2](value)
                                  for key, value in doc.items() if value is not None})
 
 
@@ -158,6 +150,7 @@ class PipelineResult:
     metrics: dict = field(default_factory=dict)
     per_step_costs: dict = field(default_factory=dict)
     timing: dict[str, float] = field(default_factory=dict)
+    kernel_calls: Optional[list] = None  # if a list, step 2's cost evaluations; not reported
 
     def report(self) -> dict:
         """Self-contained, deterministic report (timing isolated on top).
@@ -207,7 +200,7 @@ def _colocated(config: PipelineConfig) -> bool:
 
 # the five stages; each reads what the earlier ones left on the result
 
-def _assign(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+def _assign(result: PipelineResult) -> None:
     instance, config = result.instance, result.config
     # step 1 prices area and power; w_util = 1, never read there, keeps perf-only weights valid
     step1_weights = dataclasses.replace(config.weights, w_perf=0.0, w_util=1.0)
@@ -219,7 +212,7 @@ def _assign(result: PipelineResult, kernel_trace: Optional[list]) -> None:
     result.step1_cost = step1_cost(instance, assignment, step1_weights)
 
 
-def _floorplan(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+def _floorplan(result: PipelineResult) -> None:
     instance, config = result.instance, result.config
     members = {l.index: sorted(c for c, lay in result.assignment.items() if lay == l.index)
                for l in instance.layers}
@@ -245,7 +238,7 @@ def _floorplan(result: PipelineResult, kernel_trace: Optional[list]) -> None:
             sa = config.sa_floorplan.params(mix_seed(config.seed, 2, l))
             floorplans.append(floorplan_layer(instance, l, members[l],
                                               config.weights, sa, dims=dims,
-                                              kernel_trace=kernel_trace))
+                                              kernel_trace=result.kernel_calls))
     if _colocated(config):  # one shared sizing keeps the routers stacked
         floorplans = legalize(instance, floorplans, (), colocated=True)
     result.step2_floorplans = floorplans
@@ -254,7 +247,7 @@ def _floorplan(result: PipelineResult, kernel_trace: Optional[list]) -> None:
         str(fp.layer): step2_cost(instance, fp, config.weights) for fp in floorplans}
 
 
-def _tsv(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+def _tsv(result: PipelineResult) -> None:
     instance, config = result.instance, result.config
     floorplans = result.step2_floorplans
     counts: dict[int, int] = {}
@@ -283,7 +276,7 @@ def _tsv(result: PipelineResult, kernel_trace: Optional[list]) -> None:
         str(b): curves[b].get(counts[b]) for b in counts}
 
 
-def _place3d(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+def _place3d(result: PipelineResult) -> None:
     instance, config = result.instance, result.config
     floorplans, counts = result.step2_floorplans, result.tsv_counts
     if any(n > 0 for n in counts.values()):
@@ -302,7 +295,7 @@ def _place3d(result: PipelineResult, kernel_trace: Optional[list]) -> None:
         result.per_step_costs["step4"] = None
 
 
-def _legalize(result: PipelineResult, kernel_trace: Optional[list]) -> None:
+def _legalize(result: PipelineResult) -> None:
     instance, config = result.instance, result.config
     legal = legalize(instance, result.step2_floorplans, result.vlinks,
                      colocated=_colocated(config))
@@ -327,11 +320,14 @@ def _boundary_capacity(instance: Instance, floorplans: Sequence[MeshFloorplan],
 
 def _load_assignment(result: PipelineResult, doc: dict) -> None:
     # every later step must run with the config the chain started with
-    made_with, config = dict(doc["config"]), result.config.to_json()
-    for key in sorted(set(made_with) | set(config)):
-        if made_with.get(key) != config.get(key):
-            raise ValueError(f"made with config {key}={made_with.get(key)!r} but this step "
-                             f"runs with {key}={config.get(key)!r}; give every step the "
+    try:
+        made_with = PipelineConfig.from_json(doc["config"]).to_json()
+    except InvalidParamsError as exc:  # a hand edit, or a key removed since
+        raise ValueError(f"malformed or outdated config: {exc}; re-run `meshstack assign`") from exc
+    for key, value in sorted(result.config.to_json().items()):  # one form per value
+        if made_with[key] != value:
+            raise ValueError(f"made with config {key}={made_with[key]!r} but this step "
+                             f"runs with {key}={value!r}; give every step the "
                              f"same flags and --config")
     assignment, kinds = dict(doc["assignment"]), result.instance.kinds
     for comp in sorted(set(assignment) | set(kinds)):
@@ -352,15 +348,21 @@ def _load_floorplan(result: PipelineResult, doc: dict) -> None:
     result.step2_floorplans = floorplans
 
 
+def _items(doc, what: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    return doc.items()
+
+
 def _load_tsv(result: PipelineResult, doc: dict) -> None:
-    counts = {int(b): n for b, n in doc["counts"].items()}
+    counts = {int(b): n for b, n in _items(doc["counts"], "counts")}
     boundaries = list(result.instance.boundaries())
     if sorted(counts) != boundaries or not all(type(n) is int and n >= 0
                                                for n in counts.values()):
         raise ValueError(f"counts must map each boundary {boundaries} to an integer >= 0")
     result.tsv_counts = counts
-    result.tsv_curves = {int(b): {int(i): float(v) for i, v in curve.items()}
-                         for b, curve in doc["c3_curves"].items()}
+    result.tsv_curves = {int(b): {int(i): float(v) for i, v in _items(curve, f"c3 curve {b}")}
+                         for b, curve in _items(doc["c3_curves"], "c3_curves")}
 
 
 def _load_place3d(result: PipelineResult, doc: dict) -> None:
@@ -380,7 +382,7 @@ class Stage:
     command: str       # CLI subcommand that runs this stage alone
     title: str
     timing_key: str    # its entry in PipelineResult.timing
-    run: Callable[[PipelineResult, Optional[list]], None]
+    run: Callable[[PipelineResult], None]
     artifact: str      # file the subcommand writes to the output directory
     to_json: Callable[[PipelineResult], dict]     # the artifact; report() reuses it
     load: Callable[[PipelineResult, dict], None]  # the artifact back onto a result
@@ -411,18 +413,16 @@ STAGES = (
 )
 
 
-def run_stage(stage: Stage, result: PipelineResult,
-              kernel_trace: Optional[list] = None) -> None:
+def run_stage(stage: Stage, result: PipelineResult) -> None:
     t0 = time.perf_counter()
-    stage.run(result, kernel_trace)
+    stage.run(result)
     result.timing[stage.timing_key] = time.perf_counter() - t0
 
 
-def run_pipeline(instance: Instance, config: PipelineConfig,
-                 kernel_trace: Optional[list] = None) -> PipelineResult:
+def run_pipeline(instance: Instance, config: PipelineConfig) -> PipelineResult:
     result = PipelineResult(_effective_instance(instance, config), config)
     for stage in STAGES[:config.steps]:
-        run_stage(stage, result, kernel_trace)
+        run_stage(stage, result)
     return result
 
 

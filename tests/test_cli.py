@@ -37,6 +37,21 @@ def test_validate_ok(corpus_dir):
     assert main(["validate", str(corpus_dir / "tiny_soc")]) == 0
 
 
+def test_validate_takes_only_the_instance(corpus_dir, capsys):
+    for flags in (["--seed", "1"], ["--config", "x.json"]):  # argparse refuses them
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(corpus_dir / "tiny_soc"), *flags])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "instance" in usage and "--out" not in usage
+    assert not any(flag in usage for flag in ("--config", "--seed", "--weights",
+                                               "--fixed-mesh", "--no-rd", "--rd-max"))
+
+
 def test_validate_rejects_bad_instance(tmp_path, corpus_dir):
     bad = tmp_path / "bad"
     bad.mkdir()
@@ -93,6 +108,26 @@ def test_eval_report_reproduces_metrics(tmp_path, corpus_dir):
     traffic = read_json(out / "traffic.json")
     for key in ("total_cost", "bw_times_distance", "whitespace_total"):
         assert traffic[key] == report["metrics"][key]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--weights", "9,9,9,9,9"], "--weights"),
+    (["--config", "cfg.json"], "--config"),
+    (["--seed", "2", "--no-rd"], "--no-rd"),
+])
+def test_eval_report_refuses_config_flags(tmp_path, tiny_chain, corpus_dir, capsys,
+                                          flags, named):
+    # the report's own config prices it; a flag would be silently overridden
+    inst, report = str(corpus_dir / "tiny_soc"), str(tiny_chain[1] / "report.json")
+    code = main(["eval", inst, "--out", str(tmp_path), "--report", report, *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "traffic.json").exists()
+    assert main(["eval", inst, "--out", str(tmp_path), "--report", report]) == 0
+    metrics = read_json(tiny_chain[1] / "report.json")["metrics"]
+    traffic = read_json(tmp_path / "traffic.json")
+    assert {k: traffic[k] for k in metrics} == metrics
 
 
 def test_steps_flag(tmp_path, corpus_dir):
@@ -218,6 +253,10 @@ def test_underflowing_sa_schedule_runs(tmp_path, corpus_dir):
     ({"assign_cap": 30}, "assign_cap"),
     ({"step1_perf_weight": 0.0}, "step1_perf_weight"),
     ({"redistribute_koz": True}, "redistribute_koz"),
+    # one spelling per boundary: "00" would silently overwrite "0"
+    ({"fixed_tsv_counts": {"0": 1, "00": 3}}, "fixed_tsv_counts"),
+    ({"fixed_tsv_counts": {"00": 3}}, "fixed_tsv_counts"),
+    ({"fixed_tsv_counts": {"\u0660": 1}}, "fixed_tsv_counts"),
 ])
 def test_bad_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
@@ -320,6 +359,40 @@ def test_artifact_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
     assert main(["floorplan", inst, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(out / "assignment.json") in err and "assign_cap" in err
+
+
+@pytest.mark.parametrize("config, said", [
+    ({"samples": 64}, "unknown config key 'samples'"),  # a removed key
+    ({"seed": "x"}, "config key 'seed' must be"),
+    ([], "config must be a JSON object"),
+])
+def test_artifact_with_unreadable_config_exit_code(tmp_path, corpus_dir, capsys,
+                                                   config, said):
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    assert main(["assign", inst, "--out", str(out)]) == 0
+    doc = read_json(out / "assignment.json")
+    doc["config"] = {**doc["config"], **config} if isinstance(config, dict) else config
+    (out / "assignment.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["floorplan", inst, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "assignment.json") in err and said in err
+    assert "meshstack assign" in err and "runs with" not in err and "Traceback" not in err
+
+
+def test_artifact_config_missing_key_means_default(tmp_path, corpus_dir, capsys):
+    # as in --config, a key left out of the recorded config is its default
+    inst = str(corpus_dir / "tiny_soc")
+    out = tmp_path / "o"
+    assert main(["assign", inst, "--out", str(out)]) == 0
+    doc = read_json(out / "assignment.json")
+    del doc["config"]["seed"], doc["config"]["weights"]
+    (out / "assignment.json").write_text(json.dumps(doc))
+    assert main(["floorplan", inst, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["floorplan", inst, "--out", str(out), "--seed", "2"]) == 2
+    assert "made with config seed=1 but this step runs with seed=2" in capsys.readouterr().err
 
 
 def test_report_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
@@ -494,6 +567,12 @@ def _set(doc, keys, value):
     ("vlinks.json", ["vlinks", 0, "upper"], [3, 0, 0]),
     ("floorplan_legal.json", ["layers", 1, "col_widths"], []),
     ("floorplan_legal.json", ["layers"], []),
+    ("floorplan_legal.json", ["layers", 0, "col_widths", 0], float("nan")),
+    ("floorplan_legal.json", ["layers", 0, "row_heights", 0], -1.0),
+    ("floorplan_legal.json", ["layers", 0, "koz", 0, 0], -1),
+    ("tsv_plan.json", ["counts"], [3]),
+    ("tsv_plan.json", ["c3_curves"], []),
+    ("tsv_plan.json", ["c3_curves", "0"], [1.0]),
 ])
 def test_bad_artifact_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
                                 artifact, keys, value):

@@ -81,7 +81,7 @@ def test_two_cpu_layer_area():
 def _state_cost(inst, layer, state, rows, cols, flows, weights):
     demands = _state_demands(inst, layer, state, rows, cols)
     lp = min_area_lp(demands)
-    comm = _xy_cost(state, rows, cols, lp.col_widths, lp.row_heights, flows,
+    comm = _xy_cost(state, cols, lp.col_widths, lp.row_heights, flows,
                     inst.tech.link_capacity, weights.w_peak, weights.w_util)
     return weights.w_area * lp.area + comm
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from meshstack.corpus import write_corpus
 from meshstack.errors import ValidationError
 from meshstack.model import (
     Component,
@@ -216,3 +218,15 @@ def test_validation_rejects_exactly_the_mutants():
         assert any(v.code == expect for v in violations), (mutation, violations)
         checked += 1
     assert checked == 120
+
+
+def test_committed_corpus_matches_builders(tmp_path):
+    # the CLI, perfbench and tools/report_digests.py read corpus/; the tests
+    # build the same instances with corpus.*()
+    committed = Path(__file__).resolve().parents[1] / "corpus"
+    write_corpus(tmp_path)
+
+    def files(base):
+        return {p.relative_to(base): p.read_bytes() for p in sorted(base.rglob("*"))
+                if p.is_file()}
+    assert files(tmp_path) == files(committed)
