@@ -19,10 +19,15 @@ weights are nonnegative. A configuration whose floor exceeds the best cost
 so far (strictly, with 1e-9 relative slack for rounding) can neither win
 nor tie, so it is skipped; the rest go through legalize and
 evaluate_solution unchanged, and since the winner is the least
-(cost, key), the result does not depend on the visit order. A layer's floor
-terms depend only on its placement and the router kinds its links give it,
-so they are memoized per layer for as long as they can recur, and a layer's
-placed floorplan is rebuilt only when its own cells change.
+(cost, key), the result does not depend on the visit order.
+
+Identical components give identical work. A layer's legalized geometry, and
+so its floor terms and router centers by cell, depends only on the component
+kind in each cell and the router kinds its links give it; the placed
+geometry, and so the vertical-link candidates and their matchings, only on
+the layers' kind grids. Both are computed once per solve for each such
+pattern, however many permutations of identical components share it. A
+layer's placed floorplan is rebuilt only when its own cells change.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Optional, Sequence
 
 from .errors import InstanceTooLargeError, NoCandidatesError, UnreachableError
 from .floorplan import grid_dims, legalize, legalize_layer, placed_floorplan, router_kinds
-from .model import Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
+from .model import Cell, Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
 from .objective import evaluate_solution, power_perf_cost
 from .vlink import candidate_links
 
@@ -102,25 +107,31 @@ def _matchings(candidates: Sequence[VerticalLink]):
     return out
 
 
-FloorTerms = tuple[float, dict[str, tuple[float, float]]]  # weighted terms, router centers
+FloorTerms = tuple[float, dict[Cell, tuple[float, float]]]  # weighted terms, router centers
 
 
 def _layer_floor(instance: Instance, fp: MeshFloorplan, kinds,
                  weights: ObjectiveWeights) -> FloorTerms:
     """One layer's share of the cost floor: the weighted area, power and perf
-    of the layer legalized with `kinds`, and its components' router centers."""
+    of the layer legalized with `kinds`, and its router centers by cell."""
     legal = legalize_layer(instance, fp, kinds)
     cells = list(legal.occupied_cells())
     power, perf = power_perf_cost(instance, {comp: legal.layer for _cell, comp in cells},
                                   [legal])
     return (weights.w_area * legal.area + weights.w_power * power + weights.w_perf * perf,
-            {comp: legal.cell_center(r, c) for (r, c), comp in cells})
+            {cell: legal.cell_center(*cell) for cell, _comp in cells})
 
 
-def _floor(instance: Instance, layers: Sequence[FloorTerms], w_util: float) -> float:
+def _sites(floorplans: Sequence[MeshFloorplan]) -> dict[str, tuple[int, Cell]]:
+    """Each placed component's (layer, cell)."""
+    return {comp: (fp.layer, cell) for fp in floorplans for cell, comp in fp.occupied_cells()}
+
+
+def _floor(instance: Instance, sites: dict[str, tuple[int, Cell]],
+           layers: Sequence[FloorTerms], w_util: float) -> float:
     total = sum(term for term, _centers in layers)
     if w_util:
-        centers = {comp: xy for _term, layer in layers for comp, xy in layer.items()}
+        centers = {comp: layers[l][1][cell] for comp, (l, cell) in sites.items()}
         for flow in instance.core_graph.flows:
             (xs, ys), (xd, yd) = centers[flow.src], centers[flow.dst]
             total += w_util * flow.bandwidth * (abs(xs - xd) + abs(ys - yd))
@@ -132,8 +143,47 @@ def cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
     """A lower bound on the total cost of the placed `floorplans` with
     `vlinks`, after legalize, that routes nothing (see the module docstring)."""
     kinds = router_kinds(vlinks)
-    return _floor(instance, [_layer_floor(instance, fp, kinds, weights)
-                             for fp in floorplans], weights.w_util)
+    return _floor(instance, _sites(floorplans),
+                  [_layer_floor(instance, fp, kinds, weights) for fp in floorplans],
+                  weights.w_util)
+
+
+def _kind_grid(instance: Instance, fp: MeshFloorplan) -> tuple:
+    """The component kind in each cell, row-major, None where empty."""
+    return tuple(None if comp is None else instance.kinds[comp]
+                 for row in fp.cell_of for comp in row)
+
+
+# links, their router kinds, and per layer its sorted share of them (part of its floor key)
+LinkConfig = tuple[list[VerticalLink], dict, tuple[tuple, ...]]
+
+
+def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan],
+                         limits: ExactLimits) -> list[LinkConfig]:
+    """Every vertical-link matching of the placed floorplans in enumeration
+    order, with its router kinds and each layer's share of them, sorted. Only
+    the layers' kind grids enter: placed geometry comes from the demand grid,
+    and a VerticalLink names positions, not components."""
+    boundary_cands: list[list[VerticalLink]] = []
+    for b in instance.boundaries():
+        try:
+            cands = candidate_links(floorplans, b, instance.tech.rd_max_length)
+        except NoCandidatesError:
+            cands = []
+        if len(cands) > limits.vcands:
+            raise InstanceTooLargeError(
+                f"boundary {b} has {len(cands)} vertical-link candidates, "
+                f"limit {limits.vcands}")
+        boundary_cands.append(cands)
+    configs = []
+    for selection in itertools.product(*map(_matchings, boundary_cands)):
+        links = [boundary_cands[bi][i] for bi, combo_sel in enumerate(selection)
+                 for i in combo_sel]
+        kinds = router_kinds(links)
+        configs.append((links, kinds, tuple(
+            tuple(sorted(kv for kv in kinds.items() if kv[0][0] == fp.layer))
+            for fp in floorplans)))
+    return configs
 
 
 def solve_exact(instance: Instance, weights: ObjectiveWeights,
@@ -162,6 +212,10 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
     unreachable: Optional[UnreachableError] = None  # the last one, raised if none routes
     placements_visited = 0
     configurations_visited = 0
+    # (layer, kind grid, layer's router kinds) -> floor terms
+    floors: dict[tuple, FloorTerms] = {}
+    # kind grids of all layers -> their link configurations
+    links_of: dict[tuple, list[LinkConfig]] = {}
 
     for combo in itertools.product(*(feasible[cid] for cid in comps)):
         assignment = dict(zip(comps, combo))
@@ -172,55 +226,40 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
             rows, cols = grid_dims(len(members[l]))
             cell_choices.append(list(itertools.permutations(range(rows * cols),
                                                             len(members[l]))))
-        # a layer's floor terms recur only while an earlier layer cycles
-        # through several placements; otherwise they expire with its own
-        recur = [any(len(choices) > 1 for choices in cell_choices[:l])
-                 for l in range(num_layers)]
-        memos: list[dict] = [{} for _ in range(num_layers)]
         previous: tuple = (None,) * num_layers
         floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
+        grids: list[tuple] = [()] * num_layers
         for cells_combo in itertools.product(*cell_choices):
             placements_visited += 1
             # only the layers whose cells changed are placed again
             for l in range(num_layers):
                 if cells_combo[l] != previous[l]:
                     floorplans[l] = _layer_floorplan(instance, l, members[l], cells_combo[l])
-                    if not recur[l]:
-                        memos[l].clear()
+                    grids[l] = _kind_grid(instance, floorplans[l])
             previous = cells_combo
-            boundary_cands: list[list[VerticalLink]] = []
-            for b in instance.boundaries():
-                try:
-                    cands = candidate_links(floorplans, b, instance.tech.rd_max_length)
-                except NoCandidatesError:
-                    cands = []
-                if len(cands) > limits.vcands:
-                    raise InstanceTooLargeError(
-                        f"boundary {b} has {len(cands)} vertical-link candidates, "
-                        f"limit {limits.vcands}")
-                boundary_cands.append(cands)
-
-            for selection in itertools.product(*(_matchings(c) for c in boundary_cands)):
+            sites = _sites(floorplans)
+            pattern = tuple(grids)
+            if pattern not in links_of:
+                links_of[pattern] = _link_configurations(instance, floorplans, limits)
+            for links, kinds, own in links_of[pattern]:
                 configurations_visited += 1
-                links = [boundary_cands[bi][i]
-                         for bi, combo_sel in enumerate(selection) for i in combo_sel]
                 if best is not None:
-                    kinds = router_kinds(links)
                     layers = []
                     for l, fp in enumerate(floorplans):
-                        state = (cells_combo[l],
-                                 tuple(sorted(kv for kv in kinds.items() if kv[0][0] == l)))
-                        terms = memos[l].get(state)
+                        state = (l, grids[l], own[l])
+                        terms = floors.get(state)
                         if terms is None:
-                            terms = memos[l][state] = _layer_floor(instance, fp, kinds, weights)
+                            terms = floors[state] = _layer_floor(instance, fp, kinds, weights)
                         layers.append(terms)
-                    if _floor(instance, layers, weights.w_util) * (1.0 - 1e-9) > best[0]:
+                    if _floor(instance, sites, layers, weights.w_util) * (1.0 - 1e-9) > best[0]:
                         continue
                 legal = legalize(instance, floorplans, links)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
                 except UnreachableError as exc:
-                    unreachable = exc
+                    # without its traceback, which would tie this frame and
+                    # its memos into a cycle that only the collector frees
+                    unreachable = exc.with_traceback(None)
                     continue
                 cost = metrics["total_cost"]
                 key = (tuple(sorted(assignment.items())), cells_combo,

@@ -89,9 +89,11 @@ _CONFIG_KEYS = {
     "colocate": _BOOL,
     "fixed_mesh": (lambda v: isinstance(v, list) and len(v) == 2
                    and all(_int(x, 1) for x in v), "[rows >= 1, cols >= 1]", tuple),
-    # one spelling per boundary, so "0" and "00" cannot both name boundary 0
+    # one spelling per boundary, so "0" and "00" cannot both name boundary 0; the
+    # length bound keeps int() below Python's digit limit
     "fixed_tsv_counts": (lambda v: isinstance(v, dict) and all(
-        k.isdecimal() and str(int(k)) == k and _int(n, 0) for k, n in v.items()),
+        len(k) <= 9 and k.isdecimal() and str(int(k)) == k and _int(n, 0)
+        for k, n in v.items()),
         "an object of boundary index (no leading zeros) -> count >= 0",
         lambda v: {int(k): n for k, n in v.items()}),
 }
@@ -329,7 +331,7 @@ def _load_assignment(result: PipelineResult, doc: dict) -> None:
             raise ValueError(f"made with config {key}={made_with[key]!r} but this step "
                              f"runs with {key}={value!r}; give every step the "
                              f"same flags and --config")
-    assignment, kinds = dict(doc["assignment"]), result.instance.kinds
+    assignment, kinds = dict(_items(doc["assignment"], "assignment")), result.instance.kinds
     for comp in sorted(set(assignment) | set(kinds)):
         feasible = result.instance.feasible_layers(comp) if comp in kinds else ()
         layer = assignment.get(comp)

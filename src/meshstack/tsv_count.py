@@ -65,6 +65,14 @@ def estimate_arrays(floorplans: Sequence[MeshFloorplan], boundary: int,
     position. So it is the array of rank j with probability
     C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i).
     """
+    traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
+    return _estimate(floorplans, boundary, traffic, _component_positions(floorplans), i)
+
+
+def _estimate(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict[str, float],
+              positions: dict[str, tuple[float, float]], i: int) -> list[ArrayEstimate]:
+    """estimate_arrays on the boundary's crossing traffic and the components'
+    positions, which do not depend on i."""
     if i < 1:
         raise TooManyArraysError(f"array count must be >= 1, got {i}")
     upper = next(fp for fp in floorplans if fp.layer == boundary + 1)
@@ -74,8 +82,6 @@ def estimate_arrays(floorplans: Sequence[MeshFloorplan], boundary: int,
         raise TooManyArraysError(
             f"{i} arrays requested but the upper grid has only {n} cells")
 
-    traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
-    positions = _component_positions(floorplans)
     placements = comb(n, i)
 
     acc_b = [0.0] * i
@@ -116,10 +122,11 @@ def choose_count(floorplans: Sequence[MeshFloorplan], boundary: int,
     if not traffic:
         return TsvChoice(0, {0: 0.0})
 
+    positions = _component_positions(floorplans)
     curve: dict[int, float] = {}
     best_i = None
     for i in range(1, max_i + 1):
-        estimates = estimate_arrays(floorplans, boundary, core_graph, i)
+        estimates = _estimate(floorplans, boundary, traffic, positions, i)
         curve[i] = c3_value(estimates, koz_area, weights)
         if best_i is None or curve[i] < curve[best_i]:
             best_i = i

@@ -257,6 +257,8 @@ def test_underflowing_sa_schedule_runs(tmp_path, corpus_dir):
     ({"fixed_tsv_counts": {"0": 1, "00": 3}}, "fixed_tsv_counts"),
     ({"fixed_tsv_counts": {"00": 3}}, "fixed_tsv_counts"),
     ({"fixed_tsv_counts": {"\u0660": 1}}, "fixed_tsv_counts"),
+    # longer than Python's int() digit limit
+    ({"fixed_tsv_counts": {"1" * 5000: 1}}, "fixed_tsv_counts"),
 ])
 def test_bad_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
@@ -573,6 +575,10 @@ def _set(doc, keys, value):
     ("tsv_plan.json", ["counts"], [3]),
     ("tsv_plan.json", ["c3_curves"], []),
     ("tsv_plan.json", ["c3_curves", "0"], [1.0]),
+    # the chain's own assignment as [component, layer] pairs: not an object
+    ("assignment.json", ["assignment"],
+     [["cpu0", 0], ["cpu1", 1], ["cpu2", 0], ["cpu3", 1], ["cpu4", 0]]),
+    ("assignment.json", ["assignment"], [1, 2]),
 ])
 def test_bad_artifact_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
                                 artifact, keys, value):

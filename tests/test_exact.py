@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 
@@ -179,6 +180,115 @@ def test_only_changed_layers_are_placed_again(monkeypatch):
     assert sol.placements_visited == 2640
     assert sol.cost == 245.98884748530335
     assert sol.assignment == {"cpu0": 1, "cpu1": 0, "cpu2": 0, "cpu3": 0, "cpu4": 0}
+
+
+def _kind_grid(instance, fp):
+    return tuple(None if comp is None else instance.kinds[comp]
+                 for row in fp.cell_of for comp in row)
+
+
+def test_floor_terms_once_per_kind_pattern(monkeypatch):
+    """Identical components share floor terms: on tiny_soc (five CPUs) each
+    (layer, kind grid, layer's router kinds) is floored once, and fewer kind
+    grids are floored than component grids are placed."""
+    inst = tiny_soc()
+    calls, states = [], set()
+
+    def counted(instance, fp, kinds, weights):
+        own = tuple(sorted(kv for kv in kinds.items() if kv[0][0] == fp.layer))
+        calls.append((fp.layer, _kind_grid(instance, fp), own))
+        return layer_floor(instance, fp, kinds, weights)
+
+    def placed(instance, layer, members, cells):
+        fp = _layer_floorplan(instance, layer, members, cells)
+        states.add((layer, fp.cell_of))
+        return fp
+
+    layer_floor = exact._layer_floor
+    monkeypatch.setattr(exact, "_layer_floor", counted)
+    monkeypatch.setattr(exact, "_layer_floorplan", placed)
+    sol = solve_exact(inst, W)
+    assert len(calls) == len(set(calls)) > 0
+    assert len({(layer, grid) for layer, grid, _own in calls}) < len(states)
+    assert sol.cost == 245.98884748530335
+
+
+def _mixed_instance():
+    """Two CPUs, a SIMD and an ADC (45nm only) on 28nm/45nm layers."""
+    comps = [Component("a", "CPU"), Component("b", "SIMD"), Component("c", "CPU"),
+             Component("d", "ADC")]
+    return make_instance(comps, [Flow("a", "d", 40.0), Flow("d", "c", 25.0),
+                                 Flow("b", "a", 10.0)], ["28nm", "45nm"])
+
+
+@pytest.mark.parametrize("inst", [tiny_soc(), _mixed_instance()], ids=["tiny_soc", "mixed"])
+def test_shared_floor_terms_equal_the_configurations_own(monkeypatch, inst):
+    """The floors solve_exact skips by are built from terms shared across
+    permutations of identical components; each equals cost_floor of the
+    configuration it is checked for (up to the order power is summed in).
+    Floors start once a configuration has routed, so they are the last ones
+    of the enumeration; about 200 evenly spaced ones are checked."""
+    floors = []
+
+    def recorded(*args):
+        floors.append(shared(*args))
+        return floors[-1]
+
+    shared = exact._floor
+    monkeypatch.setattr(exact, "_floor", recorded)
+    solve_exact(inst, W)
+    monkeypatch.undo()
+    configurations = list(_configurations(inst))[-len(floors):]
+    assert len(floors) > 200
+    for i in range(0, len(floors), len(floors) // 200):
+        _assignment, _cells, fps, links, _new = configurations[i]
+        assert floors[i] == pytest.approx(cost_floor(inst, fps, links, W), rel=1e-12)
+
+
+def test_candidates_once_per_kind_grid_pair(monkeypatch):
+    """Vertical-link candidates depend only on the two layers' kind grids: on
+    tiny_soc, candidate_links runs once per distinct pair of kind grids over
+    all placements, not once per placement."""
+    inst = tiny_soc()
+    calls = []
+
+    def counted(floorplans, boundary, reach):
+        calls.append(tuple(_kind_grid(inst, fp) for fp in floorplans))
+        return candidate_links(floorplans, boundary, reach)
+
+    monkeypatch.setattr(exact, "candidate_links", counted)
+    sol = solve_exact(inst, W)
+
+    comps = sorted(c.id for c in inst.core_graph.components)
+    patterns = set()
+    for combo in itertools.product(*(inst.feasible_layers(c) for c in comps)):
+        members = [[c for c, l in zip(comps, combo) if l == layer]
+                   for layer in range(len(inst.layers))]
+        for cells in itertools.product(*(
+                itertools.permutations(range(math.prod(grid_dims(len(m)))), len(m))
+                for m in members)):
+            grids = []
+            for m, placed in zip(members, cells):
+                grid = [None] * math.prod(grid_dims(len(m)))
+                for comp, i in zip(m, placed):
+                    grid[i] = inst.kinds[comp]
+                grids.append(tuple(grid))
+            patterns.add(tuple(grids))
+    assert sorted(calls, key=repr) == sorted(patterns, key=repr)
+    assert len(calls) < sol.placements_visited == 2640
+
+
+def test_solve_leaves_no_reference_cycles():
+    """tiny_soc's link-free configurations cannot route; the UnreachableError
+    solve_exact keeps must not hold the traceback that would tie its frame,
+    memos included, into a cycle only the garbage collector frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        solve_exact(tiny_soc(), W)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _unroutable_instance():
