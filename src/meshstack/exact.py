@@ -27,7 +27,10 @@ kind in each cell and the router kinds its links give it; the placed
 geometry, and so the vertical-link candidates and their matchings, only on
 the layers' kind grids. Both are computed once per solve for each such
 pattern, however many permutations of identical components share it. A
-layer's placed floorplan is rebuilt only when its own cells change.
+layer's kind grid and its components' sites come straight from its cells;
+its placed floorplan is built only when something reads it: a new kind
+pattern's link candidates, a new floor key's terms, or a configuration that
+survives its floor and is routed.
 """
 
 from __future__ import annotations
@@ -122,19 +125,24 @@ def _layer_floor(instance: Instance, fp: MeshFloorplan, kinds,
             {cell: legal.cell_center(*cell) for cell, _comp in cells})
 
 
-def _sites(floorplans: Sequence[MeshFloorplan]) -> dict[str, tuple[int, Cell]]:
-    """Each placed component's (layer, cell)."""
-    return {comp: (fp.layer, cell) for fp in floorplans for cell, comp in fp.occupied_cells()}
+FlowEnds = tuple[float, int, Cell, int, Cell]  # w_util * bw, src (layer, cell), dst (layer, cell)
 
 
-def _floor(instance: Instance, sites: dict[str, tuple[int, Cell]],
-           layers: Sequence[FloorTerms], w_util: float) -> float:
+def _flow_ends(instance: Instance, sites: dict[str, tuple[int, Cell]],
+               w_util: float) -> list[FlowEnds]:
+    """Each flow's weighted bandwidth and the sites of its two ends, in flow
+    order; none when wiring carries no weight."""
+    if not w_util:
+        return []
+    return [(w_util * flow.bandwidth, *sites[flow.src], *sites[flow.dst])
+            for flow in instance.core_graph.flows]
+
+
+def _floor(layers: Sequence[FloorTerms], ends: Sequence[FlowEnds]) -> float:
     total = sum(term for term, _centers in layers)
-    if w_util:
-        centers = {comp: layers[l][1][cell] for comp, (l, cell) in sites.items()}
-        for flow in instance.core_graph.flows:
-            (xs, ys), (xd, yd) = centers[flow.src], centers[flow.dst]
-            total += w_util * flow.bandwidth * (abs(xs - xd) + abs(ys - yd))
+    for weight, src_layer, src_cell, dst_layer, dst_cell in ends:
+        (xs, ys), (xd, yd) = layers[src_layer][1][src_cell], layers[dst_layer][1][dst_cell]
+        total += weight * (abs(xs - xd) + abs(ys - yd))
     return total
 
 
@@ -143,15 +151,21 @@ def cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
     """A lower bound on the total cost of the placed `floorplans` with
     `vlinks`, after legalize, that routes nothing (see the module docstring)."""
     kinds = router_kinds(vlinks)
-    return _floor(instance, _sites(floorplans),
-                  [_layer_floor(instance, fp, kinds, weights) for fp in floorplans],
-                  weights.w_util)
+    sites = {comp: (fp.layer, cell) for fp in floorplans for cell, comp in fp.occupied_cells()}
+    return _floor([_layer_floor(instance, fp, kinds, weights) for fp in floorplans],
+                  _flow_ends(instance, sites, weights.w_util))
 
 
-def _kind_grid(instance: Instance, fp: MeshFloorplan) -> tuple:
-    """The component kind in each cell, row-major, None where empty."""
-    return tuple(None if comp is None else instance.kinds[comp]
-                 for row in fp.cell_of for comp in row)
+def _kinds_and_sites(instance: Instance, layer: int, members: Sequence[str],
+                     cells: Sequence[int]) -> tuple[tuple, dict[str, tuple[int, Cell]]]:
+    """The layer's component kind in each cell (row-major, None where empty)
+    and each member's (layer, cell), read off the flat cell indices without
+    placing the layer."""
+    rows, cols = grid_dims(len(members))
+    grid: list[Optional[str]] = [None] * (rows * cols)
+    for comp, idx in zip(members, cells):
+        grid[idx] = instance.kinds[comp]
+    return tuple(grid), {comp: (layer, divmod(idx, cols)) for comp, idx in zip(members, cells)}
 
 
 # links, their router kinds, and per layer its sorted share of them (part of its floor key)
@@ -209,13 +223,22 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
     feasible = {cid: instance.feasible_layers(cid) for cid in comps}
     num_layers = len(instance.layers)
     best: Optional[tuple] = None  # (cost, key, solution parts)
-    unreachable: Optional[UnreachableError] = None  # the last one, raised if none routes
+    # the last unroutable flow's ends; its error is raised anew if nothing routes,
+    # so no local holds an error whose traceback holds this frame
+    unreachable: Optional[tuple[str, str]] = None
     placements_visited = 0
     configurations_visited = 0
     # (layer, kind grid, layer's router kinds) -> floor terms
     floors: dict[tuple, FloorTerms] = {}
     # kind grids of all layers -> their link configurations
     links_of: dict[tuple, list[LinkConfig]] = {}
+
+    def placed(l: int) -> MeshFloorplan:
+        """Layer l's placed floorplan, built on its first read since its cells
+        last changed."""
+        if floorplans[l] is None:
+            floorplans[l] = _layer_floorplan(instance, l, members[l], cells_combo[l])
+        return floorplans[l]
 
     for combo in itertools.product(*(feasible[cid] for cid in comps)):
         assignment = dict(zip(comps, combo))
@@ -229,37 +252,41 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
         previous: tuple = (None,) * num_layers
         floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
         grids: list[tuple] = [()] * num_layers
+        sites: dict[str, tuple[int, Cell]] = {}
         for cells_combo in itertools.product(*cell_choices):
             placements_visited += 1
-            # only the layers whose cells changed are placed again
+            # a layer whose cells changed gets its kind grid and sites from
+            # them and is placed again only when read (placed above)
             for l in range(num_layers):
                 if cells_combo[l] != previous[l]:
-                    floorplans[l] = _layer_floorplan(instance, l, members[l], cells_combo[l])
-                    grids[l] = _kind_grid(instance, floorplans[l])
+                    floorplans[l] = None
+                    grids[l], layer_sites = _kinds_and_sites(instance, l, members[l],
+                                                             cells_combo[l])
+                    sites.update(layer_sites)
             previous = cells_combo
-            sites = _sites(floorplans)
+            ends = _flow_ends(instance, sites, weights.w_util)
             pattern = tuple(grids)
             if pattern not in links_of:
-                links_of[pattern] = _link_configurations(instance, floorplans, limits)
+                links_of[pattern] = _link_configurations(
+                    instance, [placed(l) for l in range(num_layers)], limits)
             for links, kinds, own in links_of[pattern]:
                 configurations_visited += 1
                 if best is not None:
                     layers = []
-                    for l, fp in enumerate(floorplans):
+                    for l in range(num_layers):
                         state = (l, grids[l], own[l])
                         terms = floors.get(state)
                         if terms is None:
-                            terms = floors[state] = _layer_floor(instance, fp, kinds, weights)
+                            terms = floors[state] = _layer_floor(instance, placed(l), kinds,
+                                                                 weights)
                         layers.append(terms)
-                    if _floor(instance, sites, layers, weights.w_util) * (1.0 - 1e-9) > best[0]:
+                    if _floor(layers, ends) * (1.0 - 1e-9) > best[0]:
                         continue
-                legal = legalize(instance, floorplans, links)
+                legal = legalize(instance, [placed(l) for l in range(num_layers)], links)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
                 except UnreachableError as exc:
-                    # without its traceback, which would tie this frame and
-                    # its memos into a cycle that only the collector frees
-                    unreachable = exc.with_traceback(None)
+                    unreachable = (exc.src, exc.dst)
                     continue
                 cost = metrics["total_cost"]
                 key = (tuple(sorted(assignment.items())), cells_combo,
@@ -268,7 +295,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
                     best = (cost, key, assignment, legal, links, metrics)
 
     if best is None:
-        raise unreachable
+        raise UnreachableError(*unreachable)
     _cost, _key, assignment, legal, links, metrics = best
     return ExactSolution(assignment=dict(assignment), floorplans=list(legal),
                          vlinks=list(links), cost=_cost, metrics=metrics,
