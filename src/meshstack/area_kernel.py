@@ -21,6 +21,9 @@ from .simplex import solve_cover_lp
 
 Grid = Sequence[Sequence[float]]
 
+TANGENT_COUNT = 8  # min_area_lp's tangent points per cell
+TOL = 1e-9         # min_area_exact's stopping and certificate tolerance
+
 
 class LpResult(NamedTuple):
     col_widths: tuple[float, ...]
@@ -51,16 +54,14 @@ def _check_demands(demands: Grid) -> tuple[int, int, list[tuple[int, int, float]
     return rows, cols, occupied
 
 
-def min_area_lp(demands: Grid, tangent_count: int = 8) -> LpResult:
+def min_area_lp(demands: Grid) -> LpResult:
     """Lower-bound sizing via tangent cuts of H >= a/W.
 
-    For every occupied cell and tangent point w_t the cut
+    For every occupied cell and each of TANGENT_COUNT tangent points w_t the cut
         (a / w_t^2) * W_i + H_j >= 2 a / w_t
     is the tangent of H = a/W at W = w_t. Tangent points are geometrically
     spaced across [sqrt(a)/4, 4 sqrt(a)] (cell aspect ratios 1/16 .. 16).
     """
-    if tangent_count < 2:
-        raise InvalidParamsError(f"tangent_count must be >= 2, got {tangent_count}")
     rows, cols, occupied = _check_demands(demands)
     if not occupied:
         return LpResult(tuple(0.0 for _ in range(cols)), tuple(0.0 for _ in range(rows)), 0.0)
@@ -68,8 +69,8 @@ def min_area_lp(demands: Grid, tangent_count: int = 8) -> LpResult:
     a_rows, b_rhs = [], []
     for r, c, a in occupied:
         lo = math.sqrt(a) / 4.0
-        ratio = 16.0 ** (1.0 / (tangent_count - 1))
-        for t in range(tangent_count):
+        ratio = 16.0 ** (1.0 / (TANGENT_COUNT - 1))
+        for t in range(TANGENT_COUNT):
             w_t = lo * ratio ** t
             coeffs = [0.0] * nvars
             coeffs[c] = a / (w_t * w_t)
@@ -132,7 +133,7 @@ def min_area_exact_cached(demands: Grid) -> ExactResult:
 
 
 def min_area_exact(demands: Grid, init_widths: Optional[Sequence[float]] = None,
-                   tol: float = 1e-9, max_iters: int = 100) -> ExactResult:
+                   max_iters: int = 100) -> ExactResult:
     """The minimum-area sizing: with u = log W, v = log H, min sum e^u + sum
     e^v s.t. u_i + v_j >= log a_ij is strictly convex, and its one minimizer
     has sum W = sum H, so it minimizes (sum W)(sum H) too. A Mehrotra
@@ -157,8 +158,8 @@ def min_area_exact(demands: Grid, init_widths: Optional[Sequence[float]] = None,
     for _ in range(max_iters):
         w, mu = np.exp(x), s @ lam / m
         r_d, r_p = w - A.T @ lam, A @ x - s - b
-        # at tol, or no step is left in double precision
-        if max(np.max(np.abs(r_d)) / np.max(w), np.max(np.abs(r_p)), mu) <= tol or alpha < tol:
+        # at TOL, or no step is left in double precision
+        if max(np.max(np.abs(r_d)) / np.max(w), np.max(np.abs(r_p)), mu) <= TOL or alpha < TOL:
             break
         d = lam / s
         normal = np.diag(w) + A.T @ (d[:, None] * A)
@@ -186,8 +187,8 @@ def min_area_exact(demands: Grid, init_widths: Optional[Sequence[float]] = None,
         y, forest = _solve_on_tight_cells(x, A[order], b[order], len(used_cols))
         on_forest, slack = A[order][forest], A @ y - b
         negative = set(np.array(order, dtype=int)[forest][np.linalg.solve(
-            on_forest @ on_forest.T, on_forest @ np.exp(y)) < -tol])
-        violated = list(np.flatnonzero(slack < -tol)) + [
+            on_forest @ on_forest.T, on_forest @ np.exp(y)) < -TOL])
+        violated = list(np.flatnonzero(slack < -TOL)) + [
             np.flatnonzero(line)[np.argmin(slack[line])]
             for line in (A > 0).T[~on_forest.any(axis=0)]]
         if not (violated or negative):

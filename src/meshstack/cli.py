@@ -34,7 +34,7 @@ from .errors import (
     UnreachableError,
     ValidationError,
 )
-from .exact import ExactLimits, solve_exact
+from .exact import solve_exact
 from .model import (
     check_vlink_ends,
     floorplan_to_json,
@@ -163,7 +163,7 @@ def cmd_baseline(args) -> int:
         if getattr(config, key):
             raise InvalidParamsError(f"baseline cannot honour config key {key!r}: the exact "
                                      f"oracle models no shared sizing, fixed grid or fixed count")
-    solution = solve_exact(instance, config.weights, ExactLimits())
+    solution = solve_exact(instance, config.weights)
     out = Path(args.out)
     doc = {
         "assignment": dict(sorted(solution.assignment.items())),

@@ -21,16 +21,16 @@ nor tie, so it is skipped; the rest go through legalize and
 evaluate_solution unchanged, and since the winner is the least
 (cost, key), the result does not depend on the visit order.
 
-Identical components give identical work. A layer's legalized geometry, and
-so its floor terms and router centers by cell, depends only on the component
-kind in each cell and the router kinds its links give it; the placed
-geometry, and so the vertical-link candidates and their matchings, only on
-the layers' kind grids. Both are computed once per solve for each such
-pattern, however many permutations of identical components share it. A
-layer's kind grid and its components' sites come straight from its cells;
-its placed floorplan is built only when something reads it: a new kind
-pattern's link candidates, a new floor key's terms, or a configuration that
-survives its floor and is routed.
+Identical components give identical work. The placed geometry, and so the
+vertical-link candidates and their matchings, depends only on the layers'
+kind grids (the component kind in each cell); a layer's floor terms and
+router centers by cell, only on its kind grid and the router kinds its links
+give it. One memo maps each kind pattern to its link configurations, each
+with its layers' floor terms, which are computed once per (layer, kind grid,
+router kinds) and shared across patterns; so a configuration's only work
+before routing is _floor. A layer's kind grid and its components' sites come
+straight from its cells; it is placed only for a new kind pattern or a
+configuration that survives its floor and is routed.
 """
 
 from __future__ import annotations
@@ -47,12 +47,9 @@ from .objective import evaluate_solution, power_perf_cost
 from .vlink import candidate_links
 
 
-@dataclass(frozen=True)
-class ExactLimits:
-    components: int = 6
-    layers: int = 2
-    grid_cells: int = 6   # max cells of any per-layer grid
-    vcands: int = 6       # max vertical-link candidates per boundary
+MAX_COMPONENTS = 6
+MAX_LAYERS = 2
+MAX_VCANDS = 6  # vertical-link candidates per boundary
 
 
 @dataclass
@@ -168,57 +165,58 @@ def _kinds_and_sites(instance: Instance, layer: int, members: Sequence[str],
     return tuple(grid), {comp: (layer, divmod(idx, cols)) for comp, idx in zip(members, cells)}
 
 
-# links, their router kinds, and per layer its sorted share of them (part of its floor key)
-LinkConfig = tuple[list[VerticalLink], dict, tuple[tuple, ...]]
+LinkConfig = tuple[list[VerticalLink], list[FloorTerms]]  # links, floor terms per layer
 
 
 def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan],
-                         limits: ExactLimits) -> list[LinkConfig]:
+                         grids: Sequence[tuple], weights: ObjectiveWeights,
+                         floors: dict[tuple, FloorTerms]) -> list[LinkConfig]:
     """Every vertical-link matching of the placed floorplans in enumeration
-    order, with its router kinds and each layer's share of them, sorted. Only
-    the layers' kind grids enter: placed geometry comes from the demand grid,
-    and a VerticalLink names positions, not components."""
+    order, with each layer's floor terms, looked up in `floors` by (layer,
+    kind grid, the layer's router kinds, sorted) and added on a miss. Only the
+    layers' kind grids enter: placed geometry comes from the demand grid, and
+    a VerticalLink names positions, not components."""
     boundary_cands: list[list[VerticalLink]] = []
     for b in instance.boundaries():
         try:
             cands = candidate_links(floorplans, b, instance.tech.rd_max_length)
         except NoCandidatesError:
             cands = []
-        if len(cands) > limits.vcands:
+        if len(cands) > MAX_VCANDS:
             raise InstanceTooLargeError(
                 f"boundary {b} has {len(cands)} vertical-link candidates, "
-                f"limit {limits.vcands}")
+                f"limit {MAX_VCANDS}")
         boundary_cands.append(cands)
     configs = []
     for selection in itertools.product(*map(_matchings, boundary_cands)):
         links = [boundary_cands[bi][i] for bi, combo_sel in enumerate(selection)
                  for i in combo_sel]
         kinds = router_kinds(links)
-        configs.append((links, kinds, tuple(
-            tuple(sorted(kv for kv in kinds.items() if kv[0][0] == fp.layer))
-            for fp in floorplans)))
+        terms = []
+        for fp, grid in zip(floorplans, grids):
+            key = (fp.layer, grid, tuple(sorted(kv for kv in kinds.items()
+                                                if kv[0][0] == fp.layer)))
+            if key not in floors:
+                floors[key] = _layer_floor(instance, fp, kinds, weights)
+            terms.append(floors[key])
+        configs.append((links, terms))
     return configs
 
 
-def solve_exact(instance: Instance, weights: ObjectiveWeights,
-                limits: ExactLimits = ExactLimits()) -> ExactSolution:
-    """Globally optimal solution within the limits; raises
-    InstanceTooLargeError (with the enumeration size) when they are exceeded.
-    Deterministic: ties resolve to the lexicographically smallest solution."""
+def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
+    """Globally optimal solution within MAX_COMPONENTS, MAX_LAYERS and
+    MAX_VCANDS; raises InstanceTooLargeError (with the enumeration size) when
+    one is exceeded. Deterministic: ties resolve to the lexicographically
+    smallest solution."""
     comps = sorted(c.id for c in instance.core_graph.components)
     n = len(comps)
-    if n > limits.components:
+    if n > MAX_COMPONENTS:
         raise InstanceTooLargeError(
-            f"{n} components exceed the exact limit {limits.components} "
+            f"{n} components exceed MAX_COMPONENTS = {MAX_COMPONENTS} "
             f"(enumeration would visit ~{enumeration_estimate(instance)} placements)")
-    if len(instance.layers) > limits.layers:
+    if len(instance.layers) > MAX_LAYERS:
         raise InstanceTooLargeError(
-            f"{len(instance.layers)} layers exceed the exact limit {limits.layers}")
-    worst_rows, worst_cols = grid_dims(n)
-    if worst_rows * worst_cols > limits.grid_cells:
-        raise InstanceTooLargeError(
-            f"a {worst_rows}x{worst_cols} grid exceeds the exact limit of "
-            f"{limits.grid_cells} cells")
+            f"{len(instance.layers)} layers exceed MAX_LAYERS = {MAX_LAYERS}")
 
     feasible = {cid: instance.feasible_layers(cid) for cid in comps}
     num_layers = len(instance.layers)
@@ -228,10 +226,10 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
     unreachable: Optional[tuple[str, str]] = None
     placements_visited = 0
     configurations_visited = 0
-    # (layer, kind grid, layer's router kinds) -> floor terms
-    floors: dict[tuple, FloorTerms] = {}
     # kind grids of all layers -> their link configurations
     links_of: dict[tuple, list[LinkConfig]] = {}
+    # (layer, kind grid, layer's router kinds) -> floor terms, read only to fill links_of
+    floors: dict[tuple, FloorTerms] = {}
 
     def placed(l: int) -> MeshFloorplan:
         """Layer l's placed floorplan, built on its first read since its cells
@@ -268,20 +266,12 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights,
             pattern = tuple(grids)
             if pattern not in links_of:
                 links_of[pattern] = _link_configurations(
-                    instance, [placed(l) for l in range(num_layers)], limits)
-            for links, kinds, own in links_of[pattern]:
+                    instance, [placed(l) for l in range(num_layers)], pattern, weights,
+                    floors)
+            for links, terms in links_of[pattern]:
                 configurations_visited += 1
-                if best is not None:
-                    layers = []
-                    for l in range(num_layers):
-                        state = (l, grids[l], own[l])
-                        terms = floors.get(state)
-                        if terms is None:
-                            terms = floors[state] = _layer_floor(instance, placed(l), kinds,
-                                                                 weights)
-                        layers.append(terms)
-                    if _floor(layers, ends) * (1.0 - 1e-9) > best[0]:
-                        continue
+                if best is not None and _floor(terms, ends) * (1.0 - 1e-9) > best[0]:
+                    continue
                 legal = legalize(instance, [placed(l) for l in range(num_layers)], links)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)

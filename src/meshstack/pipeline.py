@@ -24,8 +24,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .anneal import SaParams, mix_seed
-from .errors import (InputError, InstanceTooLargeError, InvalidParamsError,
-                     NoCandidatesError, UnreachableError)
+from .errors import InputError, InstanceTooLargeError, InvalidParamsError, NoCandidatesError
 from .floorplan import floorplan_layer, grid_dims, legalize, placed_floorplan, step2_cost
 from .layer_assign import assign_layers, assign_layers_greedy, step1_cost
 from .model import (
@@ -42,7 +41,8 @@ from .model import (
     traffic_to_json,
     vlink_to_json,
 )
-from .netgraph import build_network, route_all
+# route_all is unused here but kept: perfbench/layertrace.py patches pipeline.route_all
+from .netgraph import build_network, route_all  # noqa: F401
 from .objective import evaluate_solution, metrics_to_json
 from .tsv_count import choose_count
 from .vlink import candidate_links, max_matching_size, place_vlinks
@@ -263,14 +263,14 @@ def _tsv(result: PipelineResult) -> None:
             curves[b] = {}
             continue
         upper = next(fp for fp in floorplans if fp.layer == b + 1)
-        max_i = min(upper.rows * upper.cols, cap) if cap > 0 else 0
+        max_i = min(upper.rows * upper.cols, cap)
         if max_i == 0:
             counts[b] = 0
             curves[b] = {0: 0.0}
             continue
         choice = choose_count(floorplans, b, instance.core_graph,
                               instance.tech.koz_area, config.weights, max_i=max_i)
-        counts[b] = min(choice.count, cap)
+        counts[b] = choice.count
         curves[b] = choice.c3_by_count
     result.tsv_counts = counts
     result.tsv_curves = curves
@@ -281,20 +281,9 @@ def _tsv(result: PipelineResult) -> None:
 def _place3d(result: PipelineResult) -> None:
     instance, config = result.instance, result.config
     floorplans, counts = result.step2_floorplans, result.tsv_counts
-    if any(n > 0 for n in counts.values()):
-        vlinks = place_vlinks(instance, floorplans, counts, config.weights,
-                              config.sa_vlink.params(mix_seed(config.seed, 4)))
-    else:
-        vlinks = []
-    result.vlinks = vlinks
-    try:
-        net4 = build_network(floorplans, vlinks)
-        traffic4 = route_all(net4, instance.core_graph, instance.tech.link_capacity)
-        result.per_step_costs["step4"] = (
-            config.weights.w_util * traffic4.bw_times_distance
-            + config.weights.w_peak * traffic4.peak_penalty)
-    except UnreachableError:
-        result.per_step_costs["step4"] = None
+    result.vlinks, cost = place_vlinks(instance, floorplans, counts, config.weights,
+                                       config.sa_vlink.params(mix_seed(config.seed, 4)))
+    result.per_step_costs["step4"] = None if math.isinf(cost) else cost
 
 
 def _legalize(result: PipelineResult) -> None:

@@ -128,16 +128,16 @@ def _shortest_selection(candidates: Sequence[VerticalLink], count: int) -> tuple
 
 def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
                  counts: Mapping[int, int], weights: ObjectiveWeights,
-                 sa_params: SaParams) -> list[VerticalLink]:
-    """Choose counts[b] vertical links per boundary b by simulated annealing.
+                 sa_params: SaParams) -> tuple[list[VerticalLink], float]:
+    """Choose counts[b] vertical links per boundary b by simulated annealing;
+    returns the links and their cost.
 
     Cost routes the entire core graph over the full 3D network built from the
     current selection, once per distinct selection; states that leave a flow
-    unreachable price as +inf.
+    unreachable price as +inf. With no count above 0 the empty selection is
+    priced and returned.
     """
     boundaries = sorted(b for b, cnt in counts.items() if cnt > 0)
-    if not boundaries:
-        return []
     reach = instance.tech.rd_max_length
     cands: dict[int, list[VerticalLink]] = {}
     for b in boundaries:
@@ -151,6 +151,20 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
             raise InsufficientCandidatesError(
                 f"boundary {b}: {counts[b]} links requested but at most {most} "
                 "can coexist (one per router and direction)")
+
+    def links_of(state) -> list[VerticalLink]:
+        return [cands[b][i] for b, sel in zip(boundaries, state) for i in sel]
+
+    def route_cost(state) -> float:
+        network = build_network(floorplans, links_of(state))
+        try:
+            traffic = route_all(network, instance.core_graph, instance.tech.link_capacity)
+        except UnreachableError:
+            return float("inf")
+        return weights.w_util * traffic.bw_times_distance + weights.w_peak * traffic.peak_penalty
+
+    if not boundaries:
+        return [], route_cost(())
 
     positions = _component_positions(floorplans)
     layer_of = _layer_of(floorplans)
@@ -171,17 +185,6 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
             cx = cy = 0.0
         centroid_parts.append(_initial_selection(cands[b], counts[b], (cx, cy), router_pos))
         shortest_parts.append(_shortest_selection(cands[b], counts[b]))
-
-    def links_of(state) -> list[VerticalLink]:
-        return [cands[b][i] for b, sel in zip(boundaries, state) for i in sel]
-
-    def route_cost(state) -> float:
-        network = build_network(floorplans, links_of(state))
-        try:
-            traffic = route_all(network, instance.core_graph, instance.tech.link_capacity)
-        except UnreachableError:
-            return float("inf")
-        return weights.w_util * traffic.bw_times_distance + weights.w_peak * traffic.peak_penalty
 
     # the annealer proposes many states more than once (no-op proposals,
     # swaps undone); each distinct state is routed once
@@ -221,5 +224,5 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
             return state[:bi] + (new_sel,) + state[bi + 1:]
         return state
 
-    best, _, _ = anneal(initial, neighbor, cost, sa_params)
-    return links_of(best)
+    best, best_cost, _ = anneal(initial, neighbor, cost, sa_params)
+    return links_of(best), best_cost

@@ -52,9 +52,7 @@ def test_uniform_2x2():
     assert res.area == pytest.approx(16.0, rel=1e-9)
 
 
-def test_tangent_count_validation():
-    with pytest.raises(InvalidParamsError):
-        min_area_lp([[1.0]], tangent_count=1)
+def test_negative_demand_rejected():
     with pytest.raises(InvalidParamsError):
         min_area_lp([[1.0, -2.0]])
 

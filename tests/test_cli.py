@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from meshstack import cli
 from meshstack.cli import main
 from meshstack.corpus import write_corpus
-from meshstack.exact import ExactLimits, solve_exact
+from meshstack.exact import solve_exact
 from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance, save_instance,
                              vlink_to_json)
 
@@ -201,8 +201,7 @@ def test_baseline_rd_max_sets_oracle_reach(tmp_path, corpus_dir):
     got = read_json(out / "exact_solution.json")
     instance = load_instance(inst)
     tech = dataclasses.replace(instance.tech, rd_max_length=2.5)
-    want = solve_exact(dataclasses.replace(instance, tech=tech), ObjectiveWeights(),
-                       ExactLimits())
+    want = solve_exact(dataclasses.replace(instance, tech=tech), ObjectiveWeights())
     assert got["cost"] == want.cost
     assert got["assignment"] == want.assignment
     assert got["floorplans"] == json.loads(json.dumps(

@@ -15,7 +15,7 @@ from meshstack.cli import main
 from meshstack.corpus import case_study_ppa, tiny_soc
 from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidatesError,
                               UnreachableError)
-from meshstack.exact import (ExactLimits, _layer_floorplan, _matchings, cost_floor,
+from meshstack.exact import (MAX_VCANDS, _layer_floorplan, _matchings, cost_floor,
                              enumeration_estimate, solve_exact)
 from meshstack.floorplan import grid_dims, legalize
 from meshstack.model import (
@@ -112,11 +112,23 @@ def test_enumeration_count_matches_closed_form():
 def test_limits_raise():
     comps = [Component(f"c{i}", "CPU") for i in range(7)]
     inst = make_instance(comps, [], ["28nm", "28nm"])
-    with pytest.raises(InstanceTooLargeError):
-        solve_exact(inst, W, ExactLimits(components=6))
+    with pytest.raises(InstanceTooLargeError, match="MAX_COMPONENTS"):
+        solve_exact(inst, W)
     inst3 = make_instance(comps[:2], [], ["28nm", "28nm", "28nm"])
-    with pytest.raises(InstanceTooLargeError):
-        solve_exact(inst3, W, ExactLimits(layers=2))
+    with pytest.raises(InstanceTooLargeError, match="MAX_LAYERS"):
+        solve_exact(inst3, W)
+
+
+def test_vertical_link_candidate_limit_raises(tmp_path):
+    """Within reach of every router, four CPUs below two give a boundary 8
+    candidate links, more than MAX_VCANDS; baseline exits 4."""
+    comps = [Component(f"c{i}", "CPU") for i in range(6)]
+    inst = make_instance(comps, [], ["28nm", "28nm"], default_tech(rd=100.0))
+    with pytest.raises(InstanceTooLargeError,
+                       match="^boundary 0 has 8 vertical-link candidates, limit 6$"):
+        solve_exact(inst, W)
+    save_instance(inst, tmp_path / "inst")
+    assert main(["baseline", str(tmp_path / "inst"), "--out", str(tmp_path / "o")]) == 4
 
 
 def test_exact_dominates_any_feasible_solution():
@@ -375,7 +387,7 @@ def _configurations(instance):
                     cands.append(candidate_links(fps, b, instance.tech.rd_max_length))
                 except NoCandidatesError:
                     cands.append([])
-                if len(cands[-1]) > ExactLimits().vcands:
+                if len(cands[-1]) > MAX_VCANDS:
                     raise InstanceTooLargeError(f"boundary {b}")
             for i, selection in enumerate(itertools.product(*map(_matchings, cands))):
                 links = [cands[b][k] for b, picked in enumerate(selection) for k in picked]
@@ -451,7 +463,7 @@ def test_cost_floor_never_exceeds_cost(inst, weights, pick):
 
 def _six_cpus():
     """Six CPUs on two 28nm layers with a five-flow chain: the largest
-    instance ExactLimits admits, which small_instances does not draw."""
+    instance MAX_COMPONENTS admits, which small_instances does not draw."""
     comps = [Component(f"c{i}", "CPU") for i in range(6)]
     flows = [Flow(f"c{i}", f"c{i + 1}", 10.0 * (i + 1)) for i in range(5)]
     return make_instance(comps, flows, ["28nm", "28nm"], default_tech())
@@ -462,7 +474,7 @@ def _six_cpus():
 @given(inst=small_instances(), weights=WEIGHTS, seed=st.integers(0, 2**32))
 def test_pipeline_never_beats_exact(inst, weights, seed):
     """The exact oracle's optimum is a lower bound for the heuristic on
-    generated instances within ExactLimits, and on six components."""
+    generated instances within the limits, and on six components."""
     try:
         exact = solve_exact(inst, weights).cost
     except MeshstackError:

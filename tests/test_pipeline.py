@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshstack.corpus import case_study_ppa, small_vsoc, tiny_soc
-from meshstack.errors import MeshstackError
+from meshstack.errors import MeshstackError, UnreachableError
 from meshstack.model import (
     Component,
     CoreGraph,
@@ -23,6 +23,7 @@ from meshstack.model import (
     parse_vlink,
     validate_instance,
 )
+from meshstack.netgraph import build_network, route_all
 from meshstack.objective import evaluate_solution
 from meshstack.pipeline import PipelineConfig, SaTriple, run_pipeline
 
@@ -82,6 +83,28 @@ def test_steps_prefix_only():
     assert [fp.cell_of for fp in full.step2_floorplans] == \
         [fp.cell_of for fp in r2.step2_floorplans]
     assert full.tsv_counts == r3.tsv_counts
+
+
+@pytest.mark.parametrize("inst, counts", [
+    (tiny_soc(), None),
+    (tiny_soc(), {0: 0}),  # no links: the cross-layer flows cannot route
+    (make_instance([Component("a", "CPU"), Component("b", "CPU")], [Flow("a", "b", 3.0)],
+                   ["28nm"]), None),  # no boundary
+], ids=["annealed", "no-links", "one-layer"])
+def test_step4_cost_routes_the_chosen_links(inst, counts):
+    """per_step_costs["step4"] is the wiring and peak cost of routing the
+    step-2 floorplans with the chosen links, None when a flow cannot route."""
+    result = run_pipeline(inst, PipelineConfig(seed=2, steps=4, fixed_tsv_counts=counts))
+    weights = result.config.weights
+    try:
+        traffic = route_all(build_network(result.step2_floorplans, result.vlinks),
+                            inst.core_graph, inst.tech.link_capacity)
+    except UnreachableError:
+        assert result.per_step_costs["step4"] is None
+        assert counts == {0: 0}
+        return
+    assert result.per_step_costs["step4"] == (weights.w_util * traffic.bw_times_distance
+                                              + weights.w_peak * traffic.peak_penalty)
 
 
 def test_fixed_mesh_conventional_protocol():

@@ -59,7 +59,7 @@ def test_matching_limit():
 
 def test_forced_selection_returned_unchanged():
     inst, fps = stacked_instance([Flow("a", "c", 5.0)], [["a"]], [["c"]])
-    links = place_vlinks(inst, fps, {0: 1}, W, SA)
+    links, _cost = place_vlinks(inst, fps, {0: 1}, W, SA)
     assert len(links) == 1
     assert links[0].lower == (0, 0, 0) and links[0].upper == (1, 0, 0)
 
@@ -71,7 +71,7 @@ def test_two_candidate_bruteforce():
                                  [["a", None, "b"]], [["c", None, "d"]])
     cands = candidate_links(fps, 0, reach=0.5)
     assert len(cands) == 2  # stacked pairs at columns 0 and 2
-    links = place_vlinks(inst, fps, {0: 1}, W, SA)
+    links, cost = place_vlinks(inst, fps, {0: 1}, W, SA)
     assert len(links) == 1
 
     # exhaustive check of both single-link subsets
@@ -84,6 +84,7 @@ def test_two_candidate_bruteforce():
     best = min(costs, key=lambda k: costs[k])
     assert (links[0].lower, links[0].upper) == best
     assert best == ((0, 0, 0), (1, 0, 0))
+    assert cost == costs[best]  # the annealer returns the cost it priced
 
 
 def test_cardinality_preserved():
@@ -92,7 +93,7 @@ def test_cardinality_preserved():
     flows = [Flow("a", "c", 10.0), Flow("b", "h", 10.0), Flow("e", "d", 4.0)]
     inst, fps = stacked_instance(flows, ids_l, ids_u)
     for count in (1, 2, 3):
-        links = place_vlinks(inst, fps, {0: count}, W, SA)
+        links, _cost = place_vlinks(inst, fps, {0: count}, W, SA)
         assert len(links) == count
         assert len({v.lower for v in links}) == count
         assert len({v.upper for v in links}) == count
