@@ -350,11 +350,30 @@ def validate_instance(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
 # JSON parsing / serialization
 # ---------------------------------------------------------------------------
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+               "integer": int}
+
+
+def json_typed(value, kind: str, what: str):
+    """value, if it has the JSON type kind (as the schema names it; a bool is
+    none of them), else ValueError: instance files are checked for shape
+    before any of their values is used."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def _field(doc, key: str, kind: str):
+    return json_typed(json_typed(doc, "object", f"the holder of {key!r}")[key], kind, repr(key))
+
+
 def parse_core_graph(doc: dict) -> CoreGraph:
-    comps = tuple(Component(id=str(c["id"]), kind=str(c["kind"]))
-                  for c in doc.get("components", []))
-    flows = tuple(Flow(src=str(f["src"]), dst=str(f["dst"]), bandwidth=float(f["bandwidth"]))
-                  for f in doc.get("flows", []))
+    doc = json_typed(doc, "object", "a core graph")
+    comps = tuple(Component(id=_field(c, "id", "string"), kind=_field(c, "kind", "string"))
+                  for c in json_typed(doc.get("components", []), "array", "components"))
+    flows = tuple(Flow(src=_field(f, "src", "string"), dst=_field(f, "dst", "string"),
+                       bandwidth=float(_field(f, "bandwidth", "number")))
+                  for f in json_typed(doc.get("flows", []), "array", "flows"))
     return CoreGraph(components=comps, flows=flows)
 
 
@@ -366,13 +385,11 @@ def core_graph_to_json(cg: CoreGraph) -> dict:
 
 
 def _parse_entry(raw) -> Optional[PpaEntry]:
-    if raw is None:
-        return None
     if isinstance(raw, str):
         if raw.strip().lower() in INFEASIBLE_MARKERS:
             return None
         raise ValueError(f"unrecognized PPA entry {raw!r}")
-    return PpaEntry(area=float(raw["area"]), perf=float(raw["perf"]), power=float(raw["power"]))
+    return PpaEntry(*(float(_field(raw, key, "number")) for key in ("area", "perf", "power")))
 
 
 def _entry_to_json(entry: Optional[PpaEntry]):
@@ -382,15 +399,18 @@ def _entry_to_json(entry: Optional[PpaEntry]):
 
 
 def parse_ppa(doc: dict) -> tuple[PpaTable, tuple[Layer, ...]]:
-    layers = tuple(Layer(index=int(l["index"]), node_name=str(l["node"]))
-                   for l in doc["layers"])
-    comps = {str(kind): {str(node): _parse_entry(raw) for node, raw in table.items()}
-             for kind, table in doc.get("components", {}).items()}
-    routers = doc.get("routers", {})
+    layers = tuple(Layer(index=_field(l, "index", "integer"),
+                         node_name=_field(l, "node", "string"))
+                   for l in _field(doc, "layers", "array"))
+    tables = json_typed(doc.get("components", {}), "object", "components")
+    comps = {kind: {node: _parse_entry(raw)
+                    for node, raw in json_typed(table, "object", f"components {kind!r}").items()}
+             for kind, table in tables.items()}
+    routers = json_typed(doc.get("routers", {}), "object", "routers")
 
     def router_table(key: str) -> dict[str, PpaEntry]:
         table = {}
-        for node, raw in routers.get(key, {}).items():
+        for node, raw in json_typed(routers.get(key, {}), "object", f"routers {key!r}").items():
             entry = _parse_entry(raw)
             if entry is None:
                 raise ValueError(f"router {key!r} may not be infeasible (node {node!r})")
@@ -415,9 +435,8 @@ def ppa_to_json(ppa: PpaTable, layers: Sequence[Layer]) -> dict:
 
 
 def parse_tech(doc: dict) -> TechParams:
-    return TechParams(koz_area=float(doc["koz_area"]),
-                      rd_max_length=float(doc["rd_max_length"]),
-                      link_capacity=float(doc["link_capacity"]))
+    return TechParams(*(float(_field(doc, key, "number"))
+                        for key in ("koz_area", "rd_max_length", "link_capacity")))
 
 
 def tech_to_json(tech: TechParams) -> dict:

@@ -34,6 +34,7 @@ from .model import (
     VerticalLink,
     check_vlink_ends,
     floorplan_to_json,
+    json_typed,
     parse_layers,
     parse_vlink,
     read_json,
@@ -340,9 +341,7 @@ def _load_floorplan(result: PipelineResult, doc: dict) -> None:
 
 
 def _items(doc, what: str):
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    return doc.items()
+    return json_typed(doc, "object", what).items()
 
 
 def _load_tsv(result: PipelineResult, doc: dict) -> None:

@@ -56,14 +56,14 @@ def estimate_arrays(floorplans: Sequence[MeshFloorplan], boundary: int,
                     core_graph: CoreGraph, i: int, samples: Optional[int] = None,
                     seed: Optional[int] = None) -> list[ArrayEstimate]:
     """Exact per-array (b_j, d_j), averaged over all C(N, i) placements of
-    i arrays on the upper layer's N cell centers; `samples` and `seed` are
-    accepted and ignored. Arrays rank j by position (x, y); a component
-    attaches to its nearest array, distances within 1e-12 tying to the
-    earlier position. Take the cells in that (distance, position) order: the
-    k-th (0-based) is the nearest array when chosen with none before it, the
-    other i - 1 drawn from the N - k - 1 after it, m of which lie earlier in
-    position. So it is the array of rank j with probability
-    C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i).
+    i arrays on the upper layer's N cell centers. `samples` and `seed` are
+    ignored; they stay only because the acceptance suite passes them. Arrays
+    rank j by position (x, y); a component attaches to its nearest array,
+    distances within 1e-12 tying to the earlier position. Take the cells in
+    that (distance, position) order: the k-th (0-based) is the nearest array
+    when chosen with none before it, the other i - 1 drawn from the N - k - 1
+    after it, m of which lie earlier in position. So it is the array of rank
+    j with probability C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i).
     """
     traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
     return _estimate(floorplans, boundary, traffic, _component_positions(floorplans), i)
@@ -117,7 +117,7 @@ def choose_count(floorplans: Sequence[MeshFloorplan], boundary: int,
                  seed: Optional[int] = None) -> TsvChoice:
     """Exhaustive argmin of the exact C3 over 1..max_i; ties go to the
     smaller count. A boundary without crossing traffic needs no arrays at all
-    (count 0). `samples` and `seed` are accepted and ignored."""
+    (count 0). `samples` and `seed` are ignored, as in estimate_arrays."""
     traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
     if not traffic:
         return TsvChoice(0, {0: 0.0})

@@ -7,11 +7,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from meshstack.area_kernel import min_area_exact, min_area_lp, repair_heights
+from meshstack.area_kernel import (_certify, _check_demands, _interior_point, _log_problem,
+                                   min_area_exact, min_area_lp, repair_heights)
 from meshstack.errors import InvalidParamsError
 
 
@@ -183,6 +184,12 @@ def test_exact_is_the_kkt_point(demands):
         assert min_area_exact(demands, init_widths=init) == res
 
 
+# an app_large grid: from no tight cells the active set wanders among the
+# near-tight cells and does not settle within its m + n = 18 rounds
+TIED_GRID = [[37.099999999999994, 39.599999999999994, 37.599999999999994, 37.599999999999994],
+             [37.599999999999994] * 4, [37.599999999999994] * 3 + [0.0]]
+
+
 @pytest.mark.parametrize("demands", [
     # five decades in one column: a full Newton step overshoots e^u
     [[210.0], [0.001]],
@@ -200,6 +207,8 @@ def test_exact_is_the_kkt_point(demands):
     # multipliers five decades apart: the small rows' cells look slack
     [[0.037646783542805706], [465.9197630800511], [698.6852129230318],
      [0.049394873820259574], [37.1], [0.006312810340878955]],
+    # nearly equal demands: only the interior-point fallback certifies it
+    TIED_GRID,
 ])
 def test_exact_kkt_point_on_hard_grids(demands):
     assert_kkt_point(demands, min_area_exact(demands))
@@ -219,3 +228,45 @@ def test_exact_on_far_apart_demands():
     assert res.converged
     assert cell_products_feasible(demands, res.col_widths, res.row_heights, slack=1e-12)
     assert sum(res.col_widths) == pytest.approx(sum(res.row_heights), rel=1e-9)
+
+
+def both_paths(demands):
+    """The active set from the demand start and no tight cells, and the
+    interior point followed by the active set from its tight cells."""
+    used_cols, _scale, lines, b, x = _log_problem(_check_demands(demands)[2])
+    rounds = len(lines) + len(x)
+    active = _certify(x, lines, b, len(used_cols), [], rounds)
+    x, tight, finished = _interior_point(x, lines, b, 100)
+    assert finished
+    return active, _certify(x, lines, b, len(used_cols), tight, rounds)
+
+
+# zeros, ties, and demands up to seven decades apart
+_WIDE_DEMAND = st.one_of(st.just(0.0), st.sampled_from([1e-3, 1.0, 1e4]),
+                         st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def wide_grids(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = [[draw(_WIDE_DEMAND) for _ in range(cols)] for _ in range(rows)]
+    assume(any(any(row) for row in grid))
+    return grid
+
+
+@given(demands=wide_grids())
+# 11 decades and more apart: the interior point stops on singular normal equations
+@example(demands=[[87100.0, 1.04e-06]])
+@example(demands=[[0.0, 1.0], [1.25e-07, 1.0], [0.0, 6.9e-4], [0.2, 1.0], [4.05e6, 3.1e-08],
+                  [8.7e-05, 0.0]])
+def test_active_set_certifies_the_interior_point_minimizer(demands):
+    (y, certified), (z, fallback_certified) = both_paths(demands)
+    assert certified and fallback_certified
+    for u, v in zip(y, z):
+        assert math.exp(u) == pytest.approx(math.exp(v), rel=1e-12)
+
+
+def test_tied_grid_falls_back_to_the_interior_point():
+    (_, certified), (_, fallback_certified) = both_paths(TIED_GRID)
+    assert not certified and fallback_certified
+    assert min_area_exact(TIED_GRID).converged

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -636,6 +638,80 @@ def test_malformed_instance_file_exit_code(tmp_path, corpus_dir, capsys):
     (bad / "tech.json").write_text(json.dumps(doc))
     assert main(["validate", str(bad)]) == 2
     assert str(bad / "tech.json") in capsys.readouterr().err
+
+
+INSTANCE_FILES = {"coregraph.json": "coregraph", "ppa.json": "ppa", "tech.json": "tech"}
+SCHEMA = read_json(Path(__file__).resolve().parent.parent / "schemas" / "instance.schema.json")
+OTHER_TYPES = (None, True, 3, 0.5, "x", [], {})  # one value of each JSON type
+
+
+def _node_paths(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in children:
+        yield from _node_paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the value at path replaced."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _exit_code(docs: dict) -> int:
+    """validate, then run if the instance is valid, on the three documents."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            (Path(tmp) / name).write_text(json.dumps(doc))
+        code = main(["validate", tmp])
+        return main(["run", tmp, "--out", str(Path(tmp) / "out")]) if code == 0 else code
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("ppa.json", ("routers",), 0.5),
+    ("ppa.json", ("components",), []),
+    ("ppa.json", ("components", "CPU"), 3),
+    ("coregraph.json", (), True),
+])
+def test_instance_file_of_the_wrong_type_exit_code(tmp_path, corpus_dir, capsys, name, path,
+                                                   value):
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus_dir / "tiny_soc", bad)
+    (bad / name).write_text(json.dumps(_replaced(read_json(bad / name), path, value)))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad / name) in err and "must be a JSON" in err
+
+
+@given(data=st.data())
+def test_type_mutations_of_instance_files_exit_2(corpus_dir, data):
+    """Replace one value of one tiny_soc document, container or leaf, by a
+    value of another JSON type: a document the schema rejects exits 2, and
+    nothing raises past main."""
+    import jsonschema
+
+    docs = {name: read_json(corpus_dir / "tiny_soc" / name) for name in INSTANCE_FILES}
+    name = data.draw(st.sampled_from(sorted(INSTANCE_FILES)))
+    path = data.draw(st.sampled_from(list(_node_paths(docs[name]))))
+    value = data.draw(st.sampled_from(OTHER_TYPES))
+    old = docs[name]
+    for key in path:
+        old = old[key]
+    assume(type(value) is not type(old))
+    mutated = _replaced(docs[name], path, value)
+    schema = jsonschema.Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{INSTANCE_FILES[name]}"})
+    code = _exit_code({**docs, name: mutated})
+    assert code in (0, 2, 3, 4)
+    if not schema.is_valid(mutated):
+        assert code == 2
 
 
 def test_internal_key_error_is_not_an_input_error(tmp_path, corpus_dir, monkeypatch):

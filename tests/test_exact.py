@@ -166,12 +166,12 @@ def test_exact_dominates_any_feasible_solution():
 
 def test_layers_are_placed_only_when_read(monkeypatch):
     """A layer is placed only when something reads its floorplan: a new kind
-    pattern's link candidates, a new floor key's terms or a routed
-    configuration. On tiny_soc that is at most one _layer_floorplan call per
-    layer for each of those, and fewer than 200 calls in all against the
-    2,912 layer cell changes, each of which was once placed."""
+    pattern's link candidates and floor terms, or a routed configuration. On
+    tiny_soc that is at most one _layer_floorplan call per layer for each of
+    those, and fewer than 200 calls in all against the 2,912 layer cell
+    changes, each of which was once placed."""
     inst = tiny_soc()
-    calls, patterns, floor_keys, routed = [], [], [], []
+    calls, patterns, routed = [], [], []
 
     def counted(log, fn):
         def wrapped(*args):
@@ -182,12 +182,11 @@ def test_layers_are_placed_only_when_read(monkeypatch):
     monkeypatch.setattr(exact, "_layer_floorplan", counted(calls, exact._layer_floorplan))
     monkeypatch.setattr(exact, "_link_configurations",
                         counted(patterns, exact._link_configurations))
-    monkeypatch.setattr(exact, "_layer_floor", counted(floor_keys, exact._layer_floor))
     monkeypatch.setattr(exact, "legalize", counted(routed, exact.legalize))
     sol = solve_exact(inst, W)
 
     layers = len(inst.layers)
-    assert len(calls) <= layers * len(patterns) + len(floor_keys) + layers * len(routed)
+    assert len(calls) <= layers * len(patterns) + layers * len(routed)
     assert len(calls) < 200
     assert sol.placements_visited == 2640
     assert sol.cost == 245.98884748530335
