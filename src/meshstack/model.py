@@ -363,17 +363,23 @@ def json_typed(value, kind: str, what: str):
     return value
 
 
-def _field(doc, key: str, kind: str):
-    return json_typed(json_typed(doc, "object", f"the holder of {key!r}")[key], kind, repr(key))
+def _fields(doc, what: str, kinds: dict[str, str]) -> tuple:
+    """The values of doc's keys, each of the JSON type kinds names; doc must be
+    a JSON object with exactly those keys (the schema requires each and allows
+    no other), else ValueError."""
+    json_typed(doc, "object", what)
+    if doc.keys() != kinds.keys():
+        raise ValueError(f"{what} must have exactly the keys {sorted(kinds)}, got {sorted(doc)}")
+    return tuple(json_typed(doc[key], kind, repr(key)) for key, kind in kinds.items())
 
 
 def parse_core_graph(doc: dict) -> CoreGraph:
-    doc = json_typed(doc, "object", "a core graph")
-    comps = tuple(Component(id=_field(c, "id", "string"), kind=_field(c, "kind", "string"))
-                  for c in json_typed(doc.get("components", []), "array", "components"))
-    flows = tuple(Flow(src=_field(f, "src", "string"), dst=_field(f, "dst", "string"),
-                       bandwidth=float(_field(f, "bandwidth", "number")))
-                  for f in json_typed(doc.get("flows", []), "array", "flows"))
+    comps, flows = _fields(doc, "a core graph", {"components": "array", "flows": "array"})
+    comps = tuple(Component(*_fields(c, "a component", {"id": "string", "kind": "string"}))
+                  for c in comps)
+    flows = tuple(Flow(src, dst, float(bandwidth)) for src, dst, bandwidth in (
+        _fields(f, "a flow", {"src": "string", "dst": "string", "bandwidth": "number"})
+        for f in flows))
     return CoreGraph(components=comps, flows=flows)
 
 
@@ -386,10 +392,11 @@ def core_graph_to_json(cg: CoreGraph) -> dict:
 
 def _parse_entry(raw) -> Optional[PpaEntry]:
     if isinstance(raw, str):
-        if raw.strip().lower() in INFEASIBLE_MARKERS:
+        if raw in INFEASIBLE_MARKERS:
             return None
         raise ValueError(f"unrecognized PPA entry {raw!r}")
-    return PpaEntry(*(float(_field(raw, key, "number")) for key in ("area", "perf", "power")))
+    return PpaEntry(*map(float, _fields(raw, "a PPA entry",
+                                        {"area": "number", "perf": "number", "power": "number"})))
 
 
 def _entry_to_json(entry: Optional[PpaEntry]):
@@ -399,25 +406,27 @@ def _entry_to_json(entry: Optional[PpaEntry]):
 
 
 def parse_ppa(doc: dict) -> tuple[PpaTable, tuple[Layer, ...]]:
-    layers = tuple(Layer(index=_field(l, "index", "integer"),
-                         node_name=_field(l, "node", "string"))
-                   for l in _field(doc, "layers", "array"))
-    tables = json_typed(doc.get("components", {}), "object", "components")
+    layers, tables, routers = _fields(doc, "a PPA table", {"layers": "array",
+                                                          "components": "object",
+                                                          "routers": "object"})
+    layers = tuple(Layer(*_fields(l, "a layer", {"index": "integer", "node": "string"}))
+                   for l in layers)
     comps = {kind: {node: _parse_entry(raw)
                     for node, raw in json_typed(table, "object", f"components {kind!r}").items()}
              for kind, table in tables.items()}
-    routers = json_typed(doc.get("routers", {}), "object", "routers")
+    raw_2d, raw_3d = _fields(routers, "routers", {"2d": "object", "3d": "object"})
 
-    def router_table(key: str) -> dict[str, PpaEntry]:
+    def router_table(key: str, raws: dict) -> dict[str, PpaEntry]:
         table = {}
-        for node, raw in json_typed(routers.get(key, {}), "object", f"routers {key!r}").items():
+        for node, raw in raws.items():
             entry = _parse_entry(raw)
             if entry is None:
                 raise ValueError(f"router {key!r} may not be infeasible (node {node!r})")
             table[str(node)] = entry
         return table
 
-    ppa = PpaTable(components=comps, router_2d=router_table("2d"), router_3d=router_table("3d"))
+    ppa = PpaTable(components=comps, router_2d=router_table("2d", raw_2d),
+                   router_3d=router_table("3d", raw_3d))
     return ppa, layers
 
 
@@ -435,8 +444,9 @@ def ppa_to_json(ppa: PpaTable, layers: Sequence[Layer]) -> dict:
 
 
 def parse_tech(doc: dict) -> TechParams:
-    return TechParams(*(float(_field(doc, key, "number"))
-                        for key in ("koz_area", "rd_max_length", "link_capacity")))
+    return TechParams(*map(float, _fields(doc, "tech", {"koz_area": "number",
+                                                        "rd_max_length": "number",
+                                                        "link_capacity": "number"})))
 
 
 def tech_to_json(tech: TechParams) -> dict:

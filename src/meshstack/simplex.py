@@ -10,7 +10,10 @@ b >= 0 is the covering form the callers build. The dual has one row per
 primal variable (tens) instead of one per constraint (hundreds), so its
 tableau is small. At the dual optimum the reduced costs of the slack columns
 are the primal solution x (LP duality), and an unbounded dual means an
-infeasible primal. Bland's rule prevents cycling.
+infeasible primal. Dantzig's rule (the most negative reduced cost) enters
+until the first degenerate pivot; Bland's rule (the first improving column)
+enters from then on, so the solve cannot cycle. The leaving row is always
+Bland's tie-break: the smallest basis index among the minimum ratios.
 """
 
 from __future__ import annotations
@@ -26,34 +29,30 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> None:
     """Run simplex iterations on the dual tableau (objective in the last row)."""
     max_pivots = 50 * (tableau.shape[0] + ncols)
+    bland = False
     for _ in range(max_pivots):
         reduced = tableau[-1, :ncols]
-        entering = -1
-        for j in range(ncols):  # Bland: first improving column
-            if reduced[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        entering = reduced.argmin()
+        if reduced[entering] >= -_TOL:
             return
-        ratios = np.full(tableau.shape[0] - 1, np.inf)
+        if bland:
+            entering = np.flatnonzero(reduced < -_TOL)[0]
         col = tableau[:-1, entering]
-        positive = col > _TOL
-        ratios[positive] = tableau[:-1, -1][positive] / col[positive]
-        if not positive.any():
+        positive = np.flatnonzero(col > _TOL)
+        if not positive.size:
             raise SolverFailureError("LP is infeasible (its dual is unbounded)")
+        ratios = tableau[positive, -1] / col[positive]
         rmin = ratios.min()
-        leaving = -1
-        for i in range(len(ratios)):  # Bland tie-break: smallest basis index
-            if ratios[i] <= rmin + _TOL and (leaving < 0 or basis[i] < basis[leaving]):
-                leaving = i
-        _pivot(tableau, basis, leaving, entering)
+        ties = positive[ratios <= rmin + _TOL]
+        bland = bland or rmin <= _TOL
+        _pivot(tableau, basis, ties[basis[ties].argmin()], entering)
     raise SolverFailureError("simplex exceeded its pivot budget")
 
 

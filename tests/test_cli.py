@@ -691,6 +691,38 @@ def test_instance_file_of_the_wrong_type_exit_code(tmp_path, corpus_dir, capsys,
     assert str(bad / name) in err and "must be a JSON" in err
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("coregraph.json", lambda doc: doc.pop("flows")),
+    ("coregraph.json", lambda doc: doc.pop("components")),
+    ("coregraph.json", lambda doc: doc.update(note="x")),
+    ("coregraph.json", lambda doc: doc["components"][0].update(area=1.0)),
+    ("coregraph.json", lambda doc: doc["flows"][0].update(latency=1.0)),
+    ("ppa.json", lambda doc: doc.update(version=2)),
+    ("ppa.json", lambda doc: doc["routers"].update(tsv={})),
+    ("ppa.json", lambda doc: doc["components"]["CPU"]["28nm"].update(leakage=0.1)),
+    ("ppa.json", lambda doc: doc["components"]["ADC"].update({"28nm": "INFEASIBLE "})),
+    ("ppa.json", lambda doc: doc["components"]["ADC"].update({"28nm": "N/A"})),
+    ("tech.json", lambda doc: doc.update(tsv_pitch=0.01)),
+], ids=["no-flows", "no-components", "coregraph-key", "component-key", "flow-key", "ppa-key",
+        "routers-key", "entry-key", "marker-case-space", "marker-upper", "tech-key"])
+def test_instance_file_the_schema_rejects_exit_code(tmp_path, corpus_dir, capsys, name, edit):
+    """A missing or unknown key, or an infeasibility marker outside the
+    schema's exact enum: each document exits 2 naming its file, as a wrong
+    JSON type does."""
+    import jsonschema
+
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus_dir / "tiny_soc", bad)
+    doc = read_json(bad / name)
+    edit(doc)
+    schema = jsonschema.Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{INSTANCE_FILES[name]}"})
+    assert not schema.is_valid(doc)
+    (bad / name).write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad / name) in err and "Traceback" not in err
+
+
 @given(data=st.data())
 def test_type_mutations_of_instance_files_exit_2(corpus_dir, data):
     """Replace one value of one tiny_soc document, container or leaf, by a

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from meshstack import area_kernel
+from meshstack import area_kernel, simplex
 from meshstack.errors import SolverFailureError
 from meshstack.simplex import solve_cover_lp
 
@@ -127,3 +127,53 @@ def test_tangent_cut_lp_matches_highs(demands):
     assert len(lps) == (1 if any(map(any, demands)) else 0)
     for lp in lps:
         _check_against_highs(*lp)
+
+
+def _recorded_pivots(monkeypatch) -> list[tuple[float, int, int, int]]:
+    """Record each pivot as (the leaving row's right-hand side before it, the
+    entering column, the first improving column, the most negative column)."""
+    pivots = []
+    pivot = simplex._pivot
+
+    def recording(tableau, basis, row, col):
+        reduced = tableau[-1, :tableau.shape[1] - 1]
+        pivots.append((float(tableau[row, -1]), int(col),
+                       int(np.flatnonzero(reduced < -simplex._TOL)[0]), int(reduced.argmin())))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return pivots
+
+
+def test_degenerate_pivot_hands_entry_to_bland(monkeypatch):
+    """Dantzig's rule enters until the first degenerate pivot (a leaving row
+    whose right-hand side is 0); Bland's first improving column enters after
+    it, and the optimum is still HiGHS's."""
+    pivots = _recorded_pivots(monkeypatch)
+    c, a_mat, b = [1, 1, 1], [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], [1, 1, 1, 2]
+    _check_against_highs(c, a_mat, b)
+    assert solve_cover_lp(c, a_mat, b)[1] == pytest.approx(2.0)
+    assert pivots[1][0] == 0.0
+
+    # here a pivot follows the degenerate one, and Bland's column is not the
+    # most negative reduced cost
+    pivots.clear()
+    c, a_mat, b = [2, 2, 2], [[0, 1, 1], [1, 0, 0], [1, 1, 0], [0, 0, 1]], [2, 1, 2, 2]
+    _check_against_highs(c, a_mat, b)
+    first_degenerate = next(i for i, pivot in enumerate(pivots) if pivot[0] == 0.0)
+    assert all(col == most_negative for _, col, _, most_negative in pivots[:first_degenerate])
+    after = pivots[first_degenerate + 1:]
+    assert after and all(col == first for _, col, first, _ in after)
+    assert any(first != most_negative for _, _, first, most_negative in after)
+
+
+def test_tangent_cut_lp_pivot_count(monkeypatch):
+    """A performance guard on the LP step 2 solves most: a 3x4 grid of
+    large_vsoc's 28nm cells (CPUs and SIMDs with 2D or 3D routers), every cell
+    occupied. Bland's first improving column takes 69 pivots on it; Dantzig's
+    most negative reduced cost takes 21."""
+    pivots = _recorded_pivots(monkeypatch)
+    area_kernel.min_area_lp([[37.1, 37.6, 72.3, 37.1],
+                             [37.6, 37.1, 37.1, 72.3],
+                             [37.1, 37.1, 37.6, 37.1]])
+    assert 0 < len(pivots) <= 24
