@@ -1,6 +1,8 @@
 """Bounding-area solver for one layer's mesh grid: shared column widths W_i
 and row heights H_j with W_i * H_j covering each occupied cell's demand and
-(sum W)(sum H) small. Two variants, both pure functions:
+(sum W)(sum H) small. Permuting the grid's rows or columns permutes the
+sizes the same way; sorted_grid gives a normal form under such permutations.
+Two variants, both pure functions:
 
   min_area_lp     tangent cuts of H = a/W: a lower bound, fast enough for an
                   annealing loop; cell products may undershoot their demand.
@@ -83,6 +85,29 @@ def min_area_lp(demands: Grid) -> LpResult:
     widths = tuple(float(v) for v in x[:cols])
     heights = tuple(float(v) for v in x[cols:])
     return LpResult(widths, heights, sum(widths) * sum(heights))
+
+
+def sorted_grid(demands: Grid) -> tuple[tuple[tuple[float, ...], ...], list[int], list[int]]:
+    """A normal form of the demand grid under row and column permutations,
+    which change neither area kernel's problem: (grid, row_order, col_order)
+    with grid[i][j] == demands[row_order[i]][col_order[j]]. Rows and columns
+    start sorted by their sorted values; then stable sorts alternate, rows by
+    their values in the current column order and columns by theirs in the
+    current row order, until neither order moves (at most rows + cols
+    rounds). Grids whose rows have pairwise distinct multisets, and columns
+    too, share a normal form exactly when one permutes the other."""
+    rows = len(demands)
+    cols = len(demands[0]) if rows else 0
+    row_order = sorted(range(rows), key=lambda r: sorted(demands[r]))
+    col_order = sorted(range(cols), key=lambda c: sorted(row[c] for row in demands))
+    for _ in range(rows + cols):
+        new_rows = sorted(row_order, key=lambda r: [demands[r][c] for c in col_order])
+        new_cols = sorted(col_order, key=lambda c: [demands[r][c] for r in new_rows])
+        if new_rows == row_order and new_cols == col_order:
+            break
+        row_order, col_order = new_rows, new_cols
+    grid = tuple(tuple(demands[r][c] for c in col_order) for r in row_order)
+    return grid, row_order, col_order
 
 
 def repair_heights(demands: Grid, col_widths: Sequence[float]) -> ExactResult:

@@ -5,10 +5,10 @@ The annealer state is the cell->component map of a near-square grid
 (ceil(sqrt(n)) columns x ceil(n / cols) rows); a move swaps two cells. Each
 state is priced with the LP area kernel plus dimension-order (XY) routing of
 the layer's internal flows on the LP geometry; the best state is re-sized
-once with the exact kernel. States with equal demand grids (as when two
-identical components swap) share one LP solve per anneal. Interlayer traffic
-is deliberately ignored here, it is handled by the TSV and vertical-link
-steps.
+once with the exact kernel. Within one anneal, states whose demand grids
+are row/column permutations of each other (as when two identical components
+swap, or two rows trade places) share one LP solve. Interlayer traffic is
+deliberately ignored here, it is handled by the TSV and vertical-link steps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 
 from .anneal import SaParams, anneal
 # min_area_exact is unused here but kept: perfbench/layertrace.py patches floorplan.min_area_exact
-from .area_kernel import LpResult, min_area_exact, min_area_exact_cached, min_area_lp  # noqa: F401
+from .area_kernel import (LpResult, min_area_exact, min_area_exact_cached,  # noqa: F401
+                          min_area_lp, sorted_grid)
 from .model import (
     ROUTER_2D,
     ROUTER_3D_BOTH,
@@ -125,23 +126,44 @@ def _step2_objective(instance: Instance, layer: int, members: Sequence[str], row
                      kernel_trace: Optional[list] = None):
     """Step 2's cost of a row-major state of members: the LP area plus the
     XY-routed communication of the flows between members on the LP geometry.
-    min_area_lp is a pure function of the demand grid, so states with equal
-    grids share one LP solve for as long as this objective lives (one anneal);
-    the XY term depends on where components sit and is priced every time.
-    kernel_trace, if given, gets one record per evaluation."""
+    Cell demands come from a table built once by demand_grid over a floorplan
+    holding every member and an empty cell. Permuting a demand grid's rows or
+    columns permutes its LP sizes the same way, so for as long as this
+    objective lives (one anneal) each distinct grid is reduced to its
+    sorted_grid normal form once, each normal form is solved once, and a
+    state gets that solve un-permuted, with area (sum W)(sum H). The XY term
+    depends on where components sit and is priced every time. kernel_trace,
+    if given, gets one record per evaluation."""
     ids = set(members)
     intra_flows = [(f.src, f.dst, f.bandwidth) for f in instance.core_graph.flows
                    if f.src in ids and f.dst in ids]
-    solved: dict[tuple, LpResult] = {}
+    holder = (*members, None)
+    demand_of = dict(zip(holder, demand_grid(
+        instance, _state_floorplan(layer, holder, 1, len(holder)))[0]))
+    solved: dict[tuple, LpResult] = {}    # exact grid -> its sizes
+    by_class: dict[tuple, LpResult] = {}  # normal form -> its sizes
+
+    def lp_of(grid: tuple) -> LpResult:
+        normal, row_order, col_order = sorted_grid(grid)
+        lp = by_class.get(normal)
+        if lp is None:
+            lp = by_class[normal] = min_area_lp(normal)
+        widths, heights = [0.0] * cols, [0.0] * rows
+        for c, w in zip(col_order, lp.col_widths):
+            widths[c] = w
+        for r, h in zip(row_order, lp.row_heights):
+            heights[r] = h
+        return LpResult(tuple(widths), tuple(heights), sum(widths) * sum(heights))
 
     def cost(state: State) -> float:
-        demands = demand_grid(instance, _state_floorplan(layer, state, rows, cols))
-        key = tuple(map(tuple, demands))
-        lp = solved.get(key)
+        cells = tuple(demand_of[comp] for comp in state)
+        grid = tuple(cells[r * cols:(r + 1) * cols] for r in range(rows))
+        lp = solved.get(grid)
         if lp is None:
-            lp = solved[key] = min_area_lp(demands)
+            lp = solved[grid] = lp_of(grid)
         if kernel_trace is not None:
-            kernel_trace.append({"layer": layer, "demands": demands, "area": lp.area})
+            kernel_trace.append({"layer": layer, "demands": [list(row) for row in grid],
+                                 "area": lp.area})
         comm = _xy_cost(state, cols, lp.col_widths, lp.row_heights, intra_flows,
                         instance.tech.link_capacity, weights.w_peak, weights.w_util)
         return weights.w_area * lp.area + comm

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from meshstack.area_kernel import (_certify, _check_demands, _interior_point, _log_problem,
-                                   min_area_exact, min_area_lp, repair_heights)
+                                   min_area_exact, min_area_lp, repair_heights, sorted_grid)
 from meshstack.errors import InvalidParamsError
 
 
@@ -270,3 +270,53 @@ def test_tied_grid_falls_back_to_the_interior_point():
     (_, certified), (_, fallback_certified) = both_paths(TIED_GRID)
     assert not certified and fallback_certified
     assert min_area_exact(TIED_GRID).converged
+
+
+# zeros and few distinct values, so rows and columns often repeat a multiset
+_TIED_DEMAND = st.sampled_from([0.0, 0.0, 1.3, 37.1, 37.1, 72.3, 1e-3, 1e4])
+
+
+@st.composite
+def permuted_grids(draw):
+    """A grid up to 4x5 and the same grid under random row and column
+    permutations."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    grid = [[draw(_TIED_DEMAND) for _ in range(cols)] for _ in range(rows)]
+    row_perm = draw(st.permutations(range(rows)))
+    col_perm = draw(st.permutations(range(cols)))
+    return grid, [[grid[r][c] for c in col_perm] for r in row_perm]
+
+
+def _distinct_multisets(lines):
+    keys = [tuple(sorted(line)) for line in lines]
+    return len(set(keys)) == len(keys)
+
+
+@given(case=permuted_grids())
+def test_sorted_grid_is_a_normal_form(case):
+    grid, permuted = case
+    for demands in (grid, permuted):
+        normal, row_order, col_order = sorted_grid(demands)
+        assert sorted(row_order) == list(range(len(demands)))
+        assert sorted(col_order) == list(range(len(demands[0])))
+        assert normal == tuple(tuple(demands[r][c] for c in col_order) for r in row_order)
+        # the normal form's LP, un-permuted, is the grid's own LP
+        lp = min_area_lp(normal)
+        widths, heights = [0.0] * len(col_order), [0.0] * len(row_order)
+        for c, w in zip(col_order, lp.col_widths):
+            widths[c] = w
+        for r, h in zip(row_order, lp.row_heights):
+            heights[r] = h
+        assert sum(widths) * sum(heights) == pytest.approx(min_area_lp(demands).area,
+                                                           rel=1e-12)
+    if _distinct_multisets(grid) and _distinct_multisets(zip(*grid)):
+        assert sorted_grid(permuted)[0] == sorted_grid(grid)[0]
+
+
+def test_sorted_grid_orders_lines_that_share_a_multiset():
+    """Rows 0 and 2 hold the same values, and so do columns 0 and 2, so the
+    first sort by multisets cannot order them; the alternating sorts do, and
+    a row- and column-permuted copy reaches the same normal form."""
+    grid = [[37.1, 1.3, 37.1], [1.3, 0.0, 37.1], [37.1, 37.1, 1.3]]
+    permuted = [[grid[r][c] for c in (2, 1, 0)] for r in (1, 0, 2)]
+    assert sorted_grid(permuted)[0] == sorted_grid(grid)[0]

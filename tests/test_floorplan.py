@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from meshstack import floorplan
 from meshstack.anneal import SaParams
-from meshstack.area_kernel import min_area_lp
+from meshstack.area_kernel import LpResult, min_area_lp, sorted_grid
 from meshstack.floorplan import (
     _state_floorplan,
     _step2_objective,
@@ -78,9 +78,22 @@ def test_two_cpu_layer_area():
     assert fp.area == pytest.approx(74.2, rel=1e-9)
 
 
+def _normal_form_lp(demands):
+    """The uncached pricing of a demand grid: min_area_lp on its sorted_grid
+    normal form, un-permuted back to the grid's own rows and columns."""
+    grid, row_order, col_order = sorted_grid(demands)
+    lp = min_area_lp(grid)
+    widths, heights = [0.0] * len(col_order), [0.0] * len(row_order)
+    for c, w in zip(col_order, lp.col_widths):
+        widths[c] = w
+    for r, h in zip(row_order, lp.row_heights):
+        heights[r] = h
+    return LpResult(tuple(widths), tuple(heights), sum(widths) * sum(heights))
+
+
 def _state_cost(inst, layer, state, rows, cols, flows, weights):
     demands = _state_demands(inst, layer, state, rows, cols)
-    lp = min_area_lp(demands)
+    lp = _normal_form_lp(demands)
     comm = _xy_cost(state, cols, lp.col_widths, lp.row_heights, flows,
                     inst.tech.link_capacity, weights.w_peak, weights.w_util)
     return weights.w_area * lp.area + comm
@@ -124,26 +137,59 @@ def test_area_only_mode_matches_bruteforce_area():
     assert got == pytest.approx(best, rel=1e-9)
 
 
-def test_equal_demand_grids_share_one_lp_solve(monkeypatch):
-    """Four identical CPUs: swapping two of them leaves the demand grid as it
-    was, so the anneal solves the LP once per distinct grid, while the trace
-    still gets one record per evaluation."""
-    ids = ["c0", "c1", "c2", "c3", "s0"]
-    inst = make_instance([Component(i, "CPU") for i in ids[:4]] + [Component("s0", "SIMD")],
-                         chain_flows(ids, 10.0), ["28nm"])
-    solves = []
+def _counted_solves(monkeypatch, inst, ids):
+    """The grids one anneal hands min_area_lp, and its kernel_trace."""
+    solves, trace = [], []
 
     def counted(demands):
         solves.append(demands)
         return min_area_lp(demands)
 
     monkeypatch.setattr(floorplan, "min_area_lp", counted)
-    trace: list = []
     floorplan_layer(inst, 0, ids, W, SA, kernel_trace=trace)
+    return solves, trace
+
+
+def test_equal_demand_grids_share_one_lp_solve(monkeypatch):
+    """Four identical CPUs: swapping two of them leaves the demand grid as it
+    was, and grids that permute each other's rows or columns share a normal
+    form, so the anneal solves the LP once per distinct normal form, while
+    the trace still gets one record per evaluation."""
+    ids = ["c0", "c1", "c2", "c3", "s0"]
+    inst = make_instance([Component(i, "CPU") for i in ids[:4]] + [Component("s0", "SIMD")],
+                         chain_flows(ids, 10.0), ["28nm"])
+    solves, trace = _counted_solves(monkeypatch, inst, ids)
     distinct = {tuple(map(tuple, call["demands"])) for call in trace}
+    classes = {sorted_grid(grid)[0] for grid in distinct}
     assert len(trace) == SA.iterations + 1
-    assert len(solves) == len(distinct) < len(trace)
-    assert all(call["area"] == min_area_lp(call["demands"]).area for call in trace)
+    assert len(solves) == len(classes) <= len(distinct) < len(trace)
+    for call in trace:
+        assert call["area"] == _normal_form_lp(call["demands"]).area
+        assert call["area"] == pytest.approx(min_area_lp(call["demands"]).area, rel=1e-12)
+
+
+def test_one_component_kind_solves_one_lp(monkeypatch):
+    """Eleven identical CPUs on 3x4: every state's grid is one empty cell
+    among equal demands, and every empty-cell position is one row/column
+    permutation class, so the anneal solves a single LP."""
+    ids = [f"c{i:02d}" for i in range(11)]
+    inst = make_instance([Component(i, "CPU") for i in ids], chain_flows(ids, 10.0),
+                         ["28nm"])
+    solves, trace = _counted_solves(monkeypatch, inst, ids)
+    assert len(solves) == 1
+    assert len(trace) == SA.iterations + 1 == 121
+
+
+def test_large_vsoc_shaped_layer_solves_fewer_lps_than_grids(monkeypatch):
+    """Seven CPUs and three SIMDs on 3x4, as a large_vsoc layer: grids that
+    permute each other's rows or columns share one solve."""
+    ids = [f"c{i}" for i in range(7)] + [f"s{i}" for i in range(3)]
+    inst = make_instance([Component(i, "CPU" if i[0] == "c" else "SIMD") for i in ids],
+                         chain_flows(ids, 10.0), ["28nm"])
+    solves, trace = _counted_solves(monkeypatch, inst, ids)
+    distinct = {tuple(map(tuple, call["demands"])) for call in trace}
+    assert len(trace[0]["demands"]) == 3 and len(trace[0]["demands"][0]) == 4
+    assert len(solves) < len(distinct)
 
 
 @st.composite
@@ -170,8 +216,9 @@ def layers_and_walks(draw):
        weights=st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.0])] * 5).filter(any).map(
            lambda w: ObjectiveWeights(*w)))
 def test_step2_objective_equals_uncached_pricing(case, weights):
-    """Sharing LP solves between equal demand grids changes no cost: every
-    state of the walk prices exactly as a fresh LP solve plus XY routing."""
+    """Sharing LP solves between demand grids of one normal form changes no
+    cost: every state of the walk prices exactly as a fresh solve of its
+    normal form plus XY routing, and its area is the plain LP's to 1e-12."""
     inst, rows, cols, swaps = case
     members = sorted(c.id for c in inst.core_graph.components)
     flows = [(f.src, f.dst, f.bandwidth) for f in inst.core_graph.flows]
@@ -182,6 +229,9 @@ def test_step2_objective_equals_uncached_pricing(case, weights):
         cells[i], cells[j] = cells[j], cells[i]
         state = tuple(cells)
         assert cost(state) == _state_cost(inst, 0, state, rows, cols, flows, weights)
+        demands = _state_demands(inst, 0, state, rows, cols)
+        assert _normal_form_lp(demands).area == pytest.approx(min_area_lp(demands).area,
+                                                             rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
