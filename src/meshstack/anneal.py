@@ -8,6 +8,7 @@ neighbor functions must return fresh states, never mutate their argument.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -41,14 +42,23 @@ class SaParams:
     seed: int
 
     def __post_init__(self):
-        if not (self.initial_temp > 0):
-            raise InvalidParamsError(f"initial_temp must be > 0, got {self.initial_temp}")
-        if not (isinstance(self.iterations, int) and self.iterations > 0):
+        # as PipelineConfig.from_json: no bools, no infinite temperature;
+        # numpy integer seeds are accepted and stored as ints
+        if not (_real(self.initial_temp) and 0 < self.initial_temp < math.inf):
+            raise InvalidParamsError(f"initial_temp must be finite and > 0, got {self.initial_temp}")
+        if not (isinstance(self.iterations, int) and not isinstance(self.iterations, bool)
+                and self.iterations > 0):
             raise InvalidParamsError(f"iterations must be a positive integer, got {self.iterations}")
-        if not (0 < self.cooling < 1):
+        if not (_real(self.cooling) and 0 < self.cooling < 1):
             raise InvalidParamsError(f"cooling must lie in (0, 1), got {self.cooling}")
-        if not (0 <= self.seed < (1 << 64)):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < (1 << 64)):
             raise InvalidParamsError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def anneal(initial_state: S,

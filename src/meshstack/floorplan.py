@@ -7,8 +7,12 @@ state is priced with the LP area kernel plus dimension-order (XY) routing of
 the layer's internal flows on the LP geometry; the best state is re-sized
 once with the exact kernel. Within one anneal, states whose demand grids
 are row/column permutations of each other (as when two identical components
-swap, or two rows trade places) share one LP solve. Interlayer traffic is
-deliberately ignored here, it is handled by the TSV and vertical-link steps.
+swap, or two rows trade places) share one LP solve. The XY term is priced
+for every state from tables built once per anneal (flow ends as member
+indices, paths memoized per cell pair), and link loads are walked only when
+the layer's total intra-flow bandwidth exceeds the link capacity. Interlayer
+traffic is deliberately ignored here, it is handled by the TSV and
+vertical-link steps.
 """
 
 from __future__ import annotations
@@ -79,46 +83,76 @@ def placed_floorplan(instance: Instance, layer: int, state: State,
     return _sized(fp, min_area_exact_cached(demand_grid(instance, fp)))
 
 
-def _xy_cost(state: State, cols: int, widths: Sequence[float],
-             heights: Sequence[float], intra_flows, capacity: float,
-             w_peak: float, w_util: float) -> float:
-    """Dimension-order routing over the full grid: columns first, then rows.
-    Per-hop length is the center-to-center distance of the kernel geometry."""
-    if not intra_flows or (w_peak == 0.0 and w_util == 0.0):
-        return 0.0
-    cell_index = {comp: i for i, comp in enumerate(state) if comp is not None}
-    xs = []
-    acc = 0.0
-    for w in widths:
-        xs.append(acc + w / 2.0)
-        acc += w
-    ys = []
-    acc = 0.0
-    for h in heights:
-        ys.append(acc + h / 2.0)
-        acc += h
+def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
+               capacity: float, w_peak: float, w_util: float):
+    """The XY term of step 2 for states of `members` on a rows x cols grid,
+    as price(state, widths, heights): w_peak times the link load beyond
+    `capacity`, summed over directed links, plus w_util times each flow's
+    bandwidth x centre-to-centre Manhattan distance on the kernel geometry.
+    Dimension-order routing over the full grid: columns first, then rows.
 
-    util = 0.0
-    loads: dict[tuple[int, int, int, int], float] = {}
-    for src, dst, bw in intra_flows:
-        si, di = cell_index[src], cell_index[dst]
-        r1, c1 = si // cols, si % cols
-        r2, c2 = di // cols, di % cols
-        util += bw * (abs(xs[c2] - xs[c1]) + abs(ys[r2] - ys[r1]))
-        if w_peak > 0.0:
-            r, c = r1, c1
-            step = 1 if c2 > c else -1
-            while c != c2:
-                key = (r, c, r, c + step)
-                loads[key] = loads.get(key, 0.0) + bw
-                c += step
-            step = 1 if r2 > r else -1
-            while r != r2:
-                key = (r, c, r + step, c)
-                loads[key] = loads.get(key, 0.0) + bw
-                r += step
-    peak = sum(max(0.0, load - capacity) for load in loads.values())
-    return w_peak * peak + w_util * util
+    Flow ends become member indices once, and a (source cell, destination
+    cell) pair's path, a tuple of directed link ids, is built the first time
+    a flow takes it. Link loads are walked only where one can exceed
+    capacity. Bandwidths are > 0 (validate_instance) and each load is a
+    flow-ordered float sum of some of them. Rounded addition is monotone and
+    adding a positive bandwidth never lowers a float sum, so, flow by flow,
+    no load exceeds the flow-ordered float total of all of them. With that
+    total <= capacity every load - capacity is <= 0 and the peak term is
+    exactly 0. Where loads are walked they keep first-touch order, and util
+    adds in flow order, so the price is bit for bit that of a hop-by-hop
+    walk."""
+    if not intra_flows or (w_peak == 0.0 and w_util == 0.0):
+        return lambda state, widths, heights: 0.0
+    index = {comp: i for i, comp in enumerate(members)}
+    flows = [(index[src], index[dst], bw) for src, dst, bw in intra_flows]
+    total = 0.0
+    for _src, _dst, bw in flows:
+        total += bw
+    walk = w_peak > 0.0 and total > capacity
+    n = rows * cols
+    paths: dict[int, tuple[int, ...]] = {}  # src * n + dst -> link ids (from * n + to)
+
+    def path(src: int, dst: int) -> tuple[int, ...]:
+        (r1, c1), (r2, c2) = divmod(src, cols), divmod(dst, cols)
+        hops = ([1 if c2 > c1 else -1] * abs(c2 - c1)
+                + [cols if r2 > r1 else -cols] * abs(r2 - r1))
+        links, cell = [], src
+        for hop in hops:
+            links.append(cell * n + cell + hop)
+            cell += hop
+        return tuple(links)
+
+    def price(state: State, widths: Sequence[float], heights: Sequence[float]) -> float:
+        xs, ys = _centres(widths), _centres(heights)
+        cell_of, x, y = [0] * len(members), [0.0] * len(members), [0.0] * len(members)
+        for cell, comp in enumerate(state):
+            if comp is not None:
+                i = index[comp]
+                cell_of[i], x[i], y[i] = cell, xs[cell % cols], ys[cell // cols]
+        util = peak = 0.0
+        for a, b, bw in flows:
+            util += bw * (abs(x[b] - x[a]) + abs(y[b] - y[a]))
+        if walk:
+            loads: dict[int, float] = {}
+            for a, b, bw in flows:
+                src, dst = cell_of[a], cell_of[b]
+                links = paths.get(src * n + dst)
+                if links is None:
+                    links = paths[src * n + dst] = path(src, dst)
+                for link in links:
+                    loads[link] = loads.get(link, 0.0) + bw
+            peak = sum(max(0.0, load - capacity) for load in loads.values())
+        return w_peak * peak + w_util * util
+    return price
+
+
+def _centres(sizes: Sequence[float]) -> list[float]:
+    centres, acc = [], 0.0
+    for size in sizes:
+        centres.append(acc + size / 2.0)
+        acc += size
+    return centres
 
 
 def _step2_objective(instance: Instance, layer: int, members: Sequence[str], rows: int,
@@ -132,11 +166,14 @@ def _step2_objective(instance: Instance, layer: int, members: Sequence[str], row
     objective lives (one anneal) each distinct grid is reduced to its
     sorted_grid normal form once, each normal form is solved once, and a
     state gets that solve un-permuted, with area (sum W)(sum H). The XY term
-    depends on where components sit and is priced every time. kernel_trace,
-    if given, gets one record per evaluation."""
+    depends on where components sit: one _xy_pricer, built with the
+    objective, prices it for every state on that state's geometry.
+    kernel_trace, if given, gets one record per evaluation."""
     ids = set(members)
     intra_flows = [(f.src, f.dst, f.bandwidth) for f in instance.core_graph.flows
                    if f.src in ids and f.dst in ids]
+    xy = _xy_pricer(members, rows, cols, intra_flows, instance.tech.link_capacity,
+                    weights.w_peak, weights.w_util)
     holder = (*members, None)
     demand_of = dict(zip(holder, demand_grid(
         instance, _state_floorplan(layer, holder, 1, len(holder)))[0]))
@@ -164,9 +201,7 @@ def _step2_objective(instance: Instance, layer: int, members: Sequence[str], row
         if kernel_trace is not None:
             kernel_trace.append({"layer": layer, "demands": [list(row) for row in grid],
                                  "area": lp.area})
-        comm = _xy_cost(state, cols, lp.col_widths, lp.row_heights, intra_flows,
-                        instance.tech.link_capacity, weights.w_peak, weights.w_util)
-        return weights.w_area * lp.area + comm
+        return weights.w_area * lp.area + xy(state, lp.col_widths, lp.row_heights)
     return cost
 
 

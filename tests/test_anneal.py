@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from meshstack.anneal import SaParams, anneal, mix_seed
@@ -19,6 +21,24 @@ def test_param_bounds():
         SaParams(initial_temp=1.0, iterations=10, cooling=1.0, seed=1)
     with pytest.raises(InvalidParamsError):
         SaParams(initial_temp=1.0, iterations=10, cooling=0.9, seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iterations", True), ("seed", True), ("seed", False), ("seed", 1.0),
+    ("initial_temp", math.inf), ("initial_temp", math.nan), ("initial_temp", True),
+    ("cooling", True), ("cooling", "0.5"), ("iterations", 2.0), ("seed", np.bool_(True))])
+def test_params_reject_what_the_config_rejects(field, value):
+    fields = dict(initial_temp=1.0, iterations=10, cooling=0.9, seed=1)
+    with pytest.raises(InvalidParamsError):
+        SaParams(**{**fields, field: value})
+
+
+def test_numpy_integer_seed_anneals_as_int():
+    params = SaParams(3.0, 50, 0.9, seed=np.uint64(2 ** 64 - 1))
+    assert type(params.seed) is int and params == SaParams(3.0, 50, 0.9, seed=2 ** 64 - 1)
+    toy = (0, lambda x, rng: x + rng.choice([-1, 1]), lambda x: abs(x - 4))
+    assert anneal(*toy, SaParams(3.0, 50, 0.9, seed=np.int64(7))) == anneal(
+        *toy, SaParams(3.0, 50, 0.9, seed=7))
 
 
 def test_constant_cost_keeps_initial():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ from meshstack.area_kernel import LpResult, min_area_lp, sorted_grid
 from meshstack.floorplan import (
     _state_floorplan,
     _step2_objective,
-    _xy_cost,
+    _xy_pricer,
     floorplan_layer,
     grid_dims,
     legalize,
@@ -91,11 +92,53 @@ def _normal_form_lp(demands):
     return LpResult(tuple(widths), tuple(heights), sum(widths) * sum(heights))
 
 
+def _reference_xy_cost(state, cols: int, widths: Sequence[float],
+                       heights: Sequence[float], intra_flows, capacity: float,
+                       w_peak: float, w_util: float) -> float:
+    """Dimension-order routing over the full grid: columns first, then rows.
+    Per-hop length is the center-to-center distance of the kernel geometry."""
+    if not intra_flows or (w_peak == 0.0 and w_util == 0.0):
+        return 0.0
+    cell_index = {comp: i for i, comp in enumerate(state) if comp is not None}
+    xs = []
+    acc = 0.0
+    for w in widths:
+        xs.append(acc + w / 2.0)
+        acc += w
+    ys = []
+    acc = 0.0
+    for h in heights:
+        ys.append(acc + h / 2.0)
+        acc += h
+
+    util = 0.0
+    loads: dict[tuple[int, int, int, int], float] = {}
+    for src, dst, bw in intra_flows:
+        si, di = cell_index[src], cell_index[dst]
+        r1, c1 = si // cols, si % cols
+        r2, c2 = di // cols, di % cols
+        util += bw * (abs(xs[c2] - xs[c1]) + abs(ys[r2] - ys[r1]))
+        if w_peak > 0.0:
+            r, c = r1, c1
+            step = 1 if c2 > c else -1
+            while c != c2:
+                key = (r, c, r, c + step)
+                loads[key] = loads.get(key, 0.0) + bw
+                c += step
+            step = 1 if r2 > r else -1
+            while r != r2:
+                key = (r, c, r + step, c)
+                loads[key] = loads.get(key, 0.0) + bw
+                r += step
+    peak = sum(max(0.0, load - capacity) for load in loads.values())
+    return w_peak * peak + w_util * util
+
+
 def _state_cost(inst, layer, state, rows, cols, flows, weights):
     demands = _state_demands(inst, layer, state, rows, cols)
     lp = _normal_form_lp(demands)
-    comm = _xy_cost(state, cols, lp.col_widths, lp.row_heights, flows,
-                    inst.tech.link_capacity, weights.w_peak, weights.w_util)
+    comm = _reference_xy_cost(state, cols, lp.col_widths, lp.row_heights, flows,
+                              inst.tech.link_capacity, weights.w_peak, weights.w_util)
     return weights.w_area * lp.area + comm
 
 
@@ -232,6 +275,48 @@ def test_step2_objective_equals_uncached_pricing(case, weights):
         demands = _state_demands(inst, 0, state, rows, cols)
         assert _normal_form_lp(demands).area == pytest.approx(min_area_lp(demands).area,
                                                              rel=1e-12)
+
+
+@st.composite
+def xy_layers(draw):
+    """Members on a grid of up to 4x4 with empty cells, flows with repeated
+    ends and bandwidths whose sums round differently in another order, and
+    several states, each with its own kernel geometry."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    members = [f"c{i}" for i in range(rows * cols - draw(st.integers(0, rows * cols - 1)))]
+    ends = st.lists(st.sampled_from(members), min_size=2, max_size=2,
+                    unique=len(members) > 1)
+    bw = st.sampled_from([0.1, 1 / 3, 0.7, 2.0, 45.0]) | st.floats(0.01, 60.0)
+    count = draw(st.integers(0, 3) | st.integers(0, 40))
+    flows = [(a, b, w) for (a, b), w in draw(
+        st.lists(st.tuples(ends, bw), min_size=count, max_size=count))]
+    cells = members + [None] * (rows * cols - len(members))
+    size = st.sampled_from([0.1, 1 / 3, 1.0, 6.1, 8.6]) | st.floats(0.01, 20.0)
+    states = draw(st.lists(st.tuples(st.permutations(cells),
+                                     st.lists(size, min_size=cols, max_size=cols),
+                                     st.lists(size, min_size=rows, max_size=rows)),
+                           min_size=1, max_size=4))
+    return members, rows, cols, flows, states
+
+
+@given(case=xy_layers(), w_peak=st.sampled_from([1.0, 0.5, 3.0, 0.0]),
+       w_util=st.sampled_from([1.0, 0.5, 3.0, 0.0]))
+def test_xy_pricer_equals_reference_walk(case, w_peak, w_util):
+    """The pricer's tables, memoized paths and skipped load walks change no
+    bit of the XY term, at capacities below, at and just under the
+    flow-ordered bandwidth total (the last walks loads; one link carrying
+    every flow then exceeds it)."""
+    members, rows, cols, flows, states = case
+    total = 0.0
+    for _src, _dst, bw in flows:
+        total += bw
+    for capacity in (5.0, 100.0, total or 5.0, math.nextafter(total, 0) or 5.0,
+                     0.6 * total or 5.0):
+        price = _xy_pricer(members, rows, cols, flows, capacity, w_peak, w_util)
+        for state, widths, heights in states:
+            want = _reference_xy_cost(state, cols, widths, heights, flows, capacity,
+                                      w_peak, w_util)
+            assert price(state, widths, heights).hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,16 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
     hosts within a reach other than the instance's);
   - large_vsoc at seeds 1-3 and small_vsoc at seed 1 with uniform traffic
     (`corpus.uniform_traffic`), where step 4 routes every component pair;
+  - large_vsoc and vopd at seed 1 with a link capacity of 20 Mb/s, where
+    step 2's peak term is positive on many evaluations;
   - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
     (its traffic included);
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
     eval) on the four instances at seed 1: its floorplan_legal.json and
     traffic.json;
   - `run --steps 1..4` on tiny_soc at seed 1.
+
+56 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -45,6 +50,7 @@ INSTANCES = (("tiny_soc", "2x2"), ("small_vsoc", "3x3"),
              ("large_vsoc", "4x4"), ("vopd", "3x3"))
 SEEDS = (1, 2, 3)
 UNIFORM = (("large_vsoc", SEEDS), ("small_vsoc", (1,)))
+LOW_CAPACITY = ("large_vsoc", "vopd")  # run at link_capacity 20 Mb/s, seed 1
 CHAIN = ("assign", "floorplan", "tsv", "place3d", "legalize", "eval")
 
 
@@ -88,6 +94,13 @@ def cases(corpus: Path, tmp: Path):
                                         base.tech, base.layers), inst)
         for seed in seeds:
             yield f"{name} uniform seed {seed}", ["--seed", str(seed)], str(inst)
+    for name in LOW_CAPACITY:
+        base = load_instance(corpus / name)
+        inst = tmp / f"{name}_capacity20"
+        save_instance(validate_instance(base.core_graph, base.ppa,
+                                        dataclasses.replace(base.tech, link_capacity=20.0),
+                                        base.layers), inst)
+        yield f"{name} link-capacity 20 seed 1", ["--seed", "1"], str(inst)
 
 
 def exact_doc(instance_dir: Path) -> dict:
