@@ -97,11 +97,15 @@ def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
     capacity. Bandwidths are > 0 (validate_instance) and each load is a
     flow-ordered float sum of some of them. Rounded addition is monotone and
     adding a positive bandwidth never lowers a float sum, so, flow by flow,
-    no load exceeds the flow-ordered float total of all of them. With that
-    total <= capacity every load - capacity is <= 0 and the peak term is
-    exactly 0. Where loads are walked they keep first-touch order, and util
-    adds in flow order, so the price is bit for bit that of a hop-by-hop
-    walk."""
+    a flow-ordered sum over a subset of flows never exceeds the flow-ordered
+    sum over a superset. An eastbound link carries only flows with c2 > c1,
+    a westbound one only c2 < c1, a southbound one only r2 > r1 and a
+    northbound one only r2 < r1, so no load exceeds its direction's
+    flow-ordered total in the state, nor any direction's total the layer's
+    total. With the layer's total, or else all four of the state's, <=
+    capacity, every load - capacity is <= 0 and the peak term is exactly 0.
+    Where loads are walked they keep first-touch order, and util adds in flow
+    order, so the price is bit for bit that of a hop-by-hop walk."""
     if not intra_flows or (w_peak == 0.0 and w_util == 0.0):
         return lambda state, widths, heights: 0.0
     index = {comp: i for i, comp in enumerate(members)}
@@ -133,7 +137,7 @@ def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
         util = peak = 0.0
         for a, b, bw in flows:
             util += bw * (abs(x[b] - x[a]) + abs(y[b] - y[a]))
-        if walk:
+        if walk and max(_heading_totals(flows, cell_of, cols)) > capacity:
             loads: dict[int, float] = {}
             for a, b, bw in flows:
                 src, dst = cell_of[a], cell_of[b]
@@ -145,6 +149,19 @@ def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
             peak = sum(max(0.0, load - capacity) for load in loads.values())
         return w_peak * peak + w_util * util
     return price
+
+
+def _heading_totals(flows, cell_of: Sequence[int], cols: int) -> list[float]:
+    """Flow-ordered bandwidth totals of the flows that head east, west, south
+    and north between the cells of a row-major grid."""
+    totals = [0.0] * 4
+    for a, b, bw in flows:
+        (r1, c1), (r2, c2) = divmod(cell_of[a], cols), divmod(cell_of[b], cols)
+        if c1 != c2:
+            totals[c2 < c1] += bw
+        if r1 != r2:
+            totals[2 + (r2 < r1)] += bw
+    return totals
 
 
 def _centres(sizes: Sequence[float]) -> list[float]:

@@ -13,13 +13,20 @@ makes paths fully deterministic. A search pops labels in an order that does
 not depend on its destination, so `route_all` keeps one resumable search per
 source router, continued through `shortest_path` for each flow, and every
 flow reads the same label a single-pair search gives.
+
+`route_all` is the reference: it routes one network and returns every load.
+Step 4 prices many vertical-link selections on one set of floorplans, and
+`selection_pricer` builds the intra-layer graph once for all of them, on
+integer router ids, and returns each selection's cost bit for bit as
+`route_all` on `build_network` would give it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UnreachableError
 from .model import CoreGraph, MeshFloorplan, NodeKey, TrafficEval, VerticalLink
@@ -171,3 +178,132 @@ def route_all(network: NetworkGraph, core_graph: CoreGraph,
     peak = sum(max(0.0, load - link_capacity) for load in loads.values())
     return TrafficEval(loads=loads, bw_times_distance=bw_dist, bw_times_hops=bw_hops,
                        max_link_load=max_load, peak_penalty=peak)
+
+
+def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
+                     link_capacity: float, w_peak: float,
+                     w_util: float) -> Callable[[Iterable[VerticalLink]], float]:
+    """Step 4's cost of vertical-link selections on fixed floorplans, as
+    price(links): w_util * bw_times_distance + w_peak * peak_penalty of
+    route_all on build_network(floorplans, links), or inf where a flow has no
+    route. The floorplans' graph is built once; each price appends the
+    selection's vertical edges, runs one search per source router until its
+    destinations settle, and walks link loads only where one can exceed
+    `link_capacity`.
+
+    Labels are route_all's. Router ids number build_network's nodes in sorted
+    (layer, row, col) order, so integer paths compare as key paths do and the
+    heap key (length, hops, path) orders labels as route_all's does. Edge
+    lengths are build_network's, a vertical edge's recomputed from the same
+    cell centres, and a label's length is the float sum along its path. The
+    labels a search pops depend on neither its destination nor the order of
+    the adjacency lists, so a destination settles with shortest_path's label.
+
+    bw_times_distance adds bandwidth x label length in flow order, and the
+    walk adds loads in flow order and sums the peak in first-touch order, as
+    route_all does.
+
+    A skipped walk's peak is exactly 0. Let u = 2**-53 and F the number of
+    flows. In exact arithmetic the load L of link p -> v is the sum of the
+    k <= F bandwidths of the flows whose path uses it: the flows from each
+    source whose destination lies below v in that source's shortest-path
+    tree. The walk adds those k terms in flow order to L'; the bound adds the
+    same terms, per source and destination, up the tree and then over
+    sources, to B. Bandwidths are > 0 (validate_instance) and float addition
+    does not underflow, so a float sum of k such terms in any order is within
+    a factor of 1 +- g of L, g = (k-1)u / (1 - (k-1)u) <= Fu / (1 - Fu)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2):
+    L' <= (1+g) L and B >= (1-g) L. With M = 1 + 4Fu, (1+g)/(1-g) <=
+    1/(1 - 2Fu) <= M while 4Fu <= 1, so B * M >= L' in exact arithmetic, and
+    since L' is a float and rounding is monotone, fl(max B * M) >= L'. The
+    same chain bounds every partial sum of L', so none overflows where
+    fl(max B * M) is finite. If fl(max B * M) <= link_capacity, every L' is,
+    every L' - link_capacity rounds to <= 0, and the peak is 0.0."""
+    base = build_network(floorplans)
+    node = {key: i for i, key in enumerate(base.nodes)}
+    n = len(base.nodes)
+    adjacency = [tuple((node[b], length) for b, length in base.adjacency[key])
+                 for key in base.nodes]
+    centre = {(fp.layer, r, c): fp.cell_center(r, c)
+              for fp in floorplans for (r, c), _comp in fp.occupied_cells()}
+    router = {comp: node[key] for comp, key in base.component_router.items()}
+    flows = [(router.get(f.src), router.get(f.dst), f.bandwidth) for f in core_graph.flows]
+    if any(src is None or dst is None for src, dst, _bw in flows):
+        return lambda links: math.inf
+    ends: dict[int, bytearray] = {}  # source -> 1 at each of its destinations
+    for src, dst, _bw in flows:
+        ends.setdefault(src, bytearray(n))[dst] = 1
+    margin = 1.0 + len(flows) * 2.0 ** -51
+
+    def price(links: Iterable[VerticalLink]) -> float:
+        graph = list(adjacency)
+        for v in links:
+            a, b = node[v.lower], node[v.upper]
+            rd = _planar_distance(centre[v.lower], centre[v.upper])
+            graph[a] += ((b, rd),)
+            graph[b] += ((a, rd),)
+        trees: dict[int, dict[int, Label]] = {}
+        for src, marks in ends.items():
+            tree = _settle(graph, src, marks)
+            if tree is None:
+                return math.inf
+            trees[src] = tree
+        bw_dist = peak = 0.0
+        for src, dst, bw in flows:
+            bw_dist += bw * trees[src][dst][0]
+        if w_peak > 0.0 and _max_tree_load(trees, flows, n) * margin > link_capacity:
+            loads: dict[int, float] = {}
+            for src, dst, bw in flows:
+                path = trees[src][dst][2]
+                for a, b in zip(path, path[1:]):
+                    loads[a * n + b] = loads.get(a * n + b, 0.0) + bw
+            peak = sum(max(0.0, load - link_capacity) for load in loads.values())
+        return w_util * bw_dist + w_peak * peak
+    return price
+
+
+def _settle(adjacency: Sequence[tuple[tuple[int, float], ...]], src: int,
+            targets: bytearray) -> Optional[dict[int, Label]]:
+    """Dijkstra labels from `src`, node -> label in settle order, up to the
+    last node marked in `targets` to settle; None if one never does."""
+    heap: list[Label] = [(0.0, 0, (src,))]
+    settled: dict[int, Label] = {}
+    left = targets.count(1)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        entry = pop(heap)
+        dist, hops, path = entry
+        node = path[-1]
+        if node in settled:
+            continue
+        settled[node] = entry
+        if targets[node]:
+            left -= 1
+            if not left:
+                return settled
+        hops += 1
+        for nbr, length in adjacency[node]:
+            if nbr not in settled:
+                push(heap, (dist + length, hops, path + (nbr,)))
+    return None
+
+
+def _max_tree_load(trees: dict[int, dict[int, Label]],
+                   flows: Sequence[tuple[int, int, float]], n: int) -> float:
+    """The largest link load, summed per source tree: each destination's
+    bandwidth total, then a node's subtree total passes to its parent, in
+    reverse settle order (a node settles after its parent), and onto the
+    link from the parent."""
+    below_of = {src: [0.0] * n for src in trees}
+    for src, dst, bw in flows:
+        below_of[src][dst] += bw
+    loads = [0.0] * (n * n)  # link p -> v at p * n + v
+    for src, tree in trees.items():
+        below = below_of[src]
+        for v in reversed(tree):
+            total = below[v]
+            if total and v != src:
+                p = tree[v][2][-2]
+                below[p] += total
+                loads[p * n + v] += total
+    return max(loads, default=0.0)

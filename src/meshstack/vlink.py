@@ -5,7 +5,10 @@ distance fits the redistribution reach. The annealer keeps one fixed-size
 subset per boundary (each router carries at most one vertical link per
 direction, so subsets are bipartite matchings) and swaps a selected candidate
 against an unselected compatible one. Cost is the routed network outcome:
-w_util * bandwidth-distance + w_peak * overload excess.
+w_util * bandwidth-distance + w_peak * overload excess, priced by one
+netgraph.selection_pricer per call: the floorplans' graph is built once and
+each distinct selection is routed once on it, bit for bit as route_all on
+build_network would route it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import random
 from typing import Mapping, Sequence
 
 from .anneal import SaParams, anneal
-from .errors import InsufficientCandidatesError, NoCandidatesError, UnreachableError
+from .errors import InsufficientCandidatesError, NoCandidatesError
 from .model import Instance, MeshFloorplan, NodeKey, ObjectiveWeights, VerticalLink
-from .netgraph import build_network, route_all
+# build_network and route_all are unused here but kept: perfbench/layertrace.py
+# patches vlink.build_network and vlink.route_all
+from .netgraph import build_network, route_all, selection_pricer  # noqa: F401
 from .tsv_count import cross_boundary_traffic, _component_positions, _layer_of
 
 
@@ -132,10 +137,10 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
     """Choose counts[b] vertical links per boundary b by simulated annealing;
     returns the links and their cost.
 
-    Cost routes the entire core graph over the full 3D network built from the
-    current selection, once per distinct selection; states that leave a flow
-    unreachable price as +inf. With no count above 0 the empty selection is
-    priced and returned.
+    Cost routes the entire core graph over the full 3D network of the
+    current selection, once per distinct selection (selection_pricer);
+    states that leave a flow unreachable price as +inf. With no count above
+    0 the empty selection is priced and returned.
     """
     boundaries = sorted(b for b, cnt in counts.items() if cnt > 0)
     reach = instance.tech.rd_max_length
@@ -155,16 +160,10 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
     def links_of(state) -> list[VerticalLink]:
         return [cands[b][i] for b, sel in zip(boundaries, state) for i in sel]
 
-    def route_cost(state) -> float:
-        network = build_network(floorplans, links_of(state))
-        try:
-            traffic = route_all(network, instance.core_graph, instance.tech.link_capacity)
-        except UnreachableError:
-            return float("inf")
-        return weights.w_util * traffic.bw_times_distance + weights.w_peak * traffic.peak_penalty
-
+    price = selection_pricer(floorplans, instance.core_graph, instance.tech.link_capacity,
+                             weights.w_peak, weights.w_util)
     if not boundaries:
-        return [], route_cost(())
+        return [], price([])
 
     positions = _component_positions(floorplans)
     layer_of = _layer_of(floorplans)
@@ -192,7 +191,7 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
 
     def cost(state) -> float:
         if state not in priced:
-            priced[state] = route_cost(state)
+            priced[state] = price(links_of(state))
         return priced[state]
 
     # the centroid start chases traffic, the shortest-RD start keeps vertical

@@ -8,7 +8,7 @@ import math
 from typing import Sequence
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meshstack import floorplan
@@ -299,21 +299,48 @@ def xy_layers(draw):
     return members, rows, cols, flows, states
 
 
+def _heading_capacities(state, cols, flows):
+    """Each flow-ordered bandwidth total of the state's eastbound, westbound,
+    southbound and northbound flows, and the float just under it."""
+    cell = {comp: divmod(i, cols) for i, comp in enumerate(state) if comp is not None}
+    totals = {}
+    for src, dst, bw in flows:
+        (r1, c1), (r2, c2) = cell[src], cell[dst]
+        headings = []
+        if c1 != c2:
+            headings.append("east" if c2 > c1 else "west")
+        if r1 != r2:
+            headings.append("south" if r2 > r1 else "north")
+        for heading in headings:
+            totals[heading] = totals.get(heading, 0.0) + bw
+    return [cap for total in totals.values() for cap in (total, math.nextafter(total, 0))]
+
+
+# two flows leave (1, 0) of a 3x2 grid eastward, one turning south and one
+# north, and share link (1, 0) -> (1, 1): just under the eastbound total it
+# exceeds capacity, while each row heading carries one of them
+SHARED_EAST_LINK = ([f"c{i}" for i in range(6)], 3, 2, [("c2", "c5", 1.0), ("c2", "c1", 1.0)],
+                    [(tuple(f"c{i}" for i in range(6)), [1.0, 1.0], [1.0, 1.0, 1.0])])
+
+
 @given(case=xy_layers(), w_peak=st.sampled_from([1.0, 0.5, 3.0, 0.0]),
        w_util=st.sampled_from([1.0, 0.5, 3.0, 0.0]))
+@example(case=SHARED_EAST_LINK, w_peak=1.0, w_util=0.0)
 def test_xy_pricer_equals_reference_walk(case, w_peak, w_util):
     """The pricer's tables, memoized paths and skipped load walks change no
     bit of the XY term, at capacities below, at and just under the
-    flow-ordered bandwidth total (the last walks loads; one link carrying
-    every flow then exceeds it)."""
+    flow-ordered bandwidth total of the layer and of each heading of each
+    state (just under a heading's total, a link that carries all of that
+    heading's flows exceeds it)."""
     members, rows, cols, flows, states = case
     total = 0.0
     for _src, _dst, bw in flows:
         total += bw
-    for capacity in (5.0, 100.0, total or 5.0, math.nextafter(total, 0) or 5.0,
-                     0.6 * total or 5.0):
-        price = _xy_pricer(members, rows, cols, flows, capacity, w_peak, w_util)
-        for state, widths, heights in states:
+    layer_capacities = [5.0, 100.0, total or 5.0, math.nextafter(total, 0) or 5.0,
+                        0.6 * total or 5.0]
+    for state, widths, heights in states:
+        for capacity in layer_capacities + _heading_capacities(state, cols, flows):
+            price = _xy_pricer(members, rows, cols, flows, capacity, w_peak, w_util)
             want = _reference_xy_cost(state, cols, widths, heights, flows, capacity,
                                       w_peak, w_util)
             assert price(state, widths, heights).hex() == want.hex()

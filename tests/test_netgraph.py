@@ -1,6 +1,6 @@
 """Network construction and routing: worked examples, all-pairs oracle,
 per-flow routing oracle, conservation, determinism, vertical-link
-monotonicity."""
+monotonicity, and step 4's selection pricer against route_all."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meshstack.errors import UnreachableError
 from meshstack.model import Component, CoreGraph, Flow, VerticalLink
-from meshstack.netgraph import build_network, route_all, shortest_path
+from meshstack.netgraph import build_network, route_all, selection_pricer, shortest_path
 
 from conftest import make_fp
 
@@ -241,3 +241,76 @@ def test_tie_break_prefers_fewer_hops_then_lex():
     assert hops == 2
     # lexicographically smallest node sequence: via (0,0,1)
     assert path == ((0, 0, 0), (0, 0, 1), (0, 1, 1))
+
+
+@st.composite
+def stacked_selections(draw):
+    """Two or three layers of up to 3x3 cells, some empty, all cells one size
+    so that equal-length paths tie; flows that repeat a few sources, with
+    bandwidths whose sums round differently in another order; and a few
+    vertical-link selections, each a random matching per boundary, none
+    included, so that some flows are unreachable."""
+    rng = draw(st.randoms(use_true_random=False))
+    size = draw(st.sampled_from([1.0, 2.5, 6.0]))
+    fps, ids = [], []
+    for layer in range(draw(st.integers(2, 3))):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        spots = rng.sample(range(rows * cols), rng.randint(1, rows * cols))
+        cells = [[None] * cols for _ in range(rows)]
+        for k, spot in enumerate(spots):
+            cells[spot // cols][spot % cols] = f"l{layer}n{k}"
+            ids.append(f"l{layer}n{k}")
+        fps.append(make_fp(layer, cells, [size] * cols, [size] * rows))
+    hubs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True))
+    end = st.sampled_from(hubs) | st.sampled_from(ids)
+    bw = st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7, 45.0]) | st.floats(0.01, 60.0)
+    flows = draw(st.lists(st.builds(Flow, end, end, bw), max_size=24))
+    selections = []
+    for _ in range(draw(st.integers(1, 3))):
+        links = []
+        for lower, upper in zip(fps, fps[1:]):
+            los = [(lower.layer, r, c) for (r, c), _comp in lower.occupied_cells()]
+            ups = [(upper.layer, r, c) for (r, c), _comp in upper.occupied_cells()]
+            count = rng.randint(0, min(len(los), len(ups)))
+            links += [VerticalLink(lower=lo, upper=up, rd_length=0.0)
+                      for lo, up in zip(rng.sample(los, count), rng.sample(ups, count))]
+        selections.append(links)
+    components = tuple(Component(i, "CPU") for i in ids)
+    return fps, CoreGraph(components=components, flows=tuple(flows)), selections
+
+
+# a row a-b-c-d: flows a->d (0.1), b->d (0.2), b->d (0.3) load b->c and
+# c->d with 0.1 + 0.2 + 0.3 = 0.6000000000000001 in flow order, while per
+# source they sum to 0.1 + (0.2 + 0.3) = 0.6, just under
+ROUNDED_DOWN_BOUND = (
+    [make_fp(0, [["a", "b", "c", "d"]], [1.0] * 4, [1.0]), make_fp(1, [["e"]], [1.0], [1.0])],
+    CoreGraph(components=tuple(Component(i, "CPU") for i in "abcde"),
+              flows=(Flow("a", "d", 0.1), Flow("b", "d", 0.2), Flow("b", "d", 0.3))),
+    [[]])
+
+
+@given(case=stacked_selections(), w_peak=st.sampled_from([0.0, 1.0, 2.5]),
+       w_util=st.sampled_from([1.0, 0.5]))
+@example(case=ROUNDED_DOWN_BOUND, w_peak=1.0, w_util=0.0)
+def test_selection_pricer_equals_route_all(case, w_peak, w_util):
+    """Each selection prices bit for bit as route_all on build_network, or
+    inf where a flow is unreachable, at capacities at and just under the
+    largest link load (where the skipped walk's bound is tightest), below it
+    and far above it."""
+    fps, cg, selections = case
+    for links in selections:
+        net = build_network(fps, links)
+        try:
+            max_load = route_all(net, cg, 1e9).max_link_load
+        except UnreachableError:
+            max_load = None
+        capacities = ([1e9] if max_load is None else
+                      [max_load, math.nextafter(max_load, 0), 0.6 * max_load, 1e9])
+        for capacity in capacities:
+            price = selection_pricer(fps, cg, capacity, w_peak, w_util)
+            if max_load is None:
+                assert price(links) == math.inf
+                continue
+            te = route_all(net, cg, capacity)
+            want = w_util * te.bw_times_distance + w_peak * te.peak_penalty
+            assert price(links).hex() == want.hex()

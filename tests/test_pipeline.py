@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -198,3 +201,15 @@ def test_valid_instance_never_raises(inst, seed, sa_fp, sa_vl):
         run_pipeline(inst, config)
     except MeshstackError:
         pass
+
+
+def test_every_traced_name_exists(monkeypatch):
+    """perfbench/layertrace.py patches these module attributes to time each
+    layer; a name a module keeps only for it (an unused import) must stay."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layertrace)  # for its dataclasses
+    spec.loader.exec_module(layertrace)
+    for module, attr in layertrace.sites():
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

@@ -189,12 +189,16 @@ def test_each_selection_is_routed_once(monkeypatch):
     flows = [Flow("a", "r", 10.0), Flow("c", "p", 8.0), Flow("e", "j", 6.0),
              Flow("i", "k", 4.0), Flow("q", "d", 5.0), Flow("n", "b", 3.0)]
     inst, fps = stacked_instance(flows, ids_l, ids_u)
-    built = []
-    build = vlink.build_network
+    routed = []
+    pricer = vlink.selection_pricer
 
-    def spy_build(floorplans, links):
-        built.append(tuple((v.lower, v.upper) for v in links))
-        return build(floorplans, links)
+    def spy_pricer(*args):
+        price = pricer(*args)
+
+        def spy_price(links):
+            routed.append(tuple((v.lower, v.upper) for v in links))
+            return price(links)
+        return spy_price
 
     pricings = []
     anneal = vlink.anneal
@@ -205,9 +209,9 @@ def test_each_selection_is_routed_once(monkeypatch):
             return cost(state)
         return anneal(initial, neighbor, counted, params)
 
-    monkeypatch.setattr(vlink, "build_network", spy_build)
+    monkeypatch.setattr(vlink, "selection_pricer", spy_pricer)
     monkeypatch.setattr(vlink, "anneal", spy_anneal)
     first = place_vlinks(inst, fps, {0: 4}, W, SA)
-    assert len(built) == len(set(built))
+    assert routed and len(routed) == len(set(routed))
     assert len(set(pricings)) < len(pricings)
     assert place_vlinks(inst, fps, {0: 4}, W, SA) == first
