@@ -130,10 +130,6 @@ class Instance:
     def component_entry(self, comp_id: str, layer_index: int) -> Optional[PpaEntry]:
         return self.ppa.component_entry(self.kinds[comp_id], self.node_of(layer_index))
 
-    def area_of(self, comp_id: str, layer_index: int) -> Optional[float]:
-        entry = self.component_entry(comp_id, layer_index)
-        return None if entry is None else entry.area
-
     def feasible_layers(self, comp_id: str) -> tuple[int, ...]:
         return tuple(l.index for l in self.layers
                      if self.component_entry(comp_id, l.index) is not None)
@@ -508,16 +504,31 @@ def floorplan_to_json(fp: MeshFloorplan) -> dict:
     }
 
 
+def _json_array(values, kind: str, what: str) -> tuple:
+    """values as a tuple, if it is a JSON array of kind (json_typed), else
+    ValueError."""
+    return tuple(json_typed(v, kind, what) for v in json_typed(values, "array", what))
+
+
+def _json_grid(rows, kind: str, what: str) -> tuple:
+    """rows as a tuple of tuples, if a JSON array of arrays whose entries are
+    null or of kind, else ValueError."""
+    return tuple(tuple(v if v is None else json_typed(v, kind, what)
+                       for v in json_typed(row, "array", what))
+                 for row in json_typed(rows, "array", what))
+
+
 def parse_floorplan(doc: dict) -> MeshFloorplan:
     fp = MeshFloorplan(
-        layer=int(doc["layer"]),
-        rows=int(doc["rows"]),
-        cols=int(doc["cols"]),
-        cell_of=tuple(tuple(c if c is None else str(c) for c in row) for row in doc["cells"]),
-        col_widths=tuple(float(w) for w in doc["col_widths"]),
-        row_heights=tuple(float(h) for h in doc["row_heights"]),
-        router_kind=tuple(tuple(k if k is None else str(k) for k in row) for row in doc["router_kind"]),
-        koz_of=tuple(tuple(int(k) for k in row) for row in doc["koz"]),
+        layer=json_typed(doc["layer"], "integer", "'layer'"),
+        rows=json_typed(doc["rows"], "integer", "'rows'"),
+        cols=json_typed(doc["cols"], "integer", "'cols'"),
+        cell_of=_json_grid(doc["cells"], "string", "'cells'"),
+        col_widths=tuple(map(float, _json_array(doc["col_widths"], "number", "'col_widths'"))),
+        row_heights=tuple(map(float, _json_array(doc["row_heights"], "number", "'row_heights'"))),
+        router_kind=_json_grid(doc["router_kind"], "string", "'router_kind'"),
+        koz_of=tuple(_json_array(row, "integer", "'koz'")
+                     for row in json_typed(doc["koz"], "array", "'koz'")),
     )
     if ((len(fp.row_heights), len(fp.col_widths)) != (fp.rows, fp.cols)
             or any(len(g) != fp.rows or any(len(row) != fp.cols for row in g)
@@ -549,9 +560,9 @@ def vlink_to_json(v: VerticalLink) -> dict:
 
 
 def parse_vlink(doc: dict) -> VerticalLink:
-    return VerticalLink(lower=tuple(int(x) for x in doc["lower"]),
-                        upper=tuple(int(x) for x in doc["upper"]),
-                        rd_length=float(doc["rd_length"]))
+    return VerticalLink(lower=_json_array(doc["lower"], "integer", "'lower'"),
+                        upper=_json_array(doc["upper"], "integer", "'upper'"),
+                        rd_length=float(json_typed(doc["rd_length"], "number", "'rd_length'")))
 
 
 def check_vlink_ends(vlinks: Sequence[VerticalLink],

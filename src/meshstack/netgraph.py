@@ -10,9 +10,10 @@ Every link is a pair of directed edges with independent loads. Routing is
 static single-path: Dijkstra on mm length with ties broken by hop count and
 then by the lexicographically smallest (layer, row, col) node sequence, which
 makes paths fully deterministic. A search pops labels in an order that does
-not depend on its destination, so `route_all` keeps one resumable search per
-source router, continued through `shortest_path` for each flow, and every
-flow reads the same label a single-pair search gives.
+not depend on its destination, so there is one resumable search per source
+router, shared by `route_all` and the pricer: it is asked for each of the
+source's destinations in turn, and every flow reads the same label a
+single-pair search gives.
 
 `route_all` is the reference: it routes one network and returns every load.
 Step 4 prices many vertical-link selections on one set of floorplans, and
@@ -26,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import UnreachableError
 from .model import CoreGraph, MeshFloorplan, NodeKey, TrafficEval, VerticalLink
@@ -44,21 +45,21 @@ def _planar_distance(pa: tuple[float, float], pb: tuple[float, float]) -> float:
     return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1])
 
 
+def router_centres(floorplans: Sequence[MeshFloorplan]) -> dict[NodeKey, tuple[float, float]]:
+    """Each router's (layer, row, col) -> the center of its cell."""
+    return {(fp.layer, r, c): fp.cell_center(r, c)
+            for fp in floorplans for (r, c), _comp in fp.occupied_cells()}
+
+
 def build_network(floorplans: Sequence[MeshFloorplan],
                   vlinks: Iterable[VerticalLink] = ()) -> NetworkGraph:
     """Assemble the router graph from legalized floorplans and chosen
     vertical links. Vertical link lengths are recomputed from the current
     router centers so the graph always matches the geometry it was built from."""
-    positions: dict[NodeKey, tuple[float, float]] = {}
-    component_router: dict[str, NodeKey] = {}
-    edges: dict[NodeKey, list[tuple[NodeKey, float]]] = {}
-
-    for fp in floorplans:
-        for (r, c), comp in fp.occupied_cells():
-            key = (fp.layer, r, c)
-            positions[key] = fp.cell_center(r, c)
-            component_router[comp] = key
-            edges[key] = []
+    positions = router_centres(floorplans)
+    component_router = {comp: (fp.layer, r, c)
+                        for fp in floorplans for (r, c), comp in fp.occupied_cells()}
+    edges: dict[NodeKey, list[tuple[NodeKey, float]]] = {key: [] for key in positions}
 
     def connect(a: NodeKey, b: NodeKey, length: float) -> None:
         edges[a].append((b, length))
@@ -98,35 +99,41 @@ def build_network(floorplans: Sequence[MeshFloorplan],
                         component_router=component_router, vlinks=tuple(refreshed))
 
 
-Label = tuple[float, int, tuple[NodeKey, ...]]
+# a node is a NodeKey in a NetworkGraph's adjacency and an integer router id
+# in the pricer's
+Label = tuple[float, int, tuple]
 
 
 class _Search:
     """Dijkstra from one source that stops once the asked-for node settles
     and resumes from there on the next request. Each settled node is expanded
     before the search yields, so a resumed search pops the same labels, in
-    the same order, as a fresh search for the new destination."""
+    the same order, as a fresh search for the new destination. `settled`
+    maps each node settled so far to its label, in settle order: the
+    shortest-path tree from `src`."""
 
-    def __init__(self, network: NetworkGraph, src: NodeKey):
-        self.adjacency = network.adjacency
+    def __init__(self, adjacency: Union[Mapping, Sequence], src):
+        self.adjacency = adjacency
         self.heap: list[Label] = [(0.0, 0, (src,))]
-        self.settled: dict[NodeKey, Label] = {}
+        self.settled: dict = {}
 
-    def label(self, dst: NodeKey) -> Optional[Label]:
+    def label(self, dst) -> Optional[Label]:
         settled = self.settled
         if dst in settled:
             return settled[dst]
         heap, adjacency = self.heap, self.adjacency
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            entry = heapq.heappop(heap)
+            entry = pop(heap)
             dist, hops, path = entry
             node = path[-1]
             if node in settled:
                 continue
             settled[node] = entry
+            hops += 1
             for nbr, length in adjacency[node]:
                 if nbr not in settled:
-                    heapq.heappush(heap, (dist + length, hops + 1, path + (nbr,)))
+                    push(heap, (dist + length, hops, path + (nbr,)))
             if node == dst:
                 return entry
         return None
@@ -143,10 +150,10 @@ def shortest_path(network: NetworkGraph, src: NodeKey, dst: NodeKey,
     Without it the search is one-shot.
     """
     if searches is None:
-        return _Search(network, src).label(dst)
+        return _Search(network.adjacency, src).label(dst)
     search = searches.get(src)
     if search is None:
-        search = searches[src] = _Search(network, src)
+        search = searches[src] = _Search(network.adjacency, src)
     return search.label(dst)
 
 
@@ -187,17 +194,16 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     price(links): w_util * bw_times_distance + w_peak * peak_penalty of
     route_all on build_network(floorplans, links), or inf where a flow has no
     route. The floorplans' graph is built once; each price appends the
-    selection's vertical edges, runs one search per source router until its
-    destinations settle, and walks link loads only where one can exceed
-    `link_capacity`.
+    selection's vertical edges, asks one resumable search per source router
+    for that source's destinations, and walks link loads only where one can
+    exceed `link_capacity`.
 
-    Labels are route_all's. Router ids number build_network's nodes in sorted
-    (layer, row, col) order, so integer paths compare as key paths do and the
-    heap key (length, hops, path) orders labels as route_all's does. Edge
-    lengths are build_network's, a vertical edge's recomputed from the same
-    cell centres, and a label's length is the float sum along its path. The
-    labels a search pops depend on neither its destination nor the order of
-    the adjacency lists, so a destination settles with shortest_path's label.
+    Labels are route_all's: each comes from the same search, on router ids
+    that number build_network's nodes in sorted (layer, row, col) order, so
+    integer paths compare as key paths do, and on build_network's edge
+    lengths, a vertical edge's recomputed from the same cell centres. The
+    heap key is the whole label, so the order in which vertical edges are
+    appended to the adjacency lists does not matter.
 
     bw_times_distance adds bandwidth x label length in flow order, and the
     walk adds loads in flow order and sums the peak in first-touch order, as
@@ -224,15 +230,14 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     n = len(base.nodes)
     adjacency = [tuple((node[b], length) for b, length in base.adjacency[key])
                  for key in base.nodes]
-    centre = {(fp.layer, r, c): fp.cell_center(r, c)
-              for fp in floorplans for (r, c), _comp in fp.occupied_cells()}
+    centre = router_centres(floorplans)
     router = {comp: node[key] for comp, key in base.component_router.items()}
     flows = [(router.get(f.src), router.get(f.dst), f.bandwidth) for f in core_graph.flows]
     if any(src is None or dst is None for src, dst, _bw in flows):
         return lambda links: math.inf
-    ends: dict[int, bytearray] = {}  # source -> 1 at each of its destinations
+    ends: dict[int, dict[int, None]] = {}  # source -> its destinations, in flow order
     for src, dst, _bw in flows:
-        ends.setdefault(src, bytearray(n))[dst] = 1
+        ends.setdefault(src, {})[dst] = None
     margin = 1.0 + len(flows) * 2.0 ** -51
 
     def price(links: Iterable[VerticalLink]) -> float:
@@ -243,11 +248,12 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
             graph[a] += ((b, rd),)
             graph[b] += ((a, rd),)
         trees: dict[int, dict[int, Label]] = {}
-        for src, marks in ends.items():
-            tree = _settle(graph, src, marks)
-            if tree is None:
-                return math.inf
-            trees[src] = tree
+        for src, dsts in ends.items():
+            search = _Search(graph, src)
+            tree = trees[src] = search.settled
+            for dst in dsts:  # most settle while the search seeks an earlier one
+                if dst not in tree and search.label(dst) is None:
+                    return math.inf
         bw_dist = peak = 0.0
         for src, dst, bw in flows:
             bw_dist += bw * trees[src][dst][0]
@@ -260,32 +266,6 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
             peak = sum(max(0.0, load - link_capacity) for load in loads.values())
         return w_util * bw_dist + w_peak * peak
     return price
-
-
-def _settle(adjacency: Sequence[tuple[tuple[int, float], ...]], src: int,
-            targets: bytearray) -> Optional[dict[int, Label]]:
-    """Dijkstra labels from `src`, node -> label in settle order, up to the
-    last node marked in `targets` to settle; None if one never does."""
-    heap: list[Label] = [(0.0, 0, (src,))]
-    settled: dict[int, Label] = {}
-    left = targets.count(1)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        entry = pop(heap)
-        dist, hops, path = entry
-        node = path[-1]
-        if node in settled:
-            continue
-        settled[node] = entry
-        if targets[node]:
-            left -= 1
-            if not left:
-                return settled
-        hops += 1
-        for nbr, length in adjacency[node]:
-            if nbr not in settled:
-                push(heap, (dist + length, hops, path + (nbr,)))
-    return None
 
 
 def _max_tree_load(trees: dict[int, dict[int, Label]],

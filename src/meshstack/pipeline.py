@@ -328,7 +328,8 @@ def _load_assignment(result: PipelineResult, doc: dict) -> None:
         if type(layer) is not int or layer not in feasible:
             raise ValueError(f"component {comp!r} cannot sit on layer {layer!r}: "
                              f"its feasible layers are {list(feasible)}")
-    result.assignment, result.step1_cost = assignment, float(doc["step1_cost"])
+    result.assignment = assignment
+    result.step1_cost = float(json_typed(doc["step1_cost"], "number", "step1_cost"))
 
 
 def _load_floorplan(result: PipelineResult, doc: dict) -> None:
@@ -351,7 +352,8 @@ def _load_tsv(result: PipelineResult, doc: dict) -> None:
                                                for n in counts.values()):
         raise ValueError(f"counts must map each boundary {boundaries} to an integer >= 0")
     result.tsv_counts = counts
-    result.tsv_curves = {int(b): {int(i): float(v) for i, v in _items(curve, f"c3 curve {b}")}
+    result.tsv_curves = {int(b): {int(i): float(json_typed(v, "number", f"c3 curve {b}"))
+                                  for i, v in _items(curve, f"c3 curve {b}")}
                          for b, curve in _items(doc["c3_curves"], "c3_curves")}
 
 

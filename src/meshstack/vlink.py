@@ -21,7 +21,7 @@ from .errors import InsufficientCandidatesError, NoCandidatesError
 from .model import Instance, MeshFloorplan, NodeKey, ObjectiveWeights, VerticalLink
 # build_network and route_all are unused here but kept: perfbench/layertrace.py
 # patches vlink.build_network and vlink.route_all
-from .netgraph import build_network, route_all, selection_pricer  # noqa: F401
+from .netgraph import build_network, route_all, router_centres, selection_pricer  # noqa: F401
 from .tsv_count import cross_boundary_traffic, _component_positions, _layer_of
 
 
@@ -167,10 +167,7 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
 
     positions = _component_positions(floorplans)
     layer_of = _layer_of(floorplans)
-    router_pos: dict[NodeKey, tuple[float, float]] = {}
-    for fp in floorplans:
-        for (r, c), _comp in fp.occupied_cells():
-            router_pos[(fp.layer, r, c)] = fp.cell_center(r, c)
+    router_pos = router_centres(floorplans)
 
     centroid_parts = []
     shortest_parts = []

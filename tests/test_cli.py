@@ -580,6 +580,17 @@ def _set(doc, keys, value):
     ("assignment.json", ["assignment"],
      [["cpu0", 0], ["cpu1", 1], ["cpu2", 0], ["cpu3", 1], ["cpu4", 0]]),
     ("assignment.json", ["assignment"], [1, 2]),
+    # a number where an integer belongs, a string where a number does: no
+    # cast rounds or parses them into a value the chain then runs with
+    ("vlinks.json", ["vlinks", 0, "lower"], [0.0, 0.9, 0]),
+    ("vlinks.json", ["vlinks", 0, "rd_length"], "1e3"),
+    ("assignment.json", ["step1_cost"], "1e3"),
+    ("tsv_plan.json", ["c3_curves", "0", "1"], "1e3"),
+    ("floorplan.json", ["layers", 0, "layer"], 0.0),
+    ("floorplan_legal.json", ["layers", 0, "rows"], 2.0),
+    ("floorplan_legal.json", ["layers", 0, "col_widths", 0], "1e3"),
+    ("floorplan_legal.json", ["layers", 0, "koz", 0, 0], 0.5),
+    ("floorplan_legal.json", ["layers", 0, "router_kind", 0, 0], 3),
 ])
 def test_bad_artifact_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
                                 artifact, keys, value):

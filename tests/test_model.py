@@ -43,8 +43,8 @@ def test_adc_feasible_only_in_45nm():
     )
     assert inst.feasible_layers("adc0") == (1,)
     assert inst.feasible_layers("cpu0") == (0, 1)
-    assert inst.area_of("adc0", 1) == 53.0
-    assert inst.area_of("adc0", 0) is None
+    assert inst.component_entry("adc0", 1).area == 53.0
+    assert inst.component_entry("adc0", 0) is None
 
 
 def test_zero_bandwidth_flow_rejected():

@@ -296,14 +296,23 @@ def test_selection_pricer_equals_route_all(case, w_peak, w_util):
     """Each selection prices bit for bit as route_all on build_network, or
     inf where a flow is unreachable, at capacities at and just under the
     largest link load (where the skipped walk's bound is tightest), below it
-    and far above it."""
+    and far above it. The pricer and route_all run one search, so route_all's
+    loads are also checked against route_each_flow, whose every label equals
+    early_exit_label's."""
     fps, cg, selections = case
     for links in selections:
         net = build_network(fps, links)
         try:
-            max_load = route_all(net, cg, 1e9).max_link_load
+            expected = route_each_flow(net, cg, 1e9)
         except UnreachableError:
+            expected = None
+        if expected is None:
+            with pytest.raises(UnreachableError):
+                route_all(net, cg, 1e9)
             max_load = None
+        else:
+            assert list(route_all(net, cg, 1e9).loads.items()) == list(expected[0].items())
+            max_load = expected[3]
         capacities = ([1e9] if max_load is None else
                       [max_load, math.nextafter(max_load, 0), 0.6 * max_load, 1e9])
         for capacity in capacities:
