@@ -14,6 +14,8 @@ from .model import Instance, ObjectiveWeights
 
 LayerAssignment = dict[str, int]
 
+MAX_COMPONENTS = 30  # assign_layers' branch-and-bound cap
+
 
 def step1_cost(instance: Instance, assignment: Mapping[str, int],
                weights: ObjectiveWeights) -> float:
@@ -72,24 +74,23 @@ def assign_layers_greedy(instance: Instance, weights: ObjectiveWeights) -> Layer
     return {cid: assignment[cid] for cid in sorted(assignment)}
 
 
-def assign_layers(instance: Instance, weights: ObjectiveWeights,
-                  max_components: int = 30) -> LayerAssignment:
+def assign_layers(instance: Instance, weights: ObjectiveWeights) -> LayerAssignment:
     """Exact assignment by branch-and-bound over components.
 
     Lower bound of a partial assignment: w1 * max(current max-layer area,
     committed-plus-remaining-minimum area averaged over layers) plus the
     per-component minima of power/perf over feasible layers. Components with
     a single feasible layer are committed first (no branching). Raises
-    InstanceTooLargeError beyond max_components; callers may fall back to
+    InstanceTooLargeError beyond MAX_COMPONENTS; callers may fall back to
     assign_layers_greedy.
     """
     feasible = _feasibility(instance)
     n = len(feasible)
     if n == 0:
         return {}
-    if n > max_components:
+    if n > MAX_COMPONENTS:
         raise InstanceTooLargeError(
-            f"{n} components exceed the exact-assignment cap of {max_components}; "
+            f"{n} components exceed the exact-assignment cap of {MAX_COMPONENTS}; "
             "use assign_layers_greedy")
 
     num_layers = len(instance.layers)

@@ -66,26 +66,13 @@ def build_network(floorplans: Sequence[MeshFloorplan],
         edges[b].append((a, length))
 
     for fp in floorplans:
-        # row-wise: consecutive occupied cells, skipping empty ones
-        for r in range(fp.rows):
-            prev: Optional[int] = None
-            for c in range(fp.cols):
-                if fp.cell_of[r][c] is None:
-                    continue
-                if prev is not None:
-                    a, b = (fp.layer, r, prev), (fp.layer, r, c)
-                    connect(a, b, _planar_distance(positions[a], positions[b]))
-                prev = c
-        # column-wise
-        for c in range(fp.cols):
-            prev = None
-            for r in range(fp.rows):
-                if fp.cell_of[r][c] is None:
-                    continue
-                if prev is not None:
-                    a, b = (fp.layer, prev, c), (fp.layer, r, c)
-                    connect(a, b, _planar_distance(positions[a], positions[b]))
-                prev = r
+        # each row, then each column: link consecutive occupied cells, skipping empty ones
+        lines = ([[(r, c) for c in range(fp.cols)] for r in range(fp.rows)]
+                 + [[(r, c) for r in range(fp.rows)] for c in range(fp.cols)])
+        for line in lines:
+            routers = [(fp.layer, r, c) for r, c in line if fp.cell_of[r][c] is not None]
+            for a, b in zip(routers, routers[1:]):
+                connect(a, b, _planar_distance(positions[a], positions[b]))
 
     refreshed = []
     for v in vlinks:

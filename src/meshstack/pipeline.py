@@ -263,14 +263,13 @@ def _tsv(result: PipelineResult) -> None:
             counts[b] = cap if fixed is None else min(fixed, cap)
             curves[b] = {}
             continue
-        upper = next(fp for fp in floorplans if fp.layer == b + 1)
-        max_i = min(upper.rows * upper.cols, cap)
-        if max_i == 0:
+        if cap == 0:
             counts[b] = 0
             curves[b] = {0: 0.0}
             continue
+        # a matching uses each upper router once, so cap never exceeds the upper grid's cells
         choice = choose_count(floorplans, b, instance.core_graph,
-                              instance.tech.koz_area, config.weights, max_i=max_i)
+                              instance.tech.koz_area, config.weights, max_i=cap)
         counts[b] = choice.count
         curves[b] = choice.c3_by_count
     result.tsv_counts = counts

@@ -8,7 +8,9 @@ distance). The objective
 trades KOZ area against expected approach wiring, with b_j the bandwidth the
 j-th array attracts and d_j its bandwidth-weighted mean approach distance.
 The expectation is computed exactly, not sampled. Counts are small, so the
-argmin over i is found exhaustively.
+argmin over i is found exhaustively: one pass over the crossing components
+yields the whole curve, i = 1..max_i, where the pipeline passes the
+boundary's link capacity as max_i.
 """
 
 from __future__ import annotations
@@ -57,35 +59,35 @@ def estimate_arrays(floorplans: Sequence[MeshFloorplan], boundary: int,
                     seed: Optional[int] = None) -> list[ArrayEstimate]:
     """Exact per-array (b_j, d_j), averaged over all C(N, i) placements of
     i arrays on the upper layer's N cell centers. `samples` and `seed` are
-    ignored; they stay only because the acceptance suite passes them. Arrays
-    rank j by position (x, y); a component attaches to its nearest array,
-    distances within 1e-12 tying to the earlier position. Take the cells in
-    that (distance, position) order: the k-th (0-based) is the nearest array
-    when chosen with none before it, the other i - 1 drawn from the N - k - 1
-    after it, m of which lie earlier in position. So it is the array of rank
-    j with probability C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i).
-    """
+    ignored; they stay only because the acceptance suite passes them."""
     traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
-    return _estimate(floorplans, boundary, traffic, _component_positions(floorplans), i)
+    return _estimates(floorplans, boundary, traffic, [i])[i]
 
 
-def _estimate(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict[str, float],
-              positions: dict[str, tuple[float, float]], i: int) -> list[ArrayEstimate]:
-    """estimate_arrays on the boundary's crossing traffic and the components'
-    positions, which do not depend on i."""
-    if i < 1:
-        raise TooManyArraysError(f"array count must be >= 1, got {i}")
+def _estimates(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict[str, float],
+               counts: Sequence[int]) -> dict[int, list[ArrayEstimate]]:
+    """estimate_arrays for each count in ascending `counts`, on the boundary's
+    crossing traffic. Arrays rank j by position (x, y); a component attaches
+    to its nearest array, distances within 1e-12 tying to the earlier
+    position. Take the cells in that (distance, position) order: the k-th
+    (0-based) is the nearest array when chosen with none before it, the other
+    i - 1 drawn from the N - k - 1 after it, m of which lie earlier in
+    position. So it is the array of rank j with probability
+    C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i). The order and each m do
+    not depend on i, so they are computed once per component."""
+    for i in counts:
+        if i < 1:
+            raise TooManyArraysError(f"array count must be >= 1, got {i}")
     upper = next(fp for fp in floorplans if fp.layer == boundary + 1)
     spots = sorted(upper.cell_center(r, c) for r in range(upper.rows) for c in range(upper.cols))
     n = len(spots)
-    if i > n:
-        raise TooManyArraysError(
-            f"{i} arrays requested but the upper grid has only {n} cells")
+    for i in counts:
+        if i > n:
+            raise TooManyArraysError(
+                f"{i} arrays requested but the upper grid has only {n} cells")
 
-    placements = comb(n, i)
-
-    acc_b = [0.0] * i
-    acc_wd = [0.0] * i
+    positions = _component_positions(floorplans)
+    acc = {i: ([0.0] * i, [0.0] * i) for i in counts}
     for comp in sorted(traffic):
         px, py = positions[comp]
         dist = [abs(px - ax) + abs(py - ay) for ax, ay in spots]
@@ -95,14 +97,18 @@ def _estimate(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict[
             lead = dist[p] if dist[p] > lead + 1e-12 else lead
             ties.append((lead, p))
         order = [p for _lead, p in sorted(ties)]
-        for k, p in enumerate(order[:n - i + 1]):  # a later cell is never the nearest
-            m = sum(1 for q in order[k + 1:] if q < p)
-            for j in range(min(m, i - 1) + 1):
-                w = comb(m, j) * comb(n - k - 1 - m, i - 1 - j) / placements * traffic[comp]
-                acc_b[j] += w
-                acc_wd[j] += w * dist[p]
+        earlier = [sum(1 for q in order[k + 1:] if q < p) for k, p in enumerate(order)]
+        for i, (acc_b, acc_wd) in acc.items():
+            placements = comb(n, i)
+            for k, p in enumerate(order[:n - i + 1]):  # a later cell is never the nearest
+                m = earlier[k]
+                for j in range(min(m, i - 1) + 1):
+                    w = comb(m, j) * comb(n - k - 1 - m, i - 1 - j) / placements * traffic[comp]
+                    acc_b[j] += w
+                    acc_wd[j] += w * dist[p]
 
-    return [ArrayEstimate(b, wd / b if b > 0 else 0.0) for b, wd in zip(acc_b, acc_wd)]
+    return {i: [ArrayEstimate(b, wd / b if b > 0 else 0.0) for b, wd in zip(acc_b, acc_wd)]
+            for i, (acc_b, acc_wd) in acc.items()}
 
 
 def c3_value(estimates: Sequence[ArrayEstimate], koz_area: float,
@@ -121,15 +127,8 @@ def choose_count(floorplans: Sequence[MeshFloorplan], boundary: int,
     traffic = cross_boundary_traffic(core_graph, _layer_of(floorplans), boundary)
     if not traffic:
         return TsvChoice(0, {0: 0.0})
-
-    positions = _component_positions(floorplans)
-    curve: dict[int, float] = {}
-    best_i = None
-    for i in range(1, max_i + 1):
-        estimates = _estimate(floorplans, boundary, traffic, positions, i)
-        curve[i] = c3_value(estimates, koz_area, weights)
-        if best_i is None or curve[i] < curve[best_i]:
-            best_i = i
-    if best_i is None:
+    if max_i < 1:
         raise TooManyArraysError("max_i must be >= 1 for a boundary with traffic")
-    return TsvChoice(best_i, curve)
+    curve = {i: c3_value(estimates, koz_area, weights) for i, estimates
+             in _estimates(floorplans, boundary, traffic, range(1, max_i + 1)).items()}
+    return TsvChoice(min(curve, key=curve.__getitem__), curve)

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from meshstack.errors import InstanceTooLargeError, NoFeasibleLayerError
-from meshstack.layer_assign import assign_layers, assign_layers_greedy, step1_cost
+from meshstack.layer_assign import MAX_COMPONENTS, assign_layers, assign_layers_greedy, step1_cost
 from meshstack.model import Component, CoreGraph, Flow, Layer, ObjectiveWeights, PpaEntry, PpaTable, TechParams, validate_instance
 
 from conftest import default_tech, make_instance
@@ -116,12 +116,12 @@ def test_permutation_invariance_of_cost():
 
 
 def test_component_cap():
-    comps = [Component(f"c{i}", "CPU") for i in range(12)]
+    comps = [Component(f"c{i}", "CPU") for i in range(MAX_COMPONENTS + 1)]
     inst = make_instance(comps, [], ["28nm", "28nm"])
     with pytest.raises(InstanceTooLargeError):
-        assign_layers(inst, STEP1_WEIGHTS, max_components=10)
+        assign_layers(inst, STEP1_WEIGHTS)
     # fallback still works
-    assert len(assign_layers_greedy(inst, STEP1_WEIGHTS)) == 12
+    assert len(assign_layers_greedy(inst, STEP1_WEIGHTS)) == MAX_COMPONENTS + 1
 
 
 def test_no_feasible_layer_raises():

@@ -216,3 +216,42 @@ def test_exact_estimate_matches_placement_enumeration(grids):
         assert (sum(e.bandwidth * e.distance for e in exact)
                 == pytest.approx(sum(e.bandwidth * e.distance for e in enumerated),
                                  rel=1e-9, abs=1e-12))
+
+
+def raised(call, *args, **kwargs) -> str:
+    with pytest.raises(TooManyArraysError) as exc:
+        call(*args, **kwargs)
+    return str(exc.value)
+
+
+@settings(max_examples=100)
+@given(grids=small_two_layer_grids(), koz_area=st.sampled_from([0.0, 0.5, 2.0, 20.0]),
+       w_util=st.sampled_from([0.0, 1.0]))
+def test_curve_equals_each_estimate(grids, koz_area, w_util):
+    """choose_count's curve is, bit for bit, c3_value of estimate_arrays at
+    each count alone; the argmin goes to the smaller count on ties (a zero
+    KOZ area and wiring weight tie every count); and out-of-range counts
+    raise with the same messages either way."""
+    cg, fps = grids
+    weights = ObjectiveWeights(w_util=w_util)
+    n = fps[1].rows * fps[1].cols
+    choice = choose_count(fps, 0, cg, koz_area, weights, max_i=n)
+    if choice.count:
+        assert list(choice.c3_by_count) == list(range(1, n + 1))
+        for i, c3 in choice.c3_by_count.items():
+            assert c3 == c3_value(estimate_arrays(fps, 0, cg, i), koz_area, weights)
+        assert choice.count == min(choice.c3_by_count,
+                                   key=lambda i: (choice.c3_by_count[i], i))
+        for max_i in (0, -1):
+            assert (raised(choose_count, fps, 0, cg, koz_area, weights, max_i=max_i)
+                    == "max_i must be >= 1 for a boundary with traffic")
+        assert (raised(choose_count, fps, 0, cg, koz_area, weights, max_i=n + 1)
+                == f"{n + 1} arrays requested but the upper grid has only {n} cells")
+    else:
+        assert choice.c3_by_count == {0: 0.0}
+    assert (raised(estimate_arrays, fps, 0, cg, n + 1)
+            == f"{n + 1} arrays requested but the upper grid has only {n} cells")
+    for i in (0, -2):
+        assert raised(estimate_arrays, fps, 0, cg, i) == f"array count must be >= 1, got {i}"
+    # boundary 1 has no upper layer: the count is checked before it is looked up
+    assert raised(estimate_arrays, fps, 1, cg, 0) == "array count must be >= 1, got 0"

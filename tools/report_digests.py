@@ -12,6 +12,9 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
     (`corpus.uniform_traffic`), where step 4 routes every component pair;
   - large_vsoc and vopd at seed 1 with a link capacity of 20 Mb/s, where
     step 2's peak term is positive on many evaluations;
+  - large_vsoc at seed 1 with a KOZ area of 20 and --weights 1,1,1,1,0.02,
+    where step 3 picks fewer arrays than the boundary's matching allows, so
+    step 4 places fewer links than it could;
   - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
     (its traffic included);
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
@@ -19,7 +22,7 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
     traffic.json;
   - `run --steps 1..4` on tiny_soc at seed 1.
 
-56 digests in all.
+57 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -51,6 +54,7 @@ INSTANCES = (("tiny_soc", "2x2"), ("small_vsoc", "3x3"),
 SEEDS = (1, 2, 3)
 UNIFORM = (("large_vsoc", SEEDS), ("small_vsoc", (1,)))
 LOW_CAPACITY = ("large_vsoc", "vopd")  # run at link_capacity 20 Mb/s, seed 1
+FEW_ARRAYS = "large_vsoc"  # run at koz_area 20 with a light wiring weight, seed 1
 CHAIN = ("assign", "floorplan", "tsv", "place3d", "legalize", "eval")
 
 
@@ -71,6 +75,15 @@ def run_cli(argv: list[str], artifact: Optional[Path] = None) -> Optional[dict]:
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
     return read_json(artifact) if artifact is not None else None
+
+
+def tech_copy(instance_dir: Path, out: Path, **tech) -> str:
+    """Save the instance with the given technology numbers replaced; return
+    the copy's directory."""
+    base = load_instance(instance_dir)
+    save_instance(validate_instance(base.core_graph, base.ppa,
+                                    dataclasses.replace(base.tech, **tech), base.layers), out)
+    return str(out)
 
 
 def cases(corpus: Path, tmp: Path):
@@ -95,12 +108,11 @@ def cases(corpus: Path, tmp: Path):
         for seed in seeds:
             yield f"{name} uniform seed {seed}", ["--seed", str(seed)], str(inst)
     for name in LOW_CAPACITY:
-        base = load_instance(corpus / name)
-        inst = tmp / f"{name}_capacity20"
-        save_instance(validate_instance(base.core_graph, base.ppa,
-                                        dataclasses.replace(base.tech, link_capacity=20.0),
-                                        base.layers), inst)
-        yield f"{name} link-capacity 20 seed 1", ["--seed", "1"], str(inst)
+        inst = tech_copy(corpus / name, tmp / f"{name}_capacity20", link_capacity=20.0)
+        yield f"{name} link-capacity 20 seed 1", ["--seed", "1"], inst
+    inst = tech_copy(corpus / FEW_ARRAYS, tmp / f"{FEW_ARRAYS}_koz20", koz_area=20.0)
+    yield (f"{FEW_ARRAYS} koz-area 20 weights 1,1,1,1,0.02 seed 1",
+           ["--seed", "1", "--weights", "1,1,1,1,0.02"], inst)
 
 
 def exact_doc(instance_dir: Path) -> dict:
