@@ -5,8 +5,8 @@ Enumerates every (layer assignment) x (cell placement per layer) x
 routing used for heuristic solutions, and returns the cheapest. The design
 space mirrors the heuristic's conventions (near-square grids, one link per
 router and direction), so the result is a true lower bound for the pipeline
-and serves as its oracle. Complexity is factorial; the limits keep it at
-desk scale.
+and serves as its oracle. Complexity is factorial; MAX_PLACEMENTS and
+MAX_VCANDS keep it at desk scale.
 
 Only configurations that can still win are routed. Each one first gets a
 cost floor: the weighted area, power and perf of its legalized layers plus
@@ -47,8 +47,7 @@ from .objective import evaluate_solution, power_perf_cost
 from .vlink import candidate_links
 
 
-MAX_COMPONENTS = 6
-MAX_LAYERS = 2
+MAX_PLACEMENTS = 23040  # six components on two layers, all feasible on both
 MAX_VCANDS = 6  # vertical-link candidates per boundary
 
 
@@ -68,20 +67,20 @@ class ExactSolution:
 
 
 def enumeration_estimate(instance: Instance) -> int:
-    """Closed-form count of (assignment, placement) pairs to be visited."""
-    comps = sorted(c.id for c in instance.core_graph.components)
-    feasible = [instance.feasible_layers(cid) for cid in comps]
-    total = 0
-    for combo in itertools.product(*feasible):
-        per_layer = [0] * len(instance.layers)
-        for layer in combo:
-            per_layer[layer] += 1
-        n = 1
-        for k in per_layer:
-            rows, cols = grid_dims(k)
-            n *= math.perm(rows * cols, k)
-        total += n
-    return total
+    """Count of (assignment, placement) pairs to be visited: the sum over
+    layer assignments of prod_l P(cells_l, k_l), k_l components on layer l's
+    grid of cells_l. Assignments are counted per vector of per-layer counts,
+    one component at a time, so none is enumerated."""
+    assignments = {(0,) * len(instance.layers): 1}  # per-layer counts -> assignments
+    for comp in instance.core_graph.components:
+        extended: dict[tuple[int, ...], int] = {}
+        for counts, ways in assignments.items():
+            for l in instance.feasible_layers(comp.id):
+                key = counts[:l] + (counts[l] + 1,) + counts[l + 1:]
+                extended[key] = extended.get(key, 0) + ways
+        assignments = extended
+    return sum(ways * math.prod(math.perm(math.prod(grid_dims(k)), k) for k in counts)
+               for counts, ways in assignments.items())
 
 
 def _layer_floorplan(instance: Instance, layer: int, members: Sequence[str],
@@ -204,20 +203,18 @@ def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan]
 
 
 def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
-    """Globally optimal solution within MAX_COMPONENTS, MAX_LAYERS and
-    MAX_VCANDS; raises InstanceTooLargeError (with the enumeration size) when
-    one is exceeded. Deterministic: ties resolve to the lexicographically
-    smallest solution."""
-    comps = sorted(c.id for c in instance.core_graph.components)
-    n = len(comps)
-    if n > MAX_COMPONENTS:
+    """Globally optimal solution when the enumeration visits at most
+    MAX_PLACEMENTS placements (enumeration_estimate) and no boundary has more
+    than MAX_VCANDS vertical-link candidates; raises InstanceTooLargeError
+    otherwise. Deterministic: ties resolve to the lexicographically smallest
+    solution."""
+    size = enumeration_estimate(instance)
+    if size > MAX_PLACEMENTS:
         raise InstanceTooLargeError(
-            f"{n} components exceed MAX_COMPONENTS = {MAX_COMPONENTS} "
-            f"(enumeration would visit ~{enumeration_estimate(instance)} placements)")
-    if len(instance.layers) > MAX_LAYERS:
-        raise InstanceTooLargeError(
-            f"{len(instance.layers)} layers exceed MAX_LAYERS = {MAX_LAYERS}")
+            f"enumeration would visit {size} placements, "
+            f"more than MAX_PLACEMENTS = {MAX_PLACEMENTS}")
 
+    comps = sorted(c.id for c in instance.core_graph.components)
     feasible = {cid: instance.feasible_layers(cid) for cid in comps}
     num_layers = len(instance.layers)
     best: Optional[tuple] = None  # (cost, key, solution parts)

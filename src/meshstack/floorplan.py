@@ -9,10 +9,10 @@ once with the exact kernel. Within one anneal, states whose demand grids
 are row/column permutations of each other (as when two identical components
 swap, or two rows trade places) share one LP solve. The XY term is priced
 for every state from tables built once per anneal (flow ends as member
-indices, paths memoized per cell pair), and link loads are walked only when
-the layer's total intra-flow bandwidth exceeds the link capacity. Interlayer
-traffic is deliberately ignored here, it is handled by the TSV and
-vertical-link steps.
+indices, paths memoized per cell pair), and link loads are walked only for
+a state whose flows heading one way (east, west, south or north) total more
+than the link capacity. Interlayer traffic is deliberately ignored here, it
+is handled by the TSV and vertical-link steps.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import shutil
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -170,10 +171,13 @@ def test_infeasible_exit_code(tmp_path, corpus_dir):
 
 
 def test_limits_exit_code(tmp_path, corpus_dir):
-    inst = str(corpus_dir / "small_vsoc")
-    out = tmp_path / "lim"
-    code = main(["baseline", inst, "--out", str(out)])
-    assert code == 4
+    """Both refuse on their enumeration size, counted without enumerating:
+    large_vsoc's three layers give 3^30 layer assignments."""
+    for name in ("small_vsoc", "large_vsoc"):
+        start = time.perf_counter()
+        code = main(["baseline", str(corpus_dir / name), "--out", str(tmp_path / name)])
+        assert code == 4
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("flags, doc, key", [

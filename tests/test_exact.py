@@ -89,34 +89,66 @@ def test_two_components_hand_enumeration():
     assert again["total_cost"] == pytest.approx(sol.cost, rel=1e-12)
 
 
-def test_enumeration_count_matches_closed_form():
-    inst = make_instance(
-        [Component("a", "CPU"), Component("b", "CPU"), Component("c", "SIMD")],
-        [Flow("a", "b", 5.0)],
-        ["28nm", "28nm"],
-    )
-    sol = solve_exact(inst, W)
-    # closed form: sum over assignments of prod_l P(cells_l, k_l)
+@st.composite
+def counted_instances(draw):
+    """1-8 case-study components of mixed kinds on 1-3 layers, no flows."""
+    kinds = draw(st.lists(st.sampled_from(["CPU", "ADC", "SIMD"]), min_size=1,
+                          max_size=8))
+    nodes = draw(st.lists(st.sampled_from(["28nm", "45nm"]), min_size=1, max_size=3))
+    comps = tuple(Component(f"c{i}", kind) for i, kind in enumerate(kinds))
+    layers = tuple(Layer(i, node) for i, node in enumerate(nodes))
+    cg = CoreGraph(components=comps, flows=())
+    assume(not instance_violations(cg, case_study_ppa(), default_tech(), layers))
+    return validate_instance(cg, case_study_ppa(), default_tech(), layers)
+
+
+@settings(max_examples=100)
+@example(inst=make_instance(
+    [Component("a", "CPU"), Component("b", "CPU"), Component("c", "SIMD")],
+    [Flow("a", "b", 5.0)], ["28nm", "28nm"]))
+@given(inst=counted_instances())
+def test_enumeration_count_matches_closed_form(inst):
+    """The estimate, counted per vector of per-layer component counts, is the
+    sum over every layer assignment of prod_l P(cells_l, k_l); where the
+    enumeration is small, solve_exact visits exactly that many placements."""
+    comps = sorted(c.id for c in inst.core_graph.components)
     expected = 0
-    for combo in itertools.product((0, 1), repeat=3):
+    for combo in itertools.product(*(inst.feasible_layers(c) for c in comps)):
         n = 1
-        for l in (0, 1):
-            k = sum(1 for x in combo if x == l)
+        for l in range(len(inst.layers)):
+            k = combo.count(l)
             rows, cols = grid_dims(k)
             n *= math.perm(rows * cols, k)
         expected += n
     assert enumeration_estimate(inst) == expected
-    assert sol.placements_visited == expected
+    if expected <= 200:
+        assert solve_exact(inst, W).placements_visited == expected
 
 
 def test_limits_raise():
+    """Beyond MAX_PLACEMENTS placements, solve_exact refuses before it
+    enumerates: seven CPUs on two layers (473,760) and six on three
+    (87,120)."""
     comps = [Component(f"c{i}", "CPU") for i in range(7)]
-    inst = make_instance(comps, [], ["28nm", "28nm"])
-    with pytest.raises(InstanceTooLargeError, match="MAX_COMPONENTS"):
+    with pytest.raises(InstanceTooLargeError,
+                       match="visit 473760 placements, more than MAX_PLACEMENTS = 23040"):
+        solve_exact(make_instance(comps, [], ["28nm", "28nm"]), W)
+    with pytest.raises(InstanceTooLargeError,
+                       match="visit 87120 placements, more than MAX_PLACEMENTS = 23040"):
+        solve_exact(make_instance(comps[:6], [], ["28nm", "28nm", "28nm"]), W)
+
+
+def test_limit_admits_its_own_size(monkeypatch):
+    """An enumeration of exactly MAX_PLACEMENTS placements is solved; one
+    placement fewer allowed refuses it."""
+    inst = make_instance([Component("a", "CPU"), Component("b", "CPU")],
+                         [Flow("a", "b", 10.0)], ["28nm", "28nm"])
+    size = enumeration_estimate(inst)
+    monkeypatch.setattr(exact, "MAX_PLACEMENTS", size)
+    assert solve_exact(inst, W).placements_visited == size
+    monkeypatch.setattr(exact, "MAX_PLACEMENTS", size - 1)
+    with pytest.raises(InstanceTooLargeError, match=f"MAX_PLACEMENTS = {size - 1}"):
         solve_exact(inst, W)
-    inst3 = make_instance(comps[:2], [], ["28nm", "28nm", "28nm"])
-    with pytest.raises(InstanceTooLargeError, match="MAX_LAYERS"):
-        solve_exact(inst3, W)
 
 
 def test_vertical_link_candidate_limit_raises(tmp_path):
@@ -346,15 +378,16 @@ def test_unroutable_solve_leaves_no_reference_cycles():
 
 @st.composite
 def small_instances(draw):
-    """Case-study components, random flows, 1-2 layers, reach 0-10 mm."""
+    """Case-study components, random flows, reach 0-10 mm, and 1-3 layers:
+    2-5 components on one or two, 2-4 on three."""
+    nodes = draw(st.lists(st.sampled_from(["28nm", "45nm"]), min_size=1, max_size=3))
     kinds = draw(st.lists(st.sampled_from(["CPU", "ADC", "SIMD"]), min_size=2,
-                          max_size=5))
+                          max_size=4 if len(nodes) == 3 else 5))
     comps = tuple(Component(f"c{i}", kind) for i, kind in enumerate(kinds))
     ends = st.lists(st.sampled_from([c.id for c in comps]), min_size=2, max_size=2,
                     unique=True)
     flows = tuple(Flow(a, b, bw) for (a, b), bw in draw(
         st.lists(st.tuples(ends, st.floats(0.1, 200.0)), max_size=6)))
-    nodes = draw(st.lists(st.sampled_from(["28nm", "45nm"]), min_size=1, max_size=2))
     layers = tuple(Layer(i, node) for i, node in enumerate(nodes))
     tech = TechParams(koz_area=draw(st.sampled_from([0.0, 2.0, 8.0])),
                       rd_max_length=draw(st.floats(0.0, 10.0)),
@@ -423,13 +456,33 @@ def _outcome(solve):
         return "too large"
 
 
+def _three_cpu_tower():
+    """Three CPUs on three 28nm layers with a 100 Mb/s chain c0 -> c1 -> c2:
+    the optimum stacks one CPU per layer, and the middle one's router links
+    both up and down (3d-both), over two boundaries."""
+    comps = [Component(f"c{i}", "CPU") for i in range(3)]
+    flows = [Flow("c0", "c1", 100.0), Flow("c1", "c2", 100.0)]
+    return make_instance(comps, flows, ["28nm", "28nm", "28nm"])
+
+
+def test_three_layer_optimum_links_the_middle_router_both_ways():
+    sol = solve_exact(_three_cpu_tower(), W)
+    assert sol.assignment == {"c0": 0, "c1": 1, "c2": 2}
+    assert [fp.router_kind for fp in sol.floorplans] == [
+        (("3d-up",),), (("3d-both",),), (("3d-down",),)]
+    assert (sol.placements_visited, sol.configurations_visited) == (114, 180)
+
+
 @settings(max_examples=40)
 @example(inst=_unroutable_instance(), weights=ObjectiveWeights())
+@example(inst=_three_cpu_tower(), weights=ObjectiveWeights())
 @given(inst=small_instances(), weights=WEIGHTS)
 def test_exact_equals_exhaustive_reference(inst, weights):
     """Skipping configurations by their cost floor changes nothing: the same
     optimum (cost, assignment, geometry, links), the same enumeration counts,
-    and, where nothing routes, the same unroutable flow."""
+    and, where nothing routes, the same unroutable flow. The reference
+    enumerates every boundary's matchings, so on three layers it also
+    covers middle routers linked both ways."""
     def fast():
         sol = solve_exact(inst, weights)
         return (sol.cost, sol.assignment, sol.floorplans, sol.vlinks,
@@ -461,8 +514,9 @@ def test_cost_floor_never_exceeds_cost(inst, weights, pick):
 
 
 def _six_cpus():
-    """Six CPUs on two 28nm layers with a five-flow chain: the largest
-    instance MAX_COMPONENTS admits, which small_instances does not draw."""
+    """Six CPUs on two 28nm layers with a five-flow chain: its enumeration
+    is exactly MAX_PLACEMENTS placements, the largest admitted, which
+    small_instances does not draw."""
     comps = [Component(f"c{i}", "CPU") for i in range(6)]
     flows = [Flow(f"c{i}", f"c{i + 1}", 10.0 * (i + 1)) for i in range(5)]
     return make_instance(comps, flows, ["28nm", "28nm"], default_tech())

@@ -17,12 +17,15 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
     step 4 places fewer links than it could;
   - `meshstack baseline` on tiny_soc, and the solve_exact result on tiny_soc
     (its traffic included);
+  - `meshstack baseline` on three CPUs on three 28nm layers with a 100 Mb/s
+    chain c0 -> c1 -> c2, whose optimum links the middle router both up and
+    down;
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
     eval) on the four instances at seed 1: its floorplan_legal.json and
     traffic.json;
   - `run --steps 1..4` on tiny_soc at seed 1.
 
-57 digests in all.
+58 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -43,11 +46,11 @@ from pathlib import Path
 from typing import Optional
 
 from meshstack.cli import main as cli_main
-from meshstack.corpus import uniform_traffic
+from meshstack.corpus import case_study_ppa, default_tech, uniform_traffic
 from meshstack.exact import solve_exact
-from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance,
-                             save_instance, traffic_to_json, validate_instance,
-                             vlink_to_json)
+from meshstack.model import (Component, CoreGraph, Flow, Layer, ObjectiveWeights,
+                             floorplan_to_json, load_instance, save_instance, traffic_to_json,
+                             validate_instance, vlink_to_json)
 
 INSTANCES = (("tiny_soc", "2x2"), ("small_vsoc", "3x3"),
              ("large_vsoc", "4x4"), ("vopd", "3x3"))
@@ -115,6 +118,16 @@ def cases(corpus: Path, tmp: Path):
            ["--seed", "1", "--weights", "1,1,1,1,0.02"], inst)
 
 
+def three_cpu_tower(out: Path) -> str:
+    """Save three CPUs on three 28nm layers with a 100 Mb/s chain c0 -> c1 ->
+    c2; return the instance's directory."""
+    cg = CoreGraph(tuple(Component(f"c{i}", "CPU") for i in range(3)),
+                   (Flow("c0", "c1", 100.0), Flow("c1", "c2", 100.0)))
+    save_instance(validate_instance(cg, case_study_ppa(), default_tech(),
+                                    tuple(Layer(i, "28nm") for i in range(3))), out)
+    return str(out)
+
+
 def exact_doc(instance_dir: Path) -> dict:
     sol = solve_exact(load_instance(instance_dir), ObjectiveWeights())
     return {
@@ -140,10 +153,11 @@ def main(argv=None) -> int:
             out = tmp / f"run{i}"
             doc = run_cli(["run", inst, "--out", str(out)] + flags, out / "report.json")
             print(f"{digest(doc)}  {label}", flush=True)
-        out = tmp / "baseline"
-        doc = run_cli(["baseline", str(corpus / "tiny_soc"), "--out", str(out)],
-                      out / "exact_solution.json")
-        print(f"{digest(doc)}  tiny_soc baseline", flush=True)
+        for label, inst in (("tiny_soc", str(corpus / "tiny_soc")),
+                            ("three-cpu three-layer", three_cpu_tower(tmp / "tower"))):
+            out = tmp / f"baseline_{label}"
+            doc = run_cli(["baseline", inst, "--out", str(out)], out / "exact_solution.json")
+            print(f"{digest(doc)}  {label} baseline", flush=True)
         print(f"{digest(exact_doc(corpus / 'tiny_soc'))}  tiny_soc solve_exact", flush=True)
         for name, _mesh in INSTANCES:
             out = tmp / f"chain_{name}"
