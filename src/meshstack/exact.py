@@ -24,13 +24,15 @@ evaluate_solution unchanged, and since the winner is the least
 Identical components give identical work. The placed geometry, and so the
 vertical-link candidates and their matchings, depends only on the layers'
 kind grids (the component kind in each cell); a layer's floor terms and
-router centers by cell, only on its kind grid and the router kinds its links
-give it. One memo maps each kind pattern to its link configurations, each
-with its layers' floor terms, which are computed once per (layer, kind grid,
-router kinds) and shared across patterns; so a configuration's only work
-before routing is _floor. A layer's kind grid and its components' sites come
-straight from its cells; it is placed only for a new kind pattern or a
-configuration that survives its floor and is routed.
+router centers, only on its kind grid and the router kinds its links give
+it. One memo maps each kind pattern to its link configurations, each with
+its layers' terms (computed once per layer, kind grid and router kinds)
+summed, and their router centers in one tuple by flat cell index: the cells
+of the layers below plus the row-major index. Per assignment, each layer's
+cell choices are listed once with their kind grids, equal grids one tuple.
+A placement sets the flat cells of a changed layer's members in one list by
+component, so a configuration's only work before routing is _floor's indexed
+reads. A layer is placed only for a new kind pattern or a routed configuration.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional, Sequence
 
 from .errors import InstanceTooLargeError, NoCandidatesError, UnreachableError
 from .floorplan import grid_dims, legalize, legalize_layer, placed_floorplan, router_kinds
-from .model import Cell, Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
+from .model import Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
 from .objective import evaluate_solution, power_perf_cost
 from .vlink import candidate_links
 
@@ -106,38 +108,43 @@ def _matchings(candidates: Sequence[VerticalLink]):
     return out
 
 
-FloorTerms = tuple[float, dict[Cell, tuple[float, float]]]  # weighted terms, router centers
+FloorTerms = tuple[float, tuple[tuple[float, float], ...]]  # weighted terms, router centers
 
 
 def _layer_floor(instance: Instance, fp: MeshFloorplan, kinds,
                  weights: ObjectiveWeights) -> FloorTerms:
     """One layer's share of the cost floor: the weighted area, power and perf
-    of the layer legalized with `kinds`, and its router centers by cell."""
+    of the layer legalized with `kinds`, and its router centers by flat cell index."""
     legal = legalize_layer(instance, fp, kinds)
     cells = list(legal.occupied_cells())
     power, perf = power_perf_cost(instance, {comp: legal.layer for _cell, comp in cells},
                                   [legal])
     return (weights.w_area * legal.area + weights.w_power * power + weights.w_perf * perf,
-            {cell: legal.cell_center(*cell) for cell, _comp in cells})
+            tuple(legal.cell_center(r, c) for r in range(legal.rows) for c in range(legal.cols)))
 
 
-FlowEnds = tuple[float, int, Cell, int, Cell]  # w_util * bw, src (layer, cell), dst (layer, cell)
+def _stacked(layers: Sequence[FloorTerms]) -> FloorTerms:
+    """The layers' terms summed in layer order and their router centers in one
+    tuple: layer l's cell i at the cells of the layers below l plus i."""
+    return (sum(term for term, _centers in layers),
+            tuple(itertools.chain.from_iterable(centers for _term, centers in layers)))
 
 
-def _flow_ends(instance: Instance, sites: dict[str, tuple[int, Cell]],
-               w_util: float) -> list[FlowEnds]:
-    """Each flow's weighted bandwidth and the sites of its two ends, in flow
-    order; none when wiring carries no weight."""
+def _flow_ends(instance: Instance, index: dict[str, int],
+               w_util: float) -> list[tuple[float, int, int]]:
+    """Each flow's weighted bandwidth and its ends' indices by `index`, in
+    flow order; none when wiring carries no weight."""
     if not w_util:
         return []
-    return [(w_util * flow.bandwidth, *sites[flow.src], *sites[flow.dst])
+    return [(w_util * flow.bandwidth, index[flow.src], index[flow.dst])
             for flow in instance.core_graph.flows]
 
 
-def _floor(layers: Sequence[FloorTerms], ends: Sequence[FlowEnds]) -> float:
-    total = sum(term for term, _centers in layers)
-    for weight, src_layer, src_cell, dst_layer, dst_cell in ends:
-        (xs, ys), (xd, yd) = layers[src_layer][1][src_cell], layers[dst_layer][1][dst_cell]
+def _floor(total: float, centers: Sequence[tuple[float, float]],
+           ends: Sequence[tuple[float, int, int]]) -> float:
+    """`total` plus each flow's weight times its ends' centre distance."""
+    for weight, src, dst in ends:
+        (xs, ys), (xd, yd) = centers[src], centers[dst]
         total += weight * (abs(xs - xd) + abs(ys - yd))
     return total
 
@@ -147,34 +154,40 @@ def cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
     """A lower bound on the total cost of the placed `floorplans` with
     `vlinks`, after legalize, that routes nothing (see the module docstring)."""
     kinds = router_kinds(vlinks)
-    sites = {comp: (fp.layer, cell) for fp in floorplans for cell, comp in fp.occupied_cells()}
-    return _floor([_layer_floor(instance, fp, kinds, weights) for fp in floorplans],
-                  _flow_ends(instance, sites, weights.w_util))
+    total, centers = _stacked([_layer_floor(instance, fp, kinds, weights) for fp in floorplans])
+    offsets = itertools.accumulate((fp.rows * fp.cols for fp in floorplans), initial=0)
+    flat = {comp: offset + r * fp.cols + c for fp, offset in zip(floorplans, offsets)
+            for (r, c), comp in fp.occupied_cells()}
+    return _floor(total, centers, _flow_ends(instance, flat, weights.w_util))
 
 
-def _kinds_and_sites(instance: Instance, layer: int, members: Sequence[str],
-                     cells: Sequence[int]) -> tuple[tuple, dict[str, tuple[int, Cell]]]:
-    """The layer's component kind in each cell (row-major, None where empty)
-    and each member's (layer, cell), read off the flat cell indices without
-    placing the layer."""
+def _cell_choices(instance: Instance, members: Sequence[str],
+                  interned: dict[tuple, tuple]) -> list[tuple[tuple[int, ...], tuple]]:
+    """Every (cells, kind grid) of a layer's sorted `members` in enumeration
+    order: their flat cells and the kind in each cell (row-major, None where
+    empty). Equal kind grids are one tuple, the one kept in `interned`."""
     rows, cols = grid_dims(len(members))
-    grid: list[Optional[str]] = [None] * (rows * cols)
-    for comp, idx in zip(members, cells):
-        grid[idx] = instance.kinds[comp]
-    return tuple(grid), {comp: (layer, divmod(idx, cols)) for comp, idx in zip(members, cells)}
+    choices = []
+    for cells in itertools.permutations(range(rows * cols), len(members)):
+        grid: list[Optional[str]] = [None] * (rows * cols)
+        for comp, idx in zip(members, cells):
+            grid[idx] = instance.kinds[comp]
+        kinds = tuple(grid)
+        choices.append((cells, interned.setdefault(kinds, kinds)))
+    return choices
 
 
-LinkConfig = tuple[list[VerticalLink], list[FloorTerms]]  # links, floor terms per layer
+LinkConfig = tuple[list[VerticalLink], float, tuple]  # links, then _stacked floor terms
 
 
 def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan],
                          grids: Sequence[tuple], weights: ObjectiveWeights,
                          floors: dict[tuple, FloorTerms]) -> list[LinkConfig]:
     """Every vertical-link matching of the placed floorplans in enumeration
-    order, with each layer's floor terms, looked up in `floors` by (layer,
-    kind grid, the layer's router kinds, sorted) and added on a miss. Only the
-    layers' kind grids enter: placed geometry comes from the demand grid, and
-    a VerticalLink names positions, not components."""
+    order, with its layers' floor terms _stacked, each looked up in `floors`
+    by (layer, kind grid, the layer's router kinds, sorted) and added on a
+    miss. Only the layers' kind grids enter: placed geometry comes from the
+    demand grid, and a VerticalLink names positions, not components."""
     boundary_cands: list[list[VerticalLink]] = []
     for b in instance.boundaries():
         try:
@@ -198,7 +211,7 @@ def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan]
             if key not in floors:
                 floors[key] = _layer_floor(instance, fp, kinds, weights)
             terms.append(floors[key])
-        configs.append((links, terms))
+        configs.append((links, *_stacked(terms)))
     return configs
 
 
@@ -215,7 +228,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
             f"more than MAX_PLACEMENTS = {MAX_PLACEMENTS}")
 
     comps = sorted(c.id for c in instance.core_graph.components)
-    feasible = {cid: instance.feasible_layers(cid) for cid in comps}
+    flows = _flow_ends(instance, {cid: i for i, cid in enumerate(comps)}, weights.w_util)
     num_layers = len(instance.layers)
     best: Optional[tuple] = None  # (cost, key, solution parts)
     # the last unroutable flow's ends; its error is raised anew if nothing routes,
@@ -227,47 +240,43 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     links_of: dict[tuple, list[LinkConfig]] = {}
     # (layer, kind grid, layer's router kinds) -> floor terms, read only to fill links_of
     floors: dict[tuple, FloorTerms] = {}
+    interned: dict[tuple, tuple] = {}  # each kind grid, once
 
     def placed(l: int) -> MeshFloorplan:
-        """Layer l's placed floorplan, built on its first read since its cells
-        last changed."""
+        """Layer l's placed floorplan, built on its first read since it changed."""
         if floorplans[l] is None:
-            floorplans[l] = _layer_floorplan(instance, l, members[l], cells_combo[l])
+            floorplans[l] = _layer_floorplan(instance, l, members[l], choice[l][0])
         return floorplans[l]
 
-    for combo in itertools.product(*(feasible[cid] for cid in comps)):
+    for combo in itertools.product(*(instance.feasible_layers(cid) for cid in comps)):
         assignment = dict(zip(comps, combo))
-        members = [sorted(cid for cid in comps if assignment[cid] == l)
-                   for l in range(num_layers)]
-        cell_choices = []
-        for l in range(num_layers):
-            rows, cols = grid_dims(len(members[l]))
-            cell_choices.append(list(itertools.permutations(range(rows * cols),
-                                                            len(members[l]))))
+        member_ids = [[i for i, at in enumerate(combo) if at == l] for l in range(num_layers)]
+        members = [[comps[i] for i in ids] for ids in member_ids]  # sorted, as comps
+        offsets = [0, *itertools.accumulate(math.prod(grid_dims(len(m))) for m in members)]
+        cell_choices = [_cell_choices(instance, m, interned) for m in members]
         previous: tuple = (None,) * num_layers
         floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
         grids: list[tuple] = [()] * num_layers
-        sites: dict[str, tuple[int, Cell]] = {}
-        for cells_combo in itertools.product(*cell_choices):
+        pos = [0] * len(comps)  # each component's flat cell: its layer's offset + cell
+        for choice in itertools.product(*cell_choices):
             placements_visited += 1
-            # a layer whose cells changed gets its kind grid and sites from
-            # them and is placed again only when read (placed above)
+            # a changed layer moves its members; it is placed only when read
             for l in range(num_layers):
-                if cells_combo[l] != previous[l]:
+                if choice[l] is not previous[l]:
                     floorplans[l] = None
-                    grids[l], layer_sites = _kinds_and_sites(instance, l, members[l],
-                                                             cells_combo[l])
-                    sites.update(layer_sites)
-            previous = cells_combo
-            ends = _flow_ends(instance, sites, weights.w_util)
+                    cells, grids[l] = choice[l]
+                    for i, idx in zip(member_ids[l], cells):
+                        pos[i] = offsets[l] + idx
+            previous = choice
+            ends = [(weight, pos[src], pos[dst]) for weight, src, dst in flows]
             pattern = tuple(grids)
             if pattern not in links_of:
                 links_of[pattern] = _link_configurations(
                     instance, [placed(l) for l in range(num_layers)], pattern, weights,
                     floors)
-            for links, terms in links_of[pattern]:
+            for links, total, centers in links_of[pattern]:
                 configurations_visited += 1
-                if best is not None and _floor(terms, ends) * (1.0 - 1e-9) > best[0]:
+                if best is not None and _floor(total, centers, ends) * (1.0 - 1e-9) > best[0]:
                     continue
                 legal = legalize(instance, [placed(l) for l in range(num_layers)], links)
                 try:
@@ -276,6 +285,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                     unreachable = (exc.src, exc.dst)
                     continue
                 cost = metrics["total_cost"]
+                cells_combo = tuple(cells for cells, _grid in choice)
                 key = (tuple(sorted(assignment.items())), cells_combo,
                        tuple((v.lower, v.upper) for v in links))
                 if best is None or (cost, key) < (best[0], best[1]):

@@ -17,7 +17,7 @@ from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidate
                               UnreachableError)
 from meshstack.exact import (MAX_VCANDS, _layer_floorplan, _matchings, cost_floor,
                              enumeration_estimate, solve_exact)
-from meshstack.floorplan import grid_dims, legalize
+from meshstack.floorplan import grid_dims, legalize, legalize_layer, router_kinds
 from meshstack.model import (
     Component,
     CoreGraph,
@@ -31,11 +31,11 @@ from meshstack.model import (
     save_instance,
     validate_instance,
 )
-from meshstack.objective import evaluate_solution
+from meshstack.objective import evaluate_solution, power_perf_cost
 from meshstack.pipeline import PipelineConfig, SaTriple, run_pipeline
 from meshstack.vlink import candidate_links
 
-from conftest import default_tech, make_instance
+from conftest import chain_flows, default_tech, make_instance
 
 W = ObjectiveWeights()
 
@@ -473,6 +473,21 @@ def test_three_layer_optimum_links_the_middle_router_both_ways():
     assert (sol.placements_visited, sol.configurations_visited) == (114, 180)
 
 
+def test_largest_three_layer_enumeration():
+    """Five CPUs on three 28nm layers with a four-flow chain: 7,560
+    placements, the largest three-layer enumeration MAX_PLACEMENTS admits,
+    and one whose middle and top layers' cells sit behind nonzero offsets in
+    the oracle's flat router-center tables."""
+    comps = [Component(f"c{i}", "CPU") for i in range(5)]
+    flows = [Flow(f"c{i}", f"c{i + 1}", 10.0 * (i + 1)) for i in range(4)]
+    inst = make_instance(comps, flows, ["28nm"] * 3)
+    sol = solve_exact(inst, W)
+    assert sol.placements_visited == enumeration_estimate(inst) == 7560
+    assert sol.configurations_visited == 22560
+    assert sol.cost == 373.12544479176495
+    assert sol.assignment == {"c0": 0, "c1": 2, "c2": 1, "c3": 1, "c4": 2}
+
+
 @settings(max_examples=40)
 @example(inst=_unroutable_instance(), weights=ObjectiveWeights())
 @example(inst=_three_cpu_tower(), weights=ObjectiveWeights())
@@ -489,6 +504,24 @@ def test_exact_equals_exhaustive_reference(inst, weights):
                 sol.placements_visited, sol.configurations_visited)
 
     assert _outcome(fast) == _outcome(lambda: _exhaustive(inst, weights))
+
+
+def _four_cpu_chain():
+    """Four CPUs on two 28nm layers with a 1 Mb/s bidirectional chain."""
+    ids = [f"c{i}" for i in range(4)]
+    return make_instance([Component(c, "CPU") for c in ids], chain_flows(ids), ["28nm"] * 2)
+
+
+@pytest.mark.parametrize("inst, weights", [(_mixed_instance(), ObjectiveWeights(1, 1, 1, 1, 0)),
+                                           (_four_cpu_chain(), W)],
+                         ids=["mixed without wiring", "four-cpu chain"])
+def test_exact_equals_exhaustive_reference_near_the_optimum(inst, weights):
+    """On these two instances a floor 1% above the true one would skip the
+    optimum: the best cost found before it is within 1% of it. The exact
+    skip keeps it."""
+    sol = solve_exact(inst, weights)
+    assert (sol.cost, sol.assignment, sol.floorplans, sol.vlinks, sol.placements_visited,
+            sol.configurations_visited) == _exhaustive(inst, weights)
 
 
 @settings(max_examples=40)
@@ -511,6 +544,44 @@ def test_cost_floor_never_exceeds_cost(inst, weights, pick):
         except UnreachableError:
             continue
         assert cost_floor(inst, fps, links, weights) <= cost * (1.0 + 1e-12)
+
+
+@settings(max_examples=60)
+@given(inst=small_instances(), weights=WEIGHTS, pick=st.randoms(use_true_random=False))
+def test_cost_floor_equals_the_site_formula(inst, weights, pick):
+    """cost_floor reads router centers through the flat cell indices that
+    solve_exact shares; on a drawn placement and link matching it equals, bit
+    for bit, the floor summed in the same order from each layer legalized on
+    its own and each flow end's center looked up by its (layer, row, col)."""
+    comps = sorted(c.id for c in inst.core_graph.components)
+    assignment = {c: pick.choice(inst.feasible_layers(c)) for c in comps}
+    fps = []
+    for l in range(len(inst.layers)):
+        members = [c for c in comps if assignment[c] == l]
+        cells = pick.sample(range(math.prod(grid_dims(len(members)))), len(members))
+        fps.append(_layer_floorplan(inst, l, members, tuple(cells)))
+    links = []
+    for b in inst.boundaries():
+        try:
+            cands = candidate_links(fps, b, inst.tech.rd_max_length)
+        except NoCandidatesError:
+            cands = []
+        links += [cands[i] for i in pick.choice(_matchings(cands))]
+
+    kinds = router_kinds(links)
+    legal = [legalize_layer(inst, fp, kinds) for fp in fps]
+    floor = 0
+    for fp in legal:
+        power, perf = power_perf_cost(inst, {comp: fp.layer for _cell, comp in
+                                             fp.occupied_cells()}, [fp])
+        floor += weights.w_area * fp.area + weights.w_power * power + weights.w_perf * perf
+    sites = {comp: (fp.layer, r, c) for fp in fps for (r, c), comp in fp.occupied_cells()}
+    if weights.w_util:
+        for flow in inst.core_graph.flows:
+            (xs, ys), (xd, yd) = (legal[layer].cell_center(r, c)
+                                  for layer, r, c in (sites[flow.src], sites[flow.dst]))
+            floor += weights.w_util * flow.bandwidth * (abs(xs - xd) + abs(ys - yd))
+    assert cost_floor(inst, fps, links, weights) == floor
 
 
 def _six_cpus():

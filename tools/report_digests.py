@@ -20,12 +20,17 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
   - `meshstack baseline` on three CPUs on three 28nm layers with a 100 Mb/s
     chain c0 -> c1 -> c2, whose optimum links the middle router both up and
     down;
+  - `meshstack baseline` on two CPUs, a SIMD and an ADC on 28nm/45nm layers
+    with flows a -> d, d -> c and b -> a, where a layer's kind grid (the
+    component kind in each cell) differs from its component grid;
+  - `meshstack baseline` on tiny_soc with --weights 1,1,1,1,0, where no flow
+    enters the oracle's cost floor;
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
     eval) on the four instances at seed 1: its floorplan_legal.json and
     traffic.json;
   - `run --steps 1..4` on tiny_soc at seed 1.
 
-58 digests in all.
+60 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -118,14 +123,27 @@ def cases(corpus: Path, tmp: Path):
            ["--seed", "1", "--weights", "1,1,1,1,0.02"], inst)
 
 
-def three_cpu_tower(out: Path) -> str:
-    """Save three CPUs on three 28nm layers with a 100 Mb/s chain c0 -> c1 ->
-    c2; return the instance's directory."""
-    cg = CoreGraph(tuple(Component(f"c{i}", "CPU") for i in range(3)),
-                   (Flow("c0", "c1", 100.0), Flow("c1", "c2", 100.0)))
+def save_case_study(out: Path, components, flows, nodes) -> str:
+    """Save case-study components and flows on layers of the given nodes with
+    the default technology numbers; return the instance's directory."""
+    cg = CoreGraph(tuple(components), tuple(flows))
     save_instance(validate_instance(cg, case_study_ppa(), default_tech(),
-                                    tuple(Layer(i, "28nm") for i in range(3))), out)
+                                    tuple(Layer(i, node) for i, node in enumerate(nodes))), out)
     return str(out)
+
+
+def three_cpu_tower(out: Path) -> str:
+    """Three CPUs on three 28nm layers with a 100 Mb/s chain c0 -> c1 -> c2."""
+    return save_case_study(out, (Component(f"c{i}", "CPU") for i in range(3)),
+                           (Flow("c0", "c1", 100.0), Flow("c1", "c2", 100.0)), ["28nm"] * 3)
+
+
+def mixed_kinds(out: Path) -> str:
+    """Two CPUs, a SIMD and an ADC (45nm only) on 28nm/45nm layers."""
+    return save_case_study(out, (Component("a", "CPU"), Component("b", "SIMD"),
+                                 Component("c", "CPU"), Component("d", "ADC")),
+                           (Flow("a", "d", 40.0), Flow("d", "c", 25.0), Flow("b", "a", 10.0)),
+                           ["28nm", "45nm"])
 
 
 def exact_doc(instance_dir: Path) -> dict:
@@ -153,10 +171,15 @@ def main(argv=None) -> int:
             out = tmp / f"run{i}"
             doc = run_cli(["run", inst, "--out", str(out)] + flags, out / "report.json")
             print(f"{digest(doc)}  {label}", flush=True)
-        for label, inst in (("tiny_soc", str(corpus / "tiny_soc")),
-                            ("three-cpu three-layer", three_cpu_tower(tmp / "tower"))):
-            out = tmp / f"baseline_{label}"
-            doc = run_cli(["baseline", inst, "--out", str(out)], out / "exact_solution.json")
+        tiny = str(corpus / "tiny_soc")
+        for i, (label, inst, flags) in enumerate((
+                ("tiny_soc", tiny, []),
+                ("three-cpu three-layer", three_cpu_tower(tmp / "tower"), []),
+                ("mixed-kind two-layer", mixed_kinds(tmp / "mixed"), []),
+                ("tiny_soc weights 1,1,1,1,0", tiny, ["--weights", "1,1,1,1,0"]))):
+            out = tmp / f"baseline{i}"
+            doc = run_cli(["baseline", inst, "--out", str(out)] + flags,
+                          out / "exact_solution.json")
             print(f"{digest(doc)}  {label} baseline", flush=True)
         print(f"{digest(exact_doc(corpus / 'tiny_soc'))}  tiny_soc solve_exact", flush=True)
         for name, _mesh in INSTANCES:
