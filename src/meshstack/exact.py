@@ -11,15 +11,29 @@ MAX_VCANDS keep it at desk scale.
 Only configurations that can still win are routed. Each one first gets a
 cost floor: the weighted area, power and perf of its legalized layers plus
 w_util * sum over flows of bw * |dx| + |dy| between the two components'
-router centers. The floor never exceeds the cost, so skipping by it is
-exact: every network edge, mesh hop or vertical link, is as long as the
-planar Manhattan distance between its ends (netgraph.build_network), so no
-route is shorter than its ends' distance, and w_peak * peak >= 0 because
-weights are nonnegative. A configuration whose floor exceeds the best cost
+router centers. One that this floor does not skip gets a second, linked
+floor: the same, except that a flow from layer a to layer b > a pays its
+shortest chain, the planar distance from its source to a link of boundary
+a, that link's rd, on to a link of boundary a + 1, and so on through
+boundary b - 1 to its destination, minimised over the configuration's own
+links (a small DP over boundaries); inf if one of those boundaries has no
+link, since the flow cannot route. Neither floor exceeds the cost, so
+skipping by them is exact: every network edge, mesh hop or vertical link,
+is as long as the planar Manhattan distance between its ends
+(netgraph.build_network), so a route is no shorter than the chain through
+any ordered subsequence of its nodes, and w_peak * peak >= 0 because
+weights are nonnegative. Take the route's source, then, walking back from
+its destination, the last crossing of boundary b - 1, the last crossing of
+b - 2 before it, ..., of a: each must go upward, since after it the route
+ends above the boundary without crossing it again. Then the destination.
+That chain passes one of the configuration's links per boundary in order,
+so it is one of those the DP minimises over; the first floor is the chain
+through the ends alone. A configuration whose floor exceeds the best cost
 so far (strictly, with 1e-9 relative slack for rounding) can neither win
 nor tie, so it is skipped; the rest go through legalize and
 evaluate_solution unchanged, and since the winner is the least
-(cost, key), the result does not depend on the visit order.
+(cost, key), the result does not depend on the visit order. Until a
+configuration has routed nothing is skipped.
 
 Identical components give identical work. The placed geometry, and so the
 vertical-link candidates and their matchings, depends only on the layers'
@@ -27,11 +41,12 @@ kind grids (the component kind in each cell); a layer's floor terms and
 router centers, only on its kind grid and the router kinds its links give
 it. One memo maps each kind pattern to its link configurations, each with
 its layers' terms (computed once per layer, kind grid and router kinds)
-summed, and their router centers in one tuple by flat cell index: the cells
-of the layers below plus the row-major index. Per assignment, each layer's
-cell choices are listed once with their kind grids, equal grids one tuple.
-A placement sets the flat cells of a changed layer's members in one list by
-component, so a configuration's only work before routing is _floor's indexed
+summed, their router centers in one tuple by flat cell index (the cells of
+the layers below plus the row-major index), and their links per boundary as
+flat-cell pairs with their rd. Per assignment, each layer's cell choices
+are listed once with their kind grids, equal grids one tuple. A placement
+sets the flat cells of a changed layer's members in one list by component,
+so a configuration's only work before routing is its two floors' indexed
 reads. A layer is placed only for a new kind pattern or a routed configuration.
 """
 
@@ -57,7 +72,7 @@ MAX_VCANDS = 6  # vertical-link candidates per boundary
 class ExactSolution:
     """The optimum and the enumeration's size. configurations_visited counts
     every enumerated (placement, link matching) pair, the ones skipped by
-    their cost floor included, so it does not depend on the floor."""
+    either floor included, so it does not depend on the floors."""
 
     assignment: dict[str, int]
     floorplans: list[MeshFloorplan]
@@ -149,16 +164,83 @@ def _floor(total: float, centers: Sequence[tuple[float, float]],
     return total
 
 
-def cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
-               vlinks: Sequence[VerticalLink], weights: ObjectiveWeights) -> float:
-    """A lower bound on the total cost of the placed `floorplans` with
-    `vlinks`, after legalize, that routes nothing (see the module docstring)."""
+Chains = tuple[tuple[tuple[int, int, float], ...], ...]  # per boundary: (lower, upper, rd)
+
+
+def _chains(floorplans: Sequence[MeshFloorplan], links: Sequence[VerticalLink],
+            centers: Sequence[tuple[float, float]]) -> Chains:
+    """The links of each boundary as (lower flat cell, upper flat cell, rd),
+    rd the planar distance of their router `centers` as build_network prices it."""
+    offsets = list(itertools.accumulate((fp.rows * fp.cols for fp in floorplans), initial=0))
+    per_boundary: list[list[tuple[int, int, float]]] = [[] for _ in floorplans[1:]]
+    for v in links:
+        lower, upper = (offsets[layer] + r * floorplans[layer].cols + c
+                        for layer, r, c in (v.lower, v.upper))
+        (xl, yl), (xu, yu) = centers[lower], centers[upper]
+        per_boundary[v.lower[0]].append((lower, upper, abs(xl - xu) + abs(yl - yu)))
+    return tuple(map(tuple, per_boundary))
+
+
+def _cell_layers(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Each flat cell's layer, for layers of `sizes` cells in layer order."""
+    return tuple(layer for layer, size in enumerate(sizes) for _ in range(size))
+
+
+def _linked_floor(total: float, centers: Sequence[tuple[float, float]], chains: Chains,
+                  ends: Sequence[tuple[float, int, int]], layer_of: Sequence[int]) -> float:
+    """`total` plus each flow's weight times its shortest chain: its ends'
+    centre distance on one layer; across layers, the shortest way from its
+    lower end through one of `chains`' links per boundary, in order, to its
+    upper end (a DP over boundaries), inf if a boundary on the way has none."""
+    for weight, src, dst in ends:
+        low, high = layer_of[src], layer_of[dst]
+        if low > high:
+            src, dst, low, high = dst, src, high, low
+        (xs, ys), (xd, yd) = centers[src], centers[dst]
+        if low == high:
+            total += weight * (abs(xs - xd) + abs(ys - yd))
+            continue
+        reach = [(0.0, xs, ys)]  # (shortest chain to a router, its center)
+        for links in chains[low:high]:
+            if not links:
+                return math.inf
+            steps = []
+            for lower, upper, rd in links:
+                xl, yl = centers[lower]
+                steps.append((min([length + abs(x - xl) + abs(y - yl) for length, x, y in reach])
+                               + rd, *centers[upper]))
+            reach = steps
+        total += weight * min([length + abs(x - xd) + abs(y - yd) for length, x, y in reach])
+    return total
+
+
+def _floor_tables(instance: Instance, floorplans: Sequence[MeshFloorplan],
+                  vlinks: Sequence[VerticalLink], weights: ObjectiveWeights):
+    """The placed `floorplans`' _stacked floor terms with `vlinks` and their
+    flow ends by flat cell, as solve_exact builds them."""
     kinds = router_kinds(vlinks)
     total, centers = _stacked([_layer_floor(instance, fp, kinds, weights) for fp in floorplans])
     offsets = itertools.accumulate((fp.rows * fp.cols for fp in floorplans), initial=0)
     flat = {comp: offset + r * fp.cols + c for fp, offset in zip(floorplans, offsets)
             for (r, c), comp in fp.occupied_cells()}
-    return _floor(total, centers, _flow_ends(instance, flat, weights.w_util))
+    return total, centers, _flow_ends(instance, flat, weights.w_util)
+
+
+def cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
+               vlinks: Sequence[VerticalLink], weights: ObjectiveWeights) -> float:
+    """A lower bound on the total cost of the placed `floorplans` with
+    `vlinks`, after legalize, that routes nothing (see the module docstring)."""
+    return _floor(*_floor_tables(instance, floorplans, vlinks, weights))
+
+
+def linked_cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
+                      vlinks: Sequence[VerticalLink], weights: ObjectiveWeights) -> float:
+    """cost_floor with each cross-layer flow charged its shortest chain
+    through `vlinks` (see the module docstring): still a lower bound on the
+    total cost, and inf where a flow crosses a boundary without a link."""
+    total, centers, ends = _floor_tables(instance, floorplans, vlinks, weights)
+    return _linked_floor(total, centers, _chains(floorplans, vlinks, centers), ends,
+                         _cell_layers([fp.rows * fp.cols for fp in floorplans]))
 
 
 def _cell_choices(instance: Instance, members: Sequence[str],
@@ -177,7 +259,8 @@ def _cell_choices(instance: Instance, members: Sequence[str],
     return choices
 
 
-LinkConfig = tuple[list[VerticalLink], float, tuple]  # links, then _stacked floor terms
+# links, their _stacked floor terms, and their _chains
+LinkConfig = tuple[list[VerticalLink], float, tuple, Chains]
 
 
 def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -186,8 +269,9 @@ def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan]
     """Every vertical-link matching of the placed floorplans in enumeration
     order, with its layers' floor terms _stacked, each looked up in `floors`
     by (layer, kind grid, the layer's router kinds, sorted) and added on a
-    miss. Only the layers' kind grids enter: placed geometry comes from the
-    demand grid, and a VerticalLink names positions, not components."""
+    miss, and its links' _chains on the stacked router centers. Only the
+    layers' kind grids enter: placed geometry comes from the demand grid,
+    and a VerticalLink names positions, not components."""
     boundary_cands: list[list[VerticalLink]] = []
     for b in instance.boundaries():
         try:
@@ -211,7 +295,8 @@ def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan]
             if key not in floors:
                 floors[key] = _layer_floor(instance, fp, kinds, weights)
             terms.append(floors[key])
-        configs.append((links, *_stacked(terms)))
+        total, centers = _stacked(terms)
+        configs.append((links, total, centers, _chains(floorplans, links, centers)))
     return configs
 
 
@@ -220,7 +305,9 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     MAX_PLACEMENTS placements (enumeration_estimate) and no boundary has more
     than MAX_VCANDS vertical-link candidates; raises InstanceTooLargeError
     otherwise. Deterministic: ties resolve to the lexicographically smallest
-    solution."""
+    solution. Once a configuration has routed, the rest are routed only if
+    neither their cost floor nor their linked floor rules them out (see the
+    module docstring)."""
     size = enumeration_estimate(instance)
     if size > MAX_PLACEMENTS:
         raise InstanceTooLargeError(
@@ -252,7 +339,9 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
         assignment = dict(zip(comps, combo))
         member_ids = [[i for i, at in enumerate(combo) if at == l] for l in range(num_layers)]
         members = [[comps[i] for i in ids] for ids in member_ids]  # sorted, as comps
-        offsets = [0, *itertools.accumulate(math.prod(grid_dims(len(m))) for m in members)]
+        sizes = [math.prod(grid_dims(len(m))) for m in members]
+        offsets = [0, *itertools.accumulate(sizes)]
+        layer_of = _cell_layers(sizes)
         cell_choices = [_cell_choices(instance, m, interned) for m in members]
         previous: tuple = (None,) * num_layers
         floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
@@ -274,9 +363,12 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                 links_of[pattern] = _link_configurations(
                     instance, [placed(l) for l in range(num_layers)], pattern, weights,
                     floors)
-            for links, total, centers in links_of[pattern]:
+            for links, total, centers, chains in links_of[pattern]:
                 configurations_visited += 1
-                if best is not None and _floor(total, centers, ends) * (1.0 - 1e-9) > best[0]:
+                if best is not None and (
+                        _floor(total, centers, ends) * (1.0 - 1e-9) > best[0]
+                        or _linked_floor(total, centers, chains, ends, layer_of)
+                        * (1.0 - 1e-9) > best[0]):
                     continue
                 legal = legalize(instance, [placed(l) for l in range(num_layers)], links)
                 try:

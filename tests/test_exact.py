@@ -16,7 +16,7 @@ from meshstack.corpus import case_study_ppa, tiny_soc
 from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidatesError,
                               UnreachableError)
 from meshstack.exact import (MAX_VCANDS, _layer_floorplan, _matchings, cost_floor,
-                             enumeration_estimate, solve_exact)
+                             enumeration_estimate, linked_cost_floor, solve_exact)
 from meshstack.floorplan import grid_dims, legalize, legalize_layer, router_kinds
 from meshstack.model import (
     Component,
@@ -582,6 +582,80 @@ def test_cost_floor_equals_the_site_formula(inst, weights, pick):
                                   for layer, r, c in (sites[flow.src], sites[flow.dst]))
             floor += weights.w_util * flow.bandwidth * (abs(xs - xd) + abs(ys - yd))
     assert cost_floor(inst, fps, links, weights) == floor
+
+
+def _waypoint_floor(inst, fps, links, weights):
+    """The linked floor's reference: the layers' terms summed as in the site
+    formula, plus each flow's weighted shortest path on the waypoint graph,
+    where each layer's legalized routers are pairwise joined by their planar
+    Manhattan distance and the links join their two routers at theirs."""
+    legal = [legalize_layer(inst, fp, router_kinds(links)) for fp in fps]
+    floor = 0
+    for fp in legal:
+        power, perf = power_perf_cost(inst, {comp: fp.layer for _cell, comp in
+                                             fp.occupied_cells()}, [fp])
+        floor += weights.w_area * fp.area + weights.w_power * power + weights.w_perf * perf
+    if not weights.w_util:
+        return floor
+    at = {(fp.layer, r, c): fp.cell_center(r, c)
+          for fp in legal for (r, c), _comp in fp.occupied_cells()}
+    planar = {(a, b): abs(at[a][0] - at[b][0]) + abs(at[a][1] - at[b][1]) for a in at for b in at}
+    dist = {(a, b): planar[a, b] if a[0] == b[0] else math.inf for a in at for b in at}
+    for v in links:
+        dist[v.lower, v.upper] = dist[v.upper, v.lower] = planar[v.lower, v.upper]
+    for k, a, b in itertools.product(at, repeat=3):  # Floyd-Warshall, k outermost
+        dist[a, b] = min(dist[a, b], dist[a, k] + dist[k, b])
+    router = {comp: (fp.layer, r, c) for fp in legal for (r, c), comp in fp.occupied_cells()}
+    for flow in inst.core_graph.flows:
+        floor += weights.w_util * flow.bandwidth * dist[router[flow.src], router[flow.dst]]
+    return floor
+
+
+@settings(max_examples=40)
+@example(inst=_three_cpu_tower(), weights=W, pick=None)
+@example(inst=_unroutable_instance(), weights=W, pick=None)
+@given(inst=small_instances(), weights=WEIGHTS, pick=st.randoms(use_true_random=False))
+def test_linked_floor_bounds_the_cost_and_equals_the_waypoint_path(inst, weights, pick):
+    """The linked floor solve_exact skips by is below the routed cost (up to
+    rounding), inf only where the configuration cannot route, and equal to the
+    waypoint graph's shortest paths (_waypoint_floor). The converse of the
+    second does not hold: a layer's mesh can be cut, e.g. between cells (0, 0)
+    and (1, 1) of a 2x2 grid. The explicit examples check every configuration:
+    on the tower, some chains cross both boundaries."""
+    configurations = []
+    try:
+        for config in _configurations(inst):
+            configurations.append(config)
+    except InstanceTooLargeError:
+        pass
+    if pick is not None:
+        configurations = pick.sample(configurations, min(20, len(configurations)))
+    for _assignment, _cells, fps, links, _new in configurations:
+        floor = linked_cost_floor(inst, fps, links, weights)
+        assert floor == pytest.approx(_waypoint_floor(inst, fps, links, weights), rel=1e-12)
+        try:
+            cost = evaluate_solution(inst, legalize(inst, fps, links), links,
+                                     weights)["total_cost"]
+        except UnreachableError:
+            continue
+        assert floor <= cost * (1.0 + 1e-12)  # so an inf floor never routes
+
+
+def test_linked_floor_routes_fewer_configurations(monkeypatch):
+    """On tiny_soc, of 5,520 configurations the linked floor leaves 19 to
+    route, against 66 under the cost floor alone; the optimum stays."""
+    inst = tiny_soc()
+    routed = []
+
+    def counted(*args):
+        routed.append(args)
+        return legalize(*args)
+
+    monkeypatch.setattr(exact, "legalize", counted)
+    sol = solve_exact(inst, W)
+    assert len(routed) == 19
+    assert sol.cost == 245.98884748530335
+    assert sol.placements_visited == 2640
 
 
 def _six_cpus():

@@ -25,12 +25,16 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
     component kind in each cell) differs from its component grid;
   - `meshstack baseline` on tiny_soc with --weights 1,1,1,1,0, where no flow
     enters the oracle's cost floor;
+  - `meshstack baseline` on five CPUs on three 28nm layers with a chain
+    c0 -> c1 -> ... -> c4 of 10, 20, 30 and 40 Mb/s, whose optimum puts c0
+    on layer 0 and c1 on layer 2, so the oracle's linked floor chains a flow
+    through both boundaries;
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
     eval) on the four instances at seed 1: its floorplan_legal.json and
     traffic.json;
   - `run --steps 1..4` on tiny_soc at seed 1.
 
-60 digests in all.
+61 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -146,6 +150,14 @@ def mixed_kinds(out: Path) -> str:
                            ["28nm", "45nm"])
 
 
+def five_cpu_chain(out: Path) -> str:
+    """Five CPUs on three 28nm layers with a chain c0 -> ... -> c4 of
+    10, 20, 30 and 40 Mb/s."""
+    return save_case_study(out, (Component(f"c{i}", "CPU") for i in range(5)),
+                           (Flow(f"c{i}", f"c{i + 1}", 10.0 * (i + 1)) for i in range(4)),
+                           ["28nm"] * 3)
+
+
 def exact_doc(instance_dir: Path) -> dict:
     sol = solve_exact(load_instance(instance_dir), ObjectiveWeights())
     return {
@@ -176,7 +188,8 @@ def main(argv=None) -> int:
                 ("tiny_soc", tiny, []),
                 ("three-cpu three-layer", three_cpu_tower(tmp / "tower"), []),
                 ("mixed-kind two-layer", mixed_kinds(tmp / "mixed"), []),
-                ("tiny_soc weights 1,1,1,1,0", tiny, ["--weights", "1,1,1,1,0"]))):
+                ("tiny_soc weights 1,1,1,1,0", tiny, ["--weights", "1,1,1,1,0"]),
+                ("five-cpu three-layer chain", five_cpu_chain(tmp / "five"), []))):
             out = tmp / f"baseline{i}"
             doc = run_cli(["baseline", inst, "--out", str(out)] + flags,
                           out / "exact_solution.json")
