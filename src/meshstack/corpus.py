@@ -3,13 +3,12 @@
 PPA values follow the case-study table (CPU/ADC/SIMD over 28nm and 45nm
 nodes); the communication bandwidths of the vision-SoC instances are
 synthesized (the real flow tables are not public) and marked as such in the
-corpus README. Run `python -m meshstack.corpus <dir>` to (re)write the
-corpus directories.
+corpus README. Run `meshstack corpus --out <dir>` to (re)write the corpus
+directories.
 """
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 
 from .model import (
@@ -172,9 +171,3 @@ def write_corpus(base: Path) -> None:
         "bandwidths are synthesized stand-ins chosen to resemble the described\n"
         "applications, since the original flow tables are not public.\n"
     )
-
-
-if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("corpus")
-    write_corpus(target)
-    print(f"wrote corpus to {target}")

@@ -9,9 +9,8 @@ once with the exact kernel. Within one anneal, states whose demand grids
 are row/column permutations of each other (as when two identical components
 swap, or two rows trade places) share one LP solve. The XY term is priced
 for every state from tables built once per anneal (flow ends as member
-indices, paths memoized per cell pair), and link loads are walked only for
-a state whose flows heading one way (east, west, south or north) total more
-than the link capacity. Interlayer traffic is deliberately ignored here, it
+indices, paths memoized per cell pair), and link loads are walked only
+where the layer's flows total more than the link capacity. Interlayer traffic is deliberately ignored here, it
 is handled by the TSV and vertical-link steps.
 """
 
@@ -95,17 +94,13 @@ def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
     cell) pair's path, a tuple of directed link ids, is built the first time
     a flow takes it. Link loads are walked only where one can exceed
     capacity. Bandwidths are > 0 (validate_instance) and each load is a
-    flow-ordered float sum of some of them. Rounded addition is monotone and
-    adding a positive bandwidth never lowers a float sum, so, flow by flow,
-    a flow-ordered sum over a subset of flows never exceeds the flow-ordered
-    sum over a superset. An eastbound link carries only flows with c2 > c1,
-    a westbound one only c2 < c1, a southbound one only r2 > r1 and a
-    northbound one only r2 < r1, so no load exceeds its direction's
-    flow-ordered total in the state, nor any direction's total the layer's
-    total. With the layer's total, or else all four of the state's, <=
-    capacity, every load - capacity is <= 0 and the peak term is exactly 0.
-    Where loads are walked they keep first-touch order, and util adds in flow
-    order, so the price is bit for bit that of a hop-by-hop walk."""
+    flow-ordered float sum over a subset of the layer's flows. Rounded
+    addition is monotone and adding a positive bandwidth never lowers a float
+    sum, so, flow by flow, such a sum never exceeds the flow-ordered sum over
+    all of them, the layer's total. With that total <= capacity, every
+    load - capacity is <= 0 and the peak term is exactly 0. Where loads are
+    walked they keep first-touch order, and util adds in flow order, so the
+    price is bit for bit that of a hop-by-hop walk."""
     if not intra_flows or (w_peak == 0.0 and w_util == 0.0):
         return lambda state, widths, heights: 0.0
     index = {comp: i for i, comp in enumerate(members)}
@@ -137,7 +132,7 @@ def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
         util = peak = 0.0
         for a, b, bw in flows:
             util += bw * (abs(x[b] - x[a]) + abs(y[b] - y[a]))
-        if walk and max(_heading_totals(flows, cell_of, cols)) > capacity:
+        if walk:
             loads: dict[int, float] = {}
             for a, b, bw in flows:
                 src, dst = cell_of[a], cell_of[b]
@@ -149,19 +144,6 @@ def _xy_pricer(members: Sequence[str], rows: int, cols: int, intra_flows,
             peak = sum(max(0.0, load - capacity) for load in loads.values())
         return w_peak * peak + w_util * util
     return price
-
-
-def _heading_totals(flows, cell_of: Sequence[int], cols: int) -> list[float]:
-    """Flow-ordered bandwidth totals of the flows that head east, west, south
-    and north between the cells of a row-major grid."""
-    totals = [0.0] * 4
-    for a, b, bw in flows:
-        (r1, c1), (r2, c2) = divmod(cell_of[a], cols), divmod(cell_of[b], cols)
-        if c1 != c2:
-            totals[c2 < c1] += bw
-        if r1 != r2:
-            totals[2 + (r2 < r1)] += bw
-    return totals
 
 
 def _centres(sizes: Sequence[float]) -> list[float]:

@@ -568,12 +568,19 @@ def parse_vlink(doc: dict) -> VerticalLink:
 def check_vlink_ends(vlinks: Sequence[VerticalLink],
                      floorplans: Sequence[MeshFloorplan]) -> None:
     """Raise ValueError unless both ends of every link are routers
-    (occupied cells) of floorplans."""
+    (occupied cells) of floorplans, and no two links share a lower end or an
+    upper end (a router has one link per direction, and one KOZ for it)."""
     routers = {(fp.layer, r, c) for fp in floorplans for (r, c), _ in fp.occupied_cells()}
+    ends: set[tuple[str, NodeKey]] = set()
     for v in vlinks:
         if v.lower not in routers or v.upper not in routers:
             raise ValueError(f"vertical link {list(v.lower)} -> {list(v.upper)} "
                              f"does not join two routers")
+        for end in (("lower", v.lower), ("upper", v.upper)):
+            if end in ends:
+                raise ValueError(f"vertical link {list(v.lower)} -> {list(v.upper)} "
+                                 f"shares its {end[0]} end with another link")
+            ends.add(end)
 
 
 def traffic_to_json(te: TrafficEval) -> dict:

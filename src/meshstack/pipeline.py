@@ -72,6 +72,12 @@ def _sa_triple(v) -> bool:
             and _int(v[1], 1) and _num(v[2], 0) and 0 < v[2] < 1)
 
 
+def _index_key(k: str) -> bool:
+    """An index's one spelling as a JSON key, so "0" and "00" cannot both
+    name index 0; the length bound keeps int() below Python's digit limit."""
+    return len(k) <= 9 and k.isdecimal() and str(int(k)) == k
+
+
 _SA_TRIPLE = (_sa_triple, "[initial_temp > 0, iterations >= 1, cooling in (0, 1)]",
               lambda v: SaTriple(float(v[0]), v[1], float(v[2])))
 _BOOL = (lambda v: isinstance(v, bool), "true or false", bool)
@@ -90,11 +96,8 @@ _CONFIG_KEYS = {
     "colocate": _BOOL,
     "fixed_mesh": (lambda v: isinstance(v, list) and len(v) == 2
                    and all(_int(x, 1) for x in v), "[rows >= 1, cols >= 1]", tuple),
-    # one spelling per boundary, so "0" and "00" cannot both name boundary 0; the
-    # length bound keeps int() below Python's digit limit
     "fixed_tsv_counts": (lambda v: isinstance(v, dict) and all(
-        len(k) <= 9 and k.isdecimal() and str(int(k)) == k and _int(n, 0)
-        for k, n in v.items()),
+        _index_key(k) and _int(n, 0) for k, n in v.items()),
         "an object of boundary index (no leading zeros) -> count >= 0",
         lambda v: {int(k): n for k, n in v.items()}),
 }
@@ -256,7 +259,7 @@ def _tsv(result: PipelineResult) -> None:
     counts: dict[int, int] = {}
     curves: dict[int, dict[int, float]] = {}
     for b in instance.boundaries():
-        cap = _boundary_capacity(instance, floorplans, b)
+        cap = max_matching_size(_in_reach(instance, floorplans, b))  # most links it can carry
         fixed = (config.fixed_tsv_counts or {}).get(b)
         if fixed is not None or config.fixed_mesh is not None:
             # an explicit count wins; else the conventional protocol connects fully
@@ -296,15 +299,13 @@ def _legalize(result: PipelineResult) -> None:
     result.vlinks = list(metrics["network"].vlinks)  # rd refreshed to final geometry
 
 
-def _boundary_capacity(instance: Instance, floorplans: Sequence[MeshFloorplan],
-                       boundary: int) -> int:
-    """Most vertical links the boundary can carry: the maximum matching of
-    candidate pairs (zero when either side has no routers in reach)."""
+def _in_reach(instance: Instance, floorplans: Sequence[MeshFloorplan],
+              boundary: int) -> list[VerticalLink]:
+    """The boundary's candidate links: none when no router pair is in reach."""
     try:
-        cands = candidate_links(floorplans, boundary, instance.tech.rd_max_length)
+        return candidate_links(floorplans, boundary, instance.tech.rd_max_length)
     except NoCandidatesError:
-        return 0
-    return max_matching_size(cands)
+        return []
 
 
 # the stage table; each artifact's parser puts it back onto a result
@@ -344,21 +345,44 @@ def _items(doc, what: str):
     return json_typed(doc, "object", what).items()
 
 
+def _indexed(doc, what: str) -> dict:
+    """A JSON object keyed by indices (one spelling each), as {index: value}."""
+    indexed = {}
+    for k, v in _items(doc, what):
+        if not _index_key(k):
+            raise ValueError(f"{what} key {k!r} is not an index without leading zeros")
+        indexed[int(k)] = v
+    return indexed
+
+
 def _load_tsv(result: PipelineResult, doc: dict) -> None:
-    counts = {int(b): n for b, n in _items(doc["counts"], "counts")}
+    counts = _indexed(doc["counts"], "counts")
     boundaries = list(result.instance.boundaries())
     if sorted(counts) != boundaries or not all(type(n) is int and n >= 0
                                                for n in counts.values()):
         raise ValueError(f"counts must map each boundary {boundaries} to an integer >= 0")
+    curves = _indexed(doc["c3_curves"], "c3_curves")
+    unknown = sorted(set(curves) - set(boundaries))
+    if unknown:
+        raise ValueError(f"c3_curves names boundaries {unknown}, but the instance's "
+                         f"boundaries are {boundaries}")
     result.tsv_counts = counts
-    result.tsv_curves = {int(b): {int(i): float(json_typed(v, "number", f"c3 curve {b}"))
-                                  for i, v in _items(curve, f"c3 curve {b}")}
-                         for b, curve in _items(doc["c3_curves"], "c3_curves")}
+    result.tsv_curves = {b: {i: float(json_typed(v, "number", f"c3 curve {b}"))
+                             for i, v in _indexed(curve, f"c3 curve {b}").items()}
+                         for b, curve in curves.items()}
 
 
 def _load_place3d(result: PipelineResult, doc: dict) -> None:
+    instance, floorplans = result.instance, result.step2_floorplans
     result.vlinks = [parse_vlink(d) for d in doc["vlinks"]]
-    check_vlink_ends(result.vlinks, result.step2_floorplans)
+    check_vlink_ends(result.vlinks, floorplans)
+    in_reach = {(c.lower, c.upper) for b in {v.lower[0] for v in result.vlinks}
+                for c in _in_reach(instance, floorplans, b)}
+    for v in result.vlinks:
+        if (v.lower, v.upper) not in in_reach:
+            raise ValueError(f"vertical link {list(v.lower)} -> {list(v.upper)} is longer "
+                             f"than the reach {instance.tech.rd_max_length} mm on the "
+                             f"step-2 floorplans")
 
 
 def _load_legalize(result: PipelineResult, doc: dict) -> None:

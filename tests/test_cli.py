@@ -609,6 +609,60 @@ def test_bad_artifact_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
     assert str(out / artifact) in err and "Traceback" not in err
 
 
+# tiny_soc at seed 4 links (0, 0, 0) -> (1, 0, 0) and (0, 0, 1) -> (1, 0, 1);
+# each case replaces the second link
+@pytest.mark.parametrize("lower, upper, says", [
+    ([0, 0, 0], [1, 0, 1], "shares its lower end"),  # two links on one router's one KOZ
+    ([0, 0, 1], [1, 0, 0], "shares its upper end"),
+    ([0, 1, 0], [1, 0, 1], "longer than the reach"),  # 8.24 mm apart, against 5 mm
+])
+def test_vlinks_off_the_design_space_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
+                                               lower, upper, says):
+    out = tmp_path / "chain"
+    shutil.copytree(tiny_chain[0], out)
+    doc = read_json(out / "vlinks.json")
+    doc["vlinks"][1].update(lower=lower, upper=upper)
+    (out / "vlinks.json").write_text(json.dumps(doc))
+    code = main(["legalize", str(corpus_dir / "tiny_soc"), "--out", str(out), "--seed", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(out / "vlinks.json") in err and f"{lower} -> {upper} " in err
+    assert says in err and "Traceback" not in err
+
+
+def test_report_with_shared_vlink_end_exit_code(tmp_path, tiny_chain, corpus_dir, capsys):
+    report = read_json(tiny_chain[1] / "report.json")
+    report["vlinks"][1]["lower"] = report["vlinks"][0]["lower"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = main(["eval", str(corpus_dir / "tiny_soc"), "--out", str(tmp_path),
+                 "--report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "shares its lower end" in err
+    assert not (tmp_path / "traffic.json").exists()
+
+
+# each key names one index in one spelling, and curves only the instance's
+# boundaries (tiny_soc has boundary 0 alone)
+@pytest.mark.parametrize("key, value, says", [
+    ("counts", {"00": 2}, "'00'"),
+    ("counts", {"0": 1, " 0": 2}, "' 0'"),
+    ("c3_curves", {"0": {"1": 64.0}, "9": {"1": 64.0}}, "boundaries [9]"),
+    ("c3_curves", {"0": {"1": 64.0, "01": 35.0}}, "'01'"),
+])
+def test_tsv_plan_keys_exit_code(tmp_path, tiny_chain, corpus_dir, capsys, key, value, says):
+    out = tmp_path / "chain"
+    shutil.copytree(tiny_chain[0], out)
+    doc = read_json(out / "tsv_plan.json")
+    doc[key] = value
+    (out / "tsv_plan.json").write_text(json.dumps(doc))
+    code = main(["place3d", str(corpus_dir / "tiny_soc"), "--out", str(out), "--seed", "4"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(out / "tsv_plan.json") in err and says in err and "Traceback" not in err
+
+
 def test_not_json_artifact_exit_code(tmp_path, corpus_dir, capsys):
     inst = str(corpus_dir / "tiny_soc")
     out = tmp_path / "o"

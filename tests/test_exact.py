@@ -7,7 +7,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from meshstack import exact
@@ -38,6 +38,9 @@ from meshstack.vlink import candidate_links
 from conftest import chain_flows, default_tech, make_instance
 
 W = ObjectiveWeights()
+# a failing example is reported as drawn: each shrink step would enumerate and
+# route every configuration of the candidate instance again
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 def test_single_component_trivial():
@@ -488,7 +491,7 @@ def test_largest_three_layer_enumeration():
     assert sol.assignment == {"c0": 0, "c1": 2, "c2": 1, "c3": 1, "c4": 2}
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, phases=NO_SHRINK)
 @example(inst=_unroutable_instance(), weights=ObjectiveWeights())
 @example(inst=_three_cpu_tower(), weights=ObjectiveWeights())
 @given(inst=small_instances(), weights=WEIGHTS)
@@ -611,7 +614,7 @@ def _waypoint_floor(inst, fps, links, weights):
     return floor
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, phases=NO_SHRINK)
 @example(inst=_three_cpu_tower(), weights=W, pick=None)
 @example(inst=_unroutable_instance(), weights=W, pick=None)
 @given(inst=small_instances(), weights=WEIGHTS, pick=st.randoms(use_true_random=False))
