@@ -47,7 +47,7 @@ from .model import (
     write_json,
 )
 from .objective import evaluate_solution, metrics_to_json
-from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult,
+from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult, _check_reach,
                        _effective_instance, load_artifacts, run_pipeline, run_stage)
 from .render import render_svg
 
@@ -106,7 +106,10 @@ def _report_solution(instance, doc: dict):
     floorplans = parse_layers(instance, doc["floorplans"])
     vlinks = [parse_vlink(d) for d in doc["vlinks"]]
     check_vlink_ends(vlinks, floorplans)
-    return floorplans, vlinks, PipelineConfig.from_json(doc["config"]).weights
+    config = PipelineConfig.from_json(doc["config"])
+    _check_reach(_effective_instance(instance, config),
+                 parse_layers(instance, doc["floorplans_step2"]), vlinks)
+    return floorplans, vlinks, config.weights
 
 
 def cmd_eval(args) -> int:

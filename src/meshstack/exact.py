@@ -31,23 +31,55 @@ so it is one of those the DP minimises over; the first floor is the chain
 through the ends alone. A configuration whose floor exceeds the best cost
 so far (strictly, with 1e-9 relative slack for rounding) can neither win
 nor tie, so it is skipped; the rest go through legalize and
-evaluate_solution unchanged, and since the winner is the least
-(cost, key), the result does not depend on the visit order. Until a
-configuration has routed nothing is skipped.
+evaluate_solution unchanged.
+
+Whole kind patterns and assignments are skipped by a bound on those
+floors. A placement's kind pattern p is its layers' kind grids (the
+component kind in each cell). Every placement with p has the same link
+configurations c, each with the same terms A_c, router centers and links,
+and puts each flow's ends in cells of their kinds on their layers. B_p is
+the least over c of A_c plus, in flow order, each flow's weight times
+m_c(f): on one layer, the least centre distance between two distinct cells
+of its ends' kinds; across layers, the chain of the linked floor started
+from every cell of its lower end's kind on that layer and ended at the best
+cell of its upper end's kind. A placement's own cells are among those, and
+m_c(f) is the same float expression as the linked floor's, minimised over
+more cells. Rounded +, min and a product with a weight >= 0 are monotone,
+so every partial sum, and so B_p, is no larger than the linked floor of
+every configuration of every placement with p, in floats. B_p takes no
+minimum over router kinds: each configuration keeps its own. An assignment's
+bound B_a is the least B_p over its patterns. An assignment with
+B_a * (1 - 1e-9) > best, or inside one a placement whose pattern has
+B_p * (1 - 1e-9) > best, holds only configurations the linked floor would
+skip at that moment, so it is skipped whole.
+
+Assignments are visited by (B_a, enumeration index), so cheap ones come
+first and the incumbent early; placements and configurations within one
+keep enumeration order. Bounds rise along that order and the best cost only
+falls, so the first assignment skipped ends the search. The winner is the
+least (cost, key) over the routed configurations, and every configuration
+that could win or tie is routed in any order, so neither the order nor the
+skips change the result. Both counts are the enumeration's size, summed
+before the visit per assignment and kind pattern (placements with the
+pattern times its link configurations), so neither changes them. Until a
+configuration has routed nothing is skipped; if none routes, the error names
+the unroutable flow of the last configuration in enumeration order (highest
+assignment index, then last visited), as an exhaustive visit would.
 
 Identical components give identical work. The placed geometry, and so the
 vertical-link candidates and their matchings, depends only on the layers'
-kind grids (the component kind in each cell); a layer's floor terms and
-router centers, only on its kind grid and the router kinds its links give
-it. One memo maps each kind pattern to its link configurations, each with
-its layers' terms (computed once per layer, kind grid and router kinds)
-summed, their router centers in one tuple by flat cell index (the cells of
-the layers below plus the row-major index), and their links per boundary as
-flat-cell pairs with their rd. Per assignment, each layer's cell choices
-are listed once with their kind grids, equal grids one tuple. A placement
-sets the flat cells of a changed layer's members in one list by component,
-so a configuration's only work before routing is its two floors' indexed
-reads. A layer is placed only for a new kind pattern or a routed configuration.
+kind grids; a layer's floor terms and router centers, only on its kind grid
+and the router kinds its links give it. One memo maps each kind pattern to
+its link configurations, each with its layers' terms (computed once per
+layer, kind grid and router kinds) summed, their router centers in one
+tuple by flat cell index (the cells of the layers below plus the row-major
+index), and their links per boundary as flat-cell pairs with their rd. A
+layer's cell choices are listed once per tuple of its members' kinds, with
+their kind grids, equal grids one tuple, and each grid's choice count and
+first cells. A placement sets the flat cells of a changed layer's members
+in one list by component, so a configuration's only work before routing is
+its two floors' indexed reads. A layer is placed only for a new kind
+pattern (at its first cells) or a routed configuration.
 """
 
 from __future__ import annotations
@@ -165,6 +197,8 @@ def _floor(total: float, centers: Sequence[tuple[float, float]],
 
 
 Chains = tuple[tuple[tuple[int, int, float], ...], ...]  # per boundary: (lower, upper, rd)
+# links, their _stacked floor terms, and their _chains
+LinkConfig = tuple[list[VerticalLink], float, tuple, Chains]
 
 
 def _chains(floorplans: Sequence[MeshFloorplan], links: Sequence[VerticalLink],
@@ -186,32 +220,92 @@ def _cell_layers(sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(layer for layer, size in enumerate(sizes) for _ in range(size))
 
 
+def _least_chain(centers: Sequence[tuple[float, float]], chains: Chains,
+                 starts: Sequence[int], stops: Sequence[int]) -> float:
+    """The shortest chain from one of the cells `starts` through one of
+    `chains`' links per boundary, in order, to one of the cells `stops`: a DP
+    over boundaries, inf if one has no link."""
+    reach = [(0.0, *centers[start]) for start in starts]  # (shortest chain to a router, its center)
+    for links in chains:
+        if not links:
+            return math.inf
+        steps = []
+        for lower, upper, rd in links:
+            xl, yl = centers[lower]
+            steps.append((min([length + abs(x - xl) + abs(y - yl) for length, x, y in reach])
+                          + rd, *centers[upper]))
+        reach = steps
+    return min([length + abs(x - xd) + abs(y - yd) for xd, yd in map(centers.__getitem__, stops)
+                for length, x, y in reach])
+
+
 def _linked_floor(total: float, centers: Sequence[tuple[float, float]], chains: Chains,
                   ends: Sequence[tuple[float, int, int]], layer_of: Sequence[int]) -> float:
     """`total` plus each flow's weight times its shortest chain: its ends'
-    centre distance on one layer; across layers, the shortest way from its
-    lower end through one of `chains`' links per boundary, in order, to its
-    upper end (a DP over boundaries), inf if a boundary on the way has none."""
+    centre distance on one layer; across layers, the _least_chain from its
+    lower end through the boundaries between to its upper end."""
     for weight, src, dst in ends:
         low, high = layer_of[src], layer_of[dst]
         if low > high:
             src, dst, low, high = dst, src, high, low
-        (xs, ys), (xd, yd) = centers[src], centers[dst]
         if low == high:
+            (xs, ys), (xd, yd) = centers[src], centers[dst]
             total += weight * (abs(xs - xd) + abs(ys - yd))
-            continue
-        reach = [(0.0, xs, ys)]  # (shortest chain to a router, its center)
-        for links in chains[low:high]:
-            if not links:
-                return math.inf
-            steps = []
-            for lower, upper, rd in links:
-                xl, yl = centers[lower]
-                steps.append((min([length + abs(x - xl) + abs(y - yl) for length, x, y in reach])
-                               + rd, *centers[upper]))
-            reach = steps
-        total += weight * min([length + abs(x - xd) + abs(y - yd) for length, x, y in reach])
+        else:
+            total += weight * _least_chain(centers, chains[low:high], (src,), (dst,))
     return total
+
+
+# per span (a distinct pair of flow ends' (layer, kind)) the cells a flow may
+# take: (source, destination) pairs on one layer, or across layers its lower
+# end's cells, the boundaries it crosses and its upper end's cells; and each
+# flow's weight and span
+PatternEnds = tuple[list[tuple[list, Optional[slice], Optional[list]]], list[tuple[float, int]]]
+
+
+def _pattern_ends(instance: Instance, pattern: Sequence[tuple], offsets: Sequence[int],
+                  layer: dict[str, int], w_util: float) -> PatternEnds:
+    """The flows of the assignment `layer` on the flat cells of a kind pattern
+    (a kind grid per layer, the layers' cells behind `offsets`), none when
+    wiring carries no weight: a flow on one layer may take any two distinct
+    cells of its ends' kinds, one across layers any cell of its kind on each
+    end's layer. Flows whose ends have the same (layer, kind) share one span."""
+    cells: dict[tuple, list[int]] = {}
+    for l, grid in enumerate(pattern):
+        for i, kind in enumerate(grid):
+            cells.setdefault((l, kind), []).append(offsets[l] + i)
+    spans: dict[tuple, int] = {}
+    ends, flows = [], []
+    for flow in instance.core_graph.flows if w_util else ():
+        low, high = ((layer[comp], instance.kinds[comp]) for comp in (flow.src, flow.dst))
+        if low[0] > high[0]:
+            low, high = high, low
+        if (low, high) not in spans:
+            spans[low, high] = len(ends)
+            if low[0] == high[0]:  # a pair and its reverse are equally far apart
+                ends.append(([(src, dst) for src in cells[low] for dst in cells[high]
+                              if low != high or src < dst], None, None))
+            else:
+                ends.append((cells[low], slice(low[0], high[0]), cells[high]))
+        flows.append((w_util * flow.bandwidth, spans[low, high]))
+    return ends, flows
+
+
+def _pattern_bound(configs: Sequence[LinkConfig], ends: PatternEnds) -> float:
+    """B_p: the least over a kind pattern's link `configs` of its _stacked
+    terms plus, in flow order, each flow's weight times its span's least
+    chain over the cells `ends` allows it (see the module docstring)."""
+    spans, flows = ends
+    bound = math.inf
+    for _links, total, centers, chains in configs:
+        least = [min([abs(centers[src][0] - centers[dst][0])
+                      + abs(centers[src][1] - centers[dst][1]) for src, dst in cells])
+                 if crossed is None else _least_chain(centers, chains[crossed], cells, stops)
+                 for cells, crossed, stops in spans]
+        for weight, span in flows:
+            total += weight * least[span]
+        bound = min(bound, total)
+    return bound
 
 
 def _floor_tables(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -243,24 +337,40 @@ def linked_cost_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
                          _cell_layers([fp.rows * fp.cols for fp in floorplans]))
 
 
-def _cell_choices(instance: Instance, members: Sequence[str],
-                  interned: dict[tuple, tuple]) -> list[tuple[tuple[int, ...], tuple]]:
-    """Every (cells, kind grid) of a layer's sorted `members` in enumeration
-    order: their flat cells and the kind in each cell (row-major, None where
-    empty). Equal kind grids are one tuple, the one kept in `interned`."""
-    rows, cols = grid_dims(len(members))
-    choices = []
-    for cells in itertools.permutations(range(rows * cols), len(members)):
+def pattern_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
+                  weights: ObjectiveWeights) -> float:
+    """The bound B_p of the placed `floorplans`' kind pattern, as solve_exact
+    skips by it: no larger than linked_cost_floor of any placement with the
+    same kind grids and any of its link matchings (see the module docstring)."""
+    grids = tuple(tuple(None if comp is None else instance.kinds[comp]
+                        for row in fp.cell_of for comp in row) for fp in floorplans)
+    offsets = list(itertools.accumulate((fp.rows * fp.cols for fp in floorplans), initial=0))
+    layer = {comp: fp.layer for fp in floorplans for _cell, comp in fp.occupied_cells()}
+    return _pattern_bound(_link_configurations(instance, floorplans, grids, weights, {}),
+                          _pattern_ends(instance, grids, offsets, layer, weights.w_util))
+
+
+# a layer's (cells, kind grid) choices, and per kind grid its count and first cells
+CellTable = tuple[list[tuple[tuple[int, ...], tuple]], dict[tuple, tuple[int, tuple[int, ...]]]]
+
+
+def _cell_choices(kinds: tuple, interned: dict[tuple, tuple]) -> CellTable:
+    """Every (cells, kind grid) of a layer whose sorted members have `kinds`,
+    in enumeration order: their flat cells and the kind in each cell
+    (row-major, None where empty), equal kind grids one tuple, the one kept in
+    `interned`; and per kind grid, in order of first choice, how many choices
+    have it and the first one's cells."""
+    rows, cols = grid_dims(len(kinds))
+    choices, grids = [], {}
+    for cells in itertools.permutations(range(rows * cols), len(kinds)):
         grid: list[Optional[str]] = [None] * (rows * cols)
-        for comp, idx in zip(members, cells):
-            grid[idx] = instance.kinds[comp]
-        kinds = tuple(grid)
-        choices.append((cells, interned.setdefault(kinds, kinds)))
-    return choices
-
-
-# links, their _stacked floor terms, and their _chains
-LinkConfig = tuple[list[VerticalLink], float, tuple, Chains]
+        for kind, idx in zip(kinds, cells):
+            grid[idx] = kind
+        key = interned.setdefault(tuple(grid), tuple(grid))
+        choices.append((cells, key))
+        count, first = grids.get(key, (0, cells))
+        grids[key] = (count + 1, first)
+    return choices, grids
 
 
 def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -305,9 +415,10 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     MAX_PLACEMENTS placements (enumeration_estimate) and no boundary has more
     than MAX_VCANDS vertical-link candidates; raises InstanceTooLargeError
     otherwise. Deterministic: ties resolve to the lexicographically smallest
-    solution. Once a configuration has routed, the rest are routed only if
-    neither their cost floor nor their linked floor rules them out (see the
-    module docstring)."""
+    solution. Assignments are visited by increasing bound; once a
+    configuration has routed, an assignment, kind pattern or configuration is
+    routed only if its bound and floors do not rule it out (see the module
+    docstring)."""
     size = enumeration_estimate(instance)
     if size > MAX_PLACEMENTS:
         raise InstanceTooLargeError(
@@ -318,9 +429,10 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     flows = _flow_ends(instance, {cid: i for i, cid in enumerate(comps)}, weights.w_util)
     num_layers = len(instance.layers)
     best: Optional[tuple] = None  # (cost, key, solution parts)
-    # the last unroutable flow's ends; its error is raised anew if nothing routes,
-    # so no local holds an error whose traceback holds this frame
-    unreachable: Optional[tuple[str, str]] = None
+    # the enumeration index and ends of the last unroutable flow; its error is
+    # raised anew if nothing routes, so no local holds an error whose traceback
+    # holds this frame
+    unreachable: Optional[tuple[int, str, str]] = None
     placements_visited = 0
     configurations_visited = 0
     # kind grids of all layers -> their link configurations
@@ -328,6 +440,42 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     # (layer, kind grid, layer's router kinds) -> floor terms, read only to fill links_of
     floors: dict[tuple, FloorTerms] = {}
     interned: dict[tuple, tuple] = {}  # each kind grid, once
+    tables: dict[tuple, CellTable] = {}  # members' kinds -> their layer's cell choices
+
+    # every assignment's bound, plan and cell choices; each kind pattern's
+    # bound and link configurations, and the enumeration's size
+    plans = []
+    for index, combo in enumerate(itertools.product(*(instance.feasible_layers(cid)
+                                                      for cid in comps))):
+        assignment = dict(zip(comps, combo))
+        member_ids = [[i for i, at in enumerate(combo) if at == l] for l in range(num_layers)]
+        members = [[comps[i] for i in ids] for ids in member_ids]  # sorted, as comps
+        sizes = [math.prod(grid_dims(len(m))) for m in members]
+        offsets = [0, *itertools.accumulate(sizes)]
+        cell_tables = []
+        for m in members:
+            kinds = tuple(instance.kinds[comp] for comp in m)
+            if kinds not in tables:
+                tables[kinds] = _cell_choices(kinds, interned)
+            cell_tables.append(tables[kinds])
+        patterns: dict[tuple, tuple[float, list[LinkConfig]]] = {}  # -> (B_p, configurations)
+        for per_layer in itertools.product(*(grids.items() for _choices, grids in cell_tables)):
+            pattern = tuple(grid for grid, _count in per_layer)
+            if pattern not in links_of:
+                links_of[pattern] = _link_configurations(
+                    instance, [_layer_floorplan(instance, l, members[l], first)
+                               for l, (_grid, (_n, first)) in enumerate(per_layer)],
+                    pattern, weights, floors)
+            configs = links_of[pattern]
+            count = math.prod(n for _grid, (n, _first) in per_layer)
+            placements_visited += count
+            configurations_visited += count * len(configs)
+            patterns[pattern] = (
+                _pattern_bound(configs, _pattern_ends(instance, pattern, offsets, assignment,
+                                                      weights.w_util)), configs)
+        plans.append((min(bound for bound, _configs in patterns.values()), index, assignment,
+                      member_ids, members, offsets, _cell_layers(sizes),
+                      [choices for choices, _grids in cell_tables], patterns))
 
     def placed(l: int) -> MeshFloorplan:
         """Layer l's placed floorplan, built on its first read since it changed."""
@@ -335,20 +483,16 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
             floorplans[l] = _layer_floorplan(instance, l, members[l], choice[l][0])
         return floorplans[l]
 
-    for combo in itertools.product(*(instance.feasible_layers(cid) for cid in comps)):
-        assignment = dict(zip(comps, combo))
-        member_ids = [[i for i, at in enumerate(combo) if at == l] for l in range(num_layers)]
-        members = [[comps[i] for i in ids] for ids in member_ids]  # sorted, as comps
-        sizes = [math.prod(grid_dims(len(m))) for m in members]
-        offsets = [0, *itertools.accumulate(sizes)]
-        layer_of = _cell_layers(sizes)
-        cell_choices = [_cell_choices(instance, m, interned) for m in members]
+    plans.sort(key=lambda plan: plan[:2])
+    for (bound, index, assignment, member_ids, members, offsets, layer_of, cell_choices,
+         patterns) in plans:
+        if best is not None and bound * (1.0 - 1e-9) > best[0]:
+            break  # so are all later ones: bounds only rise and best only falls
         previous: tuple = (None,) * num_layers
         floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
         grids: list[tuple] = [()] * num_layers
         pos = [0] * len(comps)  # each component's flat cell: its layer's offset + cell
         for choice in itertools.product(*cell_choices):
-            placements_visited += 1
             # a changed layer moves its members; it is placed only when read
             for l in range(num_layers):
                 if choice[l] is not previous[l]:
@@ -357,14 +501,11 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                     for i, idx in zip(member_ids[l], cells):
                         pos[i] = offsets[l] + idx
             previous = choice
+            bound, configs = patterns[tuple(grids)]
+            if best is not None and bound * (1.0 - 1e-9) > best[0]:
+                continue
             ends = [(weight, pos[src], pos[dst]) for weight, src, dst in flows]
-            pattern = tuple(grids)
-            if pattern not in links_of:
-                links_of[pattern] = _link_configurations(
-                    instance, [placed(l) for l in range(num_layers)], pattern, weights,
-                    floors)
-            for links, total, centers, chains in links_of[pattern]:
-                configurations_visited += 1
+            for links, total, centers, chains in configs:
                 if best is not None and (
                         _floor(total, centers, ends) * (1.0 - 1e-9) > best[0]
                         or _linked_floor(total, centers, chains, ends, layer_of)
@@ -374,7 +515,8 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
                 except UnreachableError as exc:
-                    unreachable = (exc.src, exc.dst)
+                    if unreachable is None or index >= unreachable[0]:
+                        unreachable = (index, exc.src, exc.dst)
                     continue
                 cost = metrics["total_cost"]
                 cells_combo = tuple(cells for cells, _grid in choice)
@@ -384,7 +526,7 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                     best = (cost, key, assignment, legal, links, metrics)
 
     if best is None:
-        raise UnreachableError(*unreachable)
+        raise UnreachableError(*unreachable[1:])
     _cost, _key, assignment, legal, links, metrics = best
     return ExactSolution(assignment=dict(assignment), floorplans=list(legal),
                          vlinks=list(links), cost=_cost, metrics=metrics,

@@ -372,17 +372,23 @@ def _load_tsv(result: PipelineResult, doc: dict) -> None:
                          for b, curve in curves.items()}
 
 
-def _load_place3d(result: PipelineResult, doc: dict) -> None:
-    instance, floorplans = result.instance, result.step2_floorplans
-    result.vlinks = [parse_vlink(d) for d in doc["vlinks"]]
-    check_vlink_ends(result.vlinks, floorplans)
-    in_reach = {(c.lower, c.upper) for b in {v.lower[0] for v in result.vlinks}
+def _check_reach(instance: Instance, floorplans: Sequence[MeshFloorplan],
+                 vlinks: Sequence[VerticalLink]) -> None:
+    """ValueError for a link that is no candidate of its boundary within the
+    instance's reach on the step-2 `floorplans`."""
+    in_reach = {(c.lower, c.upper) for b in {v.lower[0] for v in vlinks}
                 for c in _in_reach(instance, floorplans, b)}
-    for v in result.vlinks:
+    for v in vlinks:
         if (v.lower, v.upper) not in in_reach:
             raise ValueError(f"vertical link {list(v.lower)} -> {list(v.upper)} is longer "
                              f"than the reach {instance.tech.rd_max_length} mm on the "
                              f"step-2 floorplans")
+
+
+def _load_place3d(result: PipelineResult, doc: dict) -> None:
+    result.vlinks = [parse_vlink(d) for d in doc["vlinks"]]
+    check_vlink_ends(result.vlinks, result.step2_floorplans)
+    _check_reach(result.instance, result.step2_floorplans, result.vlinks)
 
 
 def _load_legalize(result: PipelineResult, doc: dict) -> None:

@@ -643,6 +643,23 @@ def test_report_with_shared_vlink_end_exit_code(tmp_path, tiny_chain, corpus_dir
     assert not (tmp_path / "traffic.json").exists()
 
 
+def test_report_with_vlink_out_of_reach_exit_code(tmp_path, tiny_chain, corpus_dir, capsys):
+    """eval --report applies place3d's reach rule, on the report's step-2
+    floorplans: the second link moved to (0, 1, 0) -> (1, 0, 1), 8.24 mm
+    apart against 5 mm, is refused as it is in vlinks.json."""
+    report = read_json(tiny_chain[1] / "report.json")
+    report["vlinks"][1]["lower"] = [0, 1, 0]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = main(["eval", str(corpus_dir / "tiny_soc"), "--out", str(tmp_path),
+                 "--report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "[0, 1, 0] -> [1, 0, 1] " in err
+    assert "longer than the reach" in err and "Traceback" not in err
+    assert not (tmp_path / "traffic.json").exists()
+
+
 # each key names one index in one spelling, and curves only the instance's
 # boundaries (tiny_soc has boundary 0 alone)
 @pytest.mark.parametrize("key, value, says", [

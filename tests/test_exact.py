@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -16,7 +17,8 @@ from meshstack.corpus import case_study_ppa, tiny_soc
 from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidatesError,
                               UnreachableError)
 from meshstack.exact import (MAX_VCANDS, _layer_floorplan, _matchings, cost_floor,
-                             enumeration_estimate, linked_cost_floor, solve_exact)
+                             enumeration_estimate, linked_cost_floor, pattern_floor,
+                             solve_exact)
 from meshstack.floorplan import grid_dims, legalize, legalize_layer, router_kinds
 from meshstack.model import (
     Component,
@@ -272,23 +274,33 @@ def test_shared_floor_terms_equal_the_configurations_own(monkeypatch, inst):
     """The floors solve_exact skips by are built from terms shared across
     permutations of identical components; each equals cost_floor of the
     configuration it is checked for (up to the order power is summed in).
-    Floors start once a configuration has routed, so they are the last ones
-    of the enumeration; about 200 evenly spaced ones are checked."""
-    floors = []
+    The pattern bound is held at 0, so it skips nothing and floors cover the
+    enumeration once a configuration has routed. Each recorded floor is
+    matched to its configuration by the solution key (assignment, cells,
+    links) of the call's frame; at least 200 evenly spaced ones are checked."""
+    floors = {}
 
     def recorded(*args):
-        floors.append(shared(*args))
-        return floors[-1]
+        at = sys._getframe(1).f_locals
+        key = (tuple(sorted(at["assignment"].items())),
+               tuple(cells for cells, _grid in at["choice"]),
+               tuple((v.lower, v.upper) for v in at["links"]))
+        floors[key] = shared(*args)
+        return floors[key]
 
     shared = exact._floor
     monkeypatch.setattr(exact, "_floor", recorded)
+    monkeypatch.setattr(exact, "_pattern_bound", lambda configs, ends: 0.0)
     solve_exact(inst, W)
     monkeypatch.undo()
-    configurations = list(_configurations(inst))[-len(floors):]
-    assert len(floors) > 200
-    for i in range(0, len(floors), len(floors) // 200):
-        _assignment, _cells, fps, links, _new = configurations[i]
-        assert floors[i] == pytest.approx(cost_floor(inst, fps, links, W), rel=1e-12)
+    configurations = {(tuple(sorted(assignment.items())), cells,
+                       tuple((v.lower, v.upper) for v in links)): (fps, links)
+                      for assignment, cells, fps, links, _new in _configurations(inst)}
+    keys = sorted(floors)
+    assert len(keys) > 200
+    for key in keys[::len(keys) // 200]:
+        fps, links = configurations[key]
+        assert floors[key] == pytest.approx(cost_floor(inst, fps, links, W), rel=1e-12)
 
 
 def test_candidates_once_per_kind_grid_pair(monkeypatch):
@@ -359,6 +371,36 @@ def test_unreachable_names_a_real_flow(tmp_path):
     assert (err.value.src, err.value.dst) == ("adc0", "dsp0")
     save_instance(inst, tmp_path / "inst")
     assert main(["baseline", str(tmp_path / "inst"), "--out", str(tmp_path / "o")]) == 3
+
+
+def _two_unroutable_flows():
+    """_unroutable_instance's ADC and DSP with a MEM, far smaller in 45nm, in
+    between: flows adc0 -> mem0 and mem0 -> dsp0. Whichever layer mem0 takes,
+    one of the two flows crosses a boundary that never has a link."""
+    entry = PpaEntry(area=1.3, perf=1.0, power=1.0)
+    ppa = PpaTable(components={"ADC": {"45nm": PpaEntry(53.0, 1.0, 1.0)},
+                               "DSP": {"28nm": PpaEntry(20.0, 1.0, 1.0)},
+                               "MEM": {"28nm": PpaEntry(90.0, 1.0, 1.0),
+                                       "45nm": PpaEntry(10.0, 1.0, 1.0)}},
+                   router_2d={"28nm": entry, "45nm": entry},
+                   router_3d={"28nm": entry, "45nm": entry})
+    return validate_instance(
+        CoreGraph((Component("adc0", "ADC"), Component("dsp0", "DSP"), Component("mem0", "MEM")),
+                  (Flow("adc0", "mem0", 10.0), Flow("mem0", "dsp0", 10.0))),
+        ppa, TechParams(koz_area=2.0, rd_max_length=0.0, link_capacity=100.0),
+        (Layer(0, "28nm"), Layer(1, "45nm")))
+
+
+def test_unreachable_names_the_last_enumerated_flow():
+    """When nothing routes, solve_exact names the unroutable flow of the last
+    configuration in enumeration order, as the reference does, though it
+    visits assignments best first: without wiring weight, mem0 on the 45nm
+    layer (the second assignment, where mem0 -> dsp0 cannot route) has the
+    lower bound and is visited first."""
+    inst = _two_unroutable_flows()
+    weights = ObjectiveWeights(1, 1, 1, 1, 0)
+    assert _outcome(lambda: solve_exact(inst, weights)) == ("unreachable", "mem0", "dsp0")
+    assert _outcome(lambda: _exhaustive(inst, weights)) == ("unreachable", "mem0", "dsp0")
 
 
 def test_unroutable_solve_leaves_no_reference_cycles():
@@ -527,6 +569,37 @@ def test_exact_equals_exhaustive_reference_near_the_optimum(inst, weights):
             sol.configurations_visited) == _exhaustive(inst, weights)
 
 
+def _simd_over_three_cpus():
+    """Three CPUs and a SIMD on 45nm/28nm/28nm layers, c0 and c1 sending to
+    c2, at a 4.3 mm reach and 5 Mb/s links."""
+    flows = [Flow("c0", "c2", 122.5), Flow("c0", "c2", 81.8), Flow("c0", "c2", 175.9),
+             Flow("c1", "c2", 21.7)]
+    kinds = ["CPU", "CPU", "CPU", "SIMD"]
+    return make_instance([Component(f"c{i}", kind) for i, kind in enumerate(kinds)],
+                         flows, ["45nm", "28nm", "28nm"], default_tech(5.0, rd=4.3))
+
+
+def _adcs_with_a_simd():
+    """A SIMD, two ADCs and a CPU on two 45nm layers with one flow c2 -> c0."""
+    kinds = ["SIMD", "ADC", "ADC", "CPU"]
+    return make_instance([Component(f"c{i}", kind) for i, kind in enumerate(kinds)],
+                         [Flow("c2", "c0", 5.5)], ["45nm", "45nm"], default_tech(rd=7.3))
+
+
+@pytest.mark.parametrize("inst, weights", [
+    (_simd_over_three_cpus(), ObjectiveWeights(3, 1, 1, 0, 1)),
+    (_adcs_with_a_simd(), ObjectiveWeights(3, 3, 1, 3, 0.5))],
+    ids=["simd over three cpus", "adcs with a simd"])
+def test_exact_equals_exhaustive_reference_behind_a_close_incumbent(inst, weights):
+    """Visited best first, these two instances meet their optimum's
+    assignment (the first) or kind pattern (both) after a cost within 1% of
+    it: a bound 1% above the true one would skip the optimum. The exact skip
+    keeps it."""
+    sol = solve_exact(inst, weights)
+    assert (sol.cost, sol.assignment, sol.floorplans, sol.vlinks, sol.placements_visited,
+            sol.configurations_visited) == _exhaustive(inst, weights)
+
+
 @settings(max_examples=40)
 @given(inst=small_instances(), weights=WEIGHTS, pick=st.randoms(use_true_random=False))
 def test_cost_floor_never_exceeds_cost(inst, weights, pick):
@@ -644,9 +717,49 @@ def test_linked_floor_bounds_the_cost_and_equals_the_waypoint_path(inst, weights
         assert floor <= cost * (1.0 + 1e-12)  # so an inf floor never routes
 
 
+@settings(max_examples=40, phases=NO_SHRINK)
+@example(inst=_three_cpu_tower(), weights=W, pick=None)
+@example(inst=_mixed_instance(), weights=W, pick=None)
+@given(inst=small_instances(), weights=WEIGHTS, pick=st.randoms(use_true_random=False))
+def test_pattern_bound_never_exceeds_its_configurations(inst, weights, pick):
+    """The bound solve_exact skips a kind pattern by (pattern_floor of the
+    assignment's first placement with that pattern) is below the linked floor
+    of every configuration of every placement with that pattern (up to the
+    order power is summed in), and so below its routed cost. The explicit
+    examples check every configuration."""
+    configurations = []
+    try:
+        for config in _configurations(inst):
+            configurations.append(config)
+    except InstanceTooLargeError:
+        pass
+    first = {}  # (assignment, kind grids) -> the first placement's floorplans
+    for assignment, _cells, fps, _links, _new in configurations:
+        first.setdefault((tuple(sorted(assignment.items())),
+                          tuple(_kind_grid(inst, fp) for fp in fps)), fps)
+    if pick is not None:
+        configurations = pick.sample(configurations, min(20, len(configurations)))
+    bounds = {}
+    for assignment, _cells, fps, links, _new in configurations:
+        pattern = (tuple(sorted(assignment.items())), tuple(_kind_grid(inst, fp) for fp in fps))
+        if pattern not in bounds:
+            bounds[pattern] = pattern_floor(inst, first[pattern], weights)
+        floor = linked_cost_floor(inst, fps, links, weights)
+        assert bounds[pattern] <= floor * (1.0 + 1e-12)
+        if first[pattern] is fps:
+            assert bounds[pattern] <= floor
+        try:
+            cost = evaluate_solution(inst, legalize(inst, fps, links), links,
+                                     weights)["total_cost"]
+        except UnreachableError:
+            continue
+        assert bounds[pattern] <= cost * (1.0 + 1e-12)
+
+
 def test_linked_floor_routes_fewer_configurations(monkeypatch):
-    """On tiny_soc, of 5,520 configurations the linked floor leaves 19 to
-    route, against 66 under the cost floor alone; the optimum stays."""
+    """On tiny_soc, of 5,520 configurations the linked floor leaves 26 to
+    route, against 62 under the cost floor and the pattern bound alone; the
+    optimum stays."""
     inst = tiny_soc()
     routed = []
 
@@ -656,7 +769,7 @@ def test_linked_floor_routes_fewer_configurations(monkeypatch):
 
     monkeypatch.setattr(exact, "legalize", counted)
     sol = solve_exact(inst, W)
-    assert len(routed) == 19
+    assert len(routed) == 26
     assert sol.cost == 245.98884748530335
     assert sol.placements_visited == 2640
 
