@@ -45,6 +45,7 @@ from .model import (
     traffic_to_json,
     vlink_to_json,
     write_json,
+    write_text,
 )
 from .objective import evaluate_solution, metrics_to_json
 from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult, _check_reach,
@@ -139,7 +140,7 @@ def _write_svgs(result: PipelineResult, out: Path) -> list[Path]:
     for layer, svg in render_svg(result.floorplans or result.step2_floorplans,
                                  result.vlinks, result.instance.tech.koz_area).items():
         paths.append(out / f"layer{layer}.svg")
-        paths[-1].write_text(svg)
+        write_text(svg, paths[-1])
     return paths
 
 

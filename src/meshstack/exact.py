@@ -33,7 +33,7 @@ so far (strictly, with 1e-9 relative slack for rounding) can neither win
 nor tie, so it is skipped; the rest go through legalize and
 evaluate_solution unchanged.
 
-Whole kind patterns and assignments are skipped by a bound on those
+Whole kind patterns are skipped by a bound on those
 floors. A placement's kind pattern p is its layers' kind grids (the
 component kind in each cell). Every placement with p has the same link
 configurations c, each with the same terms A_c, router centers and links,
@@ -47,24 +47,22 @@ m_c(f) is the same float expression as the linked floor's, minimised over
 more cells. Rounded +, min and a product with a weight >= 0 are monotone,
 so every partial sum, and so B_p, is no larger than the linked floor of
 every configuration of every placement with p, in floats. B_p takes no
-minimum over router kinds: each configuration keeps its own. An assignment's
-bound B_a is the least B_p over its patterns. An assignment with
-B_a * (1 - 1e-9) > best, or inside one a placement whose pattern has
-B_p * (1 - 1e-9) > best, holds only configurations the linked floor would
-skip at that moment, so it is skipped whole.
+minimum over router kinds: each configuration keeps its own. A kind pattern
+of an assignment with B_p * (1 - 1e-9) > best holds only configurations the
+linked floor would skip at that moment, so it is skipped whole.
 
-Assignments are visited by (B_a, enumeration index), so cheap ones come
-first and the incumbent early; placements and configurations within one
-keep enumeration order. Bounds rise along that order and the best cost only
-falls, so the first assignment skipped ends the search. The winner is the
-least (cost, key) over the routed configurations, and every configuration
-that could win or tie is routed in any order, so neither the order nor the
-skips change the result. Both counts are the enumeration's size, summed
-before the visit per assignment and kind pattern (placements with the
-pattern times its link configurations), so neither changes them. Until a
-configuration has routed nothing is skipped; if none routes, the error names
-the unroutable flow of the last configuration in enumeration order (highest
-assignment index, then last visited), as an exhaustive visit would.
+The (assignment, kind pattern) pairs are visited from one queue by (B_p,
+enumeration order), so cheap ones come first and the incumbent early; a
+pair's placements and configurations keep enumeration order. Bounds rise
+along the queue and the best cost only falls, so the first pair skipped ends
+the search. The winner is the least (cost, key) over the routed
+configurations, and every configuration that could win or tie is routed in
+any order, so neither the order nor the skips change the result. Both counts
+are the enumeration's size, summed before the visit, so neither changes them.
+Until a configuration has routed nothing is skipped; if none routes, the
+error names the unroutable flow of the last configuration in enumeration
+order (by assignment index, then each layer's cells), as an exhaustive visit
+would.
 
 Identical components give identical work. The placed geometry, and so the
 vertical-link candidates and their matchings, depends only on the layers'
@@ -74,9 +72,8 @@ its link configurations, each with its layers' terms (computed once per
 layer, kind grid and router kinds) summed, their router centers in one
 tuple by flat cell index (the cells of the layers below plus the row-major
 index), and their links per boundary as flat-cell pairs with their rd. A
-layer's cell choices are listed once per tuple of its members' kinds, with
-their kind grids, equal grids one tuple, and each grid's choice count and
-first cells. A placement sets the flat cells of a changed layer's members
+layer's placements are listed once per tuple of its members' kinds, grouped
+by kind grid. A placement sets the flat cells of a changed layer's members
 in one list by component, so a configuration's only work before routing is
 its two floors' indexed reads. A layer is placed only for a new kind
 pattern (at its first cells) or a routed configuration.
@@ -350,27 +347,19 @@ def pattern_floor(instance: Instance, floorplans: Sequence[MeshFloorplan],
                           _pattern_ends(instance, grids, offsets, layer, weights.w_util))
 
 
-# a layer's (cells, kind grid) choices, and per kind grid its count and first cells
-CellTable = tuple[list[tuple[tuple[int, ...], tuple]], dict[tuple, tuple[int, tuple[int, ...]]]]
-
-
-def _cell_choices(kinds: tuple, interned: dict[tuple, tuple]) -> CellTable:
-    """Every (cells, kind grid) of a layer whose sorted members have `kinds`,
-    in enumeration order: their flat cells and the kind in each cell
-    (row-major, None where empty), equal kind grids one tuple, the one kept in
-    `interned`; and per kind grid, in order of first choice, how many choices
-    have it and the first one's cells."""
+def _cell_choices(kinds: tuple) -> dict[tuple, list[tuple[int, ...]]]:
+    """Every placement of a layer whose sorted members have `kinds`, by its
+    kind grid (the kind in each cell, row-major, None where empty): kind
+    grids in order of first placement, and each one's flat cells tuples in
+    enumeration order."""
     rows, cols = grid_dims(len(kinds))
-    choices, grids = [], {}
+    choices: dict[tuple, list[tuple[int, ...]]] = {}
     for cells in itertools.permutations(range(rows * cols), len(kinds)):
         grid: list[Optional[str]] = [None] * (rows * cols)
         for kind, idx in zip(kinds, cells):
             grid[idx] = kind
-        key = interned.setdefault(tuple(grid), tuple(grid))
-        choices.append((cells, key))
-        count, first = grids.get(key, (0, cells))
-        grids[key] = (count + 1, first)
-    return choices, grids
+        choices.setdefault(tuple(grid), []).append(cells)
+    return choices
 
 
 def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -415,10 +404,9 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     MAX_PLACEMENTS placements (enumeration_estimate) and no boundary has more
     than MAX_VCANDS vertical-link candidates; raises InstanceTooLargeError
     otherwise. Deterministic: ties resolve to the lexicographically smallest
-    solution. Assignments are visited by increasing bound; once a
-    configuration has routed, an assignment, kind pattern or configuration is
-    routed only if its bound and floors do not rule it out (see the module
-    docstring)."""
+    solution. Kind patterns are visited by increasing bound; once a
+    configuration has routed, a kind pattern or configuration is routed only
+    if its bound and floors do not rule it out (see the module docstring)."""
     size = enumeration_estimate(instance)
     if size > MAX_PLACEMENTS:
         raise InstanceTooLargeError(
@@ -429,22 +417,22 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     flows = _flow_ends(instance, {cid: i for i, cid in enumerate(comps)}, weights.w_util)
     num_layers = len(instance.layers)
     best: Optional[tuple] = None  # (cost, key, solution parts)
-    # the enumeration index and ends of the last unroutable flow; its error is
-    # raised anew if nothing routes, so no local holds an error whose traceback
-    # holds this frame
-    unreachable: Optional[tuple[int, str, str]] = None
-    placements_visited = 0
+    # the enumeration position (assignment index, cells per layer) and ends of
+    # the last unroutable flow; its error is raised anew if nothing routes, so
+    # no local holds an error whose traceback holds this frame
+    unreachable: Optional[tuple[tuple, str, str]] = None
     configurations_visited = 0
     # kind grids of all layers -> their link configurations
     links_of: dict[tuple, list[LinkConfig]] = {}
     # (layer, kind grid, layer's router kinds) -> floor terms, read only to fill links_of
     floors: dict[tuple, FloorTerms] = {}
-    interned: dict[tuple, tuple] = {}  # each kind grid, once
-    tables: dict[tuple, CellTable] = {}  # members' kinds -> their layer's cell choices
+    # members' kinds -> their layer's cells tuples by kind grid
+    tables: dict[tuple, dict[tuple, list[tuple[int, ...]]]] = {}
 
-    # every assignment's bound, plan and cell choices; each kind pattern's
-    # bound and link configurations, and the enumeration's size
-    plans = []
+    # one entry per (assignment, kind pattern): its bound, the assignment's
+    # layout, each layer's cells tuples with the pattern's kind grid, and the
+    # pattern's link configurations
+    queue = []
     for index, combo in enumerate(itertools.product(*(instance.feasible_layers(cid)
                                                       for cid in comps))):
         assignment = dict(zip(comps, combo))
@@ -452,58 +440,50 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
         members = [[comps[i] for i in ids] for ids in member_ids]  # sorted, as comps
         sizes = [math.prod(grid_dims(len(m))) for m in members]
         offsets = [0, *itertools.accumulate(sizes)]
+        layer_of = _cell_layers(sizes)
         cell_tables = []
         for m in members:
             kinds = tuple(instance.kinds[comp] for comp in m)
             if kinds not in tables:
-                tables[kinds] = _cell_choices(kinds, interned)
+                tables[kinds] = _cell_choices(kinds)
             cell_tables.append(tables[kinds])
-        patterns: dict[tuple, tuple[float, list[LinkConfig]]] = {}  # -> (B_p, configurations)
-        for per_layer in itertools.product(*(grids.items() for _choices, grids in cell_tables)):
-            pattern = tuple(grid for grid, _count in per_layer)
+        for per_layer in itertools.product(*(table.items() for table in cell_tables)):
+            pattern = tuple(grid for grid, _cells in per_layer)
             if pattern not in links_of:
                 links_of[pattern] = _link_configurations(
-                    instance, [_layer_floorplan(instance, l, members[l], first)
-                               for l, (_grid, (_n, first)) in enumerate(per_layer)],
+                    instance, [_layer_floorplan(instance, l, members[l], cells[0])
+                               for l, (_grid, cells) in enumerate(per_layer)],
                     pattern, weights, floors)
             configs = links_of[pattern]
-            count = math.prod(n for _grid, (n, _first) in per_layer)
-            placements_visited += count
-            configurations_visited += count * len(configs)
-            patterns[pattern] = (
-                _pattern_bound(configs, _pattern_ends(instance, pattern, offsets, assignment,
-                                                      weights.w_util)), configs)
-        plans.append((min(bound for bound, _configs in patterns.values()), index, assignment,
-                      member_ids, members, offsets, _cell_layers(sizes),
-                      [choices for choices, _grids in cell_tables], patterns))
+            cell_choices = [cells for _grid, cells in per_layer]
+            configurations_visited += math.prod(map(len, cell_choices)) * len(configs)
+            bound = _pattern_bound(configs, _pattern_ends(instance, pattern, offsets, assignment,
+                                                          weights.w_util))
+            queue.append((bound, index, assignment, member_ids, members, offsets, layer_of,
+                          cell_choices, configs))
 
     def placed(l: int) -> MeshFloorplan:
         """Layer l's placed floorplan, built on its first read since it changed."""
         if floorplans[l] is None:
-            floorplans[l] = _layer_floorplan(instance, l, members[l], choice[l][0])
+            floorplans[l] = _layer_floorplan(instance, l, members[l], choice[l])
         return floorplans[l]
 
-    plans.sort(key=lambda plan: plan[:2])
+    queue.sort(key=lambda entry: entry[0])  # stable: ties keep insertion order
     for (bound, index, assignment, member_ids, members, offsets, layer_of, cell_choices,
-         patterns) in plans:
+         configs) in queue:
         if best is not None and bound * (1.0 - 1e-9) > best[0]:
             break  # so are all later ones: bounds only rise and best only falls
         previous: tuple = (None,) * num_layers
         floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
-        grids: list[tuple] = [()] * num_layers
         pos = [0] * len(comps)  # each component's flat cell: its layer's offset + cell
         for choice in itertools.product(*cell_choices):
             # a changed layer moves its members; it is placed only when read
             for l in range(num_layers):
                 if choice[l] is not previous[l]:
                     floorplans[l] = None
-                    cells, grids[l] = choice[l]
-                    for i, idx in zip(member_ids[l], cells):
+                    for i, idx in zip(member_ids[l], choice[l]):
                         pos[i] = offsets[l] + idx
             previous = choice
-            bound, configs = patterns[tuple(grids)]
-            if best is not None and bound * (1.0 - 1e-9) > best[0]:
-                continue
             ends = [(weight, pos[src], pos[dst]) for weight, src, dst in flows]
             for links, total, centers, chains in configs:
                 if best is not None and (
@@ -515,12 +495,11 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
                 except UnreachableError as exc:
-                    if unreachable is None or index >= unreachable[0]:
-                        unreachable = (index, exc.src, exc.dst)
+                    if unreachable is None or (index, choice) >= unreachable[0]:
+                        unreachable = ((index, choice), exc.src, exc.dst)
                     continue
                 cost = metrics["total_cost"]
-                cells_combo = tuple(cells for cells, _grid in choice)
-                key = (tuple(sorted(assignment.items())), cells_combo,
+                key = (tuple(sorted(assignment.items())), choice,
                        tuple((v.lower, v.upper) for v in links))
                 if best is None or (cost, key) < (best[0], best[1]):
                     best = (cost, key, assignment, legal, links, metrics)
@@ -530,5 +509,5 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
     _cost, _key, assignment, legal, links, metrics = best
     return ExactSolution(assignment=dict(assignment), floorplans=list(legal),
                          vlinks=list(links), cost=_cost, metrics=metrics,
-                         placements_visited=placements_visited,
+                         placements_visited=size,
                          configurations_visited=configurations_visited)

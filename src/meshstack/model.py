@@ -278,6 +278,8 @@ def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
     out: list[Violation] = []
 
     # layer stack
+    if not layers:
+        out.append(Violation("MalformedTable", "the layer stack must hold at least one layer"))
     indices = [l.index for l in layers]
     if sorted(indices) != list(range(len(layers))):
         out.append(Violation("MalformedTable", f"layer indices must be contiguous from 0, got {indices}"))
@@ -457,17 +459,24 @@ def read_json(path: Union[str, Path], parse: Callable = lambda doc: doc):
             return parse(json.load(f))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def write_text(text: str, path: Union[str, Path]) -> None:
+    """Write text to path, its directories made first; a path that cannot be
+    written raises InputError naming it."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def write_json(doc, path: Union[str, Path]) -> None:
     """The one JSON writer: sorted keys, indent 2, trailing newline."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

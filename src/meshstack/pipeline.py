@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +50,9 @@ from .tsv_count import choose_count
 from .vlink import candidate_links, max_matching_size, place_vlinks
 
 
+MAX_FIXED_MESH_CELLS = 4096  # rows * cols of fixed_mesh; its grid is allocated cell by cell
+
+
 @dataclass(frozen=True)
 class SaTriple:
     initial_temp: float
@@ -63,8 +67,9 @@ def _int(v, lo: int, hi: float = math.inf) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
 
 
-def _num(v, lo: float) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and lo <= v < math.inf
+def _num(v, lo: float) -> bool:  # a JSON integer can exceed every float
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and lo <= v <= sys.float_info.max)
 
 
 def _sa_triple(v) -> bool:
@@ -95,7 +100,8 @@ _CONFIG_KEYS = {
     "no_rd": _BOOL,
     "colocate": _BOOL,
     "fixed_mesh": (lambda v: isinstance(v, list) and len(v) == 2
-                   and all(_int(x, 1) for x in v), "[rows >= 1, cols >= 1]", tuple),
+                   and all(_int(x, 1) for x in v) and v[0] * v[1] <= MAX_FIXED_MESH_CELLS,
+                   f"[rows >= 1, cols >= 1] of at most {MAX_FIXED_MESH_CELLS} cells", tuple),
     "fixed_tsv_counts": (lambda v: isinstance(v, dict) and all(
         _index_key(k) and _int(n, 0) for k, n in v.items()),
         "an object of boundary index (no leading zeros) -> count >= 0",

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meshstack import cli
+from meshstack import cli, pipeline
 from meshstack.cli import main
 from meshstack.corpus import write_corpus
+from meshstack.errors import InvalidParamsError
 from meshstack.exact import solve_exact
 from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance, save_instance,
                              vlink_to_json)
@@ -851,3 +852,80 @@ def test_dump_kernel_records_every_cost_evaluation(tmp_path, tiny_chain, corpus_
     assert {call["layer"] for call in calls} == {0, 1}
     assert ((out / "floorplan.json").read_bytes()
             == (tiny_chain[0] / "floorplan.json").read_bytes())
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "baseline"])
+def test_empty_layer_stack_exit_code(tmp_path, corpus_dir, capsys, command):
+    """The schema asks for at least one layer; a stack without one is a
+    malformed table under every command, not an infeasible instance."""
+    import jsonschema
+
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus_dir / "tiny_soc", bad)
+    doc = read_json(bad / "ppa.json")
+    doc["layers"] = []
+    schema = jsonschema.Draft202012Validator({**SCHEMA, "$ref": "#/$defs/ppa"})
+    assert not schema.is_valid(doc)
+    (bad / "ppa.json").write_text(json.dumps(doc))
+    flags = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, str(bad)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "MalformedTable" in err and "layer" in err and "Traceback" not in err
+
+
+HUGE = int("9" * 401)  # a JSON integer beyond every float
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"rd_max": HUGE}, "rd_max"),
+    ({"weights": [1, 1, 1, 1, HUGE]}, "weights"),
+    ({"sa_floorplan": [HUGE, 10, 0.5]}, "sa_floorplan"),
+    ({"sa_vlink": [HUGE, 50, 0.97]}, "sa_vlink"),
+    ({"fixed_mesh": [10 ** 30, 1]}, "fixed_mesh"),
+    ({"fixed_mesh": [1, pipeline.MAX_FIXED_MESH_CELLS + 1]}, "fixed_mesh"),
+])
+def test_out_of_range_config_exit_code(tmp_path, corpus_dir, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["run", str(corpus_dir / "tiny_soc"), "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert repr(key) in err and "Traceback" not in err
+
+
+def test_fixed_mesh_cell_cap_is_inclusive():
+    cap = pipeline.MAX_FIXED_MESH_CELLS
+    assert pipeline.PipelineConfig.from_json({"fixed_mesh": [cap, 1]}).fixed_mesh == (cap, 1)
+    with pytest.raises(InvalidParamsError, match="fixed_mesh"):
+        pipeline.PipelineConfig.from_json({"fixed_mesh": [2, cap // 2 + 1]})
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("coregraph.json", lambda doc: doc["flows"][0].update(bandwidth=HUGE)),
+    ("ppa.json", lambda doc: doc["components"]["CPU"]["28nm"].update(area=HUGE)),
+    ("tech.json", lambda doc: doc.update(koz_area=HUGE)),
+])
+def test_out_of_range_instance_number_exit_code(tmp_path, corpus_dir, capsys, name, edit):
+    bad = tmp_path / "bad"
+    shutil.copytree(corpus_dir / "tiny_soc", bad)
+    doc = read_json(bad / name)
+    edit(doc)
+    (bad / name).write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad / name) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("run", "file"),          # --out is a regular file
+    ("assign", "file/sub"),   # --out lies under a regular file
+    ("run", "svg"),           # a layer's SVG path is a directory
+])
+def test_unwritable_out_exit_code(tmp_path, corpus_dir, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "svg" / "layer0.svg").mkdir(parents=True)
+    code = main([command, str(corpus_dir / "tiny_soc"), "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(tmp_path / out) in err and "Traceback" not in err

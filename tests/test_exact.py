@@ -283,7 +283,7 @@ def test_shared_floor_terms_equal_the_configurations_own(monkeypatch, inst):
     def recorded(*args):
         at = sys._getframe(1).f_locals
         key = (tuple(sorted(at["assignment"].items())),
-               tuple(cells for cells, _grid in at["choice"]),
+               at["choice"],
                tuple((v.lower, v.upper) for v in at["links"]))
         floors[key] = shared(*args)
         return floors[key]

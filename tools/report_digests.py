@@ -29,12 +29,16 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
     c0 -> c1 -> ... -> c4 of 10, 20, 30 and 40 Mb/s, whose optimum puts c0
     on layer 0 and c1 on layer 2, so the oracle's linked floor chains a flow
     through both boundaries;
+  - `meshstack baseline` on five CPUs on two 28nm layers with bidirectional
+    pairs c0 <-> c1 (30 Mb/s), c1 <-> c2 (20), c2 <-> c3 (20) and c3 <-> c4
+    (10), oracle_tiny's shape, where the oracle's queue of kind patterns
+    interleaves assignments;
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
     eval) on the four instances at seed 1: its floorplan_legal.json and
     traffic.json;
   - `run --steps 1..4` on tiny_soc at seed 1.
 
-61 digests in all.
+62 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -158,6 +162,16 @@ def five_cpu_chain(out: Path) -> str:
                            ["28nm"] * 3)
 
 
+def five_cpu_pairs(out: Path) -> str:
+    """Five CPUs on two 28nm layers with bidirectional pairs c0 <-> c1 (30
+    Mb/s), c1 <-> c2 (20), c2 <-> c3 (20) and c3 <-> c4 (10)."""
+    pairs = ((0, 1, 30.0), (1, 2, 20.0), (2, 3, 20.0), (3, 4, 10.0))
+    return save_case_study(out, (Component(f"c{i}", "CPU") for i in range(5)),
+                           (Flow(f"c{src}", f"c{dst}", bw) for a, b, bw in pairs
+                            for src, dst in ((a, b), (b, a))),
+                           ["28nm"] * 2)
+
+
 def exact_doc(instance_dir: Path) -> dict:
     sol = solve_exact(load_instance(instance_dir), ObjectiveWeights())
     return {
@@ -189,7 +203,8 @@ def main(argv=None) -> int:
                 ("three-cpu three-layer", three_cpu_tower(tmp / "tower"), []),
                 ("mixed-kind two-layer", mixed_kinds(tmp / "mixed"), []),
                 ("tiny_soc weights 1,1,1,1,0", tiny, ["--weights", "1,1,1,1,0"]),
-                ("five-cpu three-layer chain", five_cpu_chain(tmp / "five"), []))):
+                ("five-cpu three-layer chain", five_cpu_chain(tmp / "five"), []),
+                ("five-cpu two-layer pairs", five_cpu_pairs(tmp / "pairs"), []))):
             out = tmp / f"baseline{i}"
             doc = run_cli(["baseline", inst, "--out", str(out)] + flags,
                           out / "exact_solution.json")
