@@ -26,6 +26,9 @@ from .simplex import solve_cover_lp
 Grid = Sequence[Sequence[float]]
 
 TANGENT_COUNT = 8  # min_area_lp's tangent points per cell
+# the tangent points over sqrt(a)/4: geometric, 16-fold end to end
+_TANGENT_STEPS = np.array([(16.0 ** (1.0 / (TANGENT_COUNT - 1))) ** t
+                           for t in range(TANGENT_COUNT)])
 TOL = 1e-9         # min_area_exact's stopping and certificate tolerance
 
 
@@ -70,17 +73,14 @@ def min_area_lp(demands: Grid) -> LpResult:
     if not occupied:
         return LpResult(tuple(0.0 for _ in range(cols)), tuple(0.0 for _ in range(rows)), 0.0)
     nvars = cols + rows  # [W_0..W_{cols-1}, H_0..H_{rows-1}]
-    a_rows, b_rhs = [], []
-    for r, c, a in occupied:
-        lo = math.sqrt(a) / 4.0
-        ratio = 16.0 ** (1.0 / (TANGENT_COUNT - 1))
-        for t in range(TANGENT_COUNT):
-            w_t = lo * ratio ** t
-            coeffs = [0.0] * nvars
-            coeffs[c] = a / (w_t * w_t)
-            coeffs[cols + r] = 1.0
-            a_rows.append(coeffs)
-            b_rhs.append(2.0 * a / w_t)
+    # one row per cut, cell by cell; numpy's float ops round as Python's do
+    r, c, a = (np.array(v) for v in zip(*occupied))
+    w_t = (np.sqrt(a) / 4.0)[:, None] * _TANGENT_STEPS
+    cuts = np.arange(w_t.size)
+    a_rows = np.zeros((w_t.size, nvars))
+    a_rows[cuts, np.repeat(c, TANGENT_COUNT)] = (a[:, None] / (w_t * w_t)).ravel()
+    a_rows[cuts, cols + np.repeat(r, TANGENT_COUNT)] = 1.0
+    b_rhs = (2.0 * a[:, None] / w_t).ravel()
     x, _ = solve_cover_lp([1.0] * nvars, a_rows, b_rhs)
     widths = tuple(float(v) for v in x[:cols])
     heights = tuple(float(v) for v in x[cols:])

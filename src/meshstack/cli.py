@@ -49,7 +49,8 @@ from .model import (
 )
 from .objective import evaluate_solution, metrics_to_json
 from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult, _check_reach,
-                       _effective_instance, load_artifacts, run_pipeline, run_stage)
+                       _effective_instance, check_finite_costs, load_artifacts, run_pipeline,
+                       run_stage)
 from .render import render_svg
 
 EXIT_OK = 0
@@ -168,6 +169,7 @@ def cmd_baseline(args) -> int:
             raise InvalidParamsError(f"baseline cannot honour config key {key!r}: the exact "
                                      f"oracle models no shared sizing, fixed grid or fixed count")
     solution = solve_exact(instance, config.weights)
+    check_finite_costs([solution.cost], config.weights, "exact oracle's")
     out = Path(args.out)
     doc = {
         "assignment": dict(sorted(solution.assignment.items())),

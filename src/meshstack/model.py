@@ -283,6 +283,9 @@ def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
     indices = [l.index for l in layers]
     if sorted(indices) != list(range(len(layers))):
         out.append(Violation("MalformedTable", f"layer indices must be contiguous from 0, got {indices}"))
+    for l in layers:
+        if not l.node_name:
+            out.append(Violation("MalformedTable", f"layer {l.index} node must be non-empty"))
     nodes = {l.node_name for l in layers}
 
     # PPA tables
@@ -311,6 +314,10 @@ def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
     # components
     seen: set[str] = set()
     for comp in core_graph.components:
+        if not comp.id:
+            out.append(Violation("MalformedTable", f"component ids must be non-empty; a {comp.kind!r} has ''"))
+        if not comp.kind:
+            out.append(Violation("MalformedTable", f"component {comp.id!r} kind must be non-empty"))
         if comp.id in seen:
             out.append(Violation("DuplicateComponent", f"component id {comp.id!r} appears more than once"))
         seen.add(comp.id)
@@ -475,8 +482,13 @@ def write_text(text: str, path: Union[str, Path]) -> None:
 
 
 def write_json(doc, path: Union[str, Path]) -> None:
-    """The one JSON writer: sorted keys, indent 2, trailing newline."""
-    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path)
+    """The one JSON writer: sorted keys, indent 2, trailing newline. A
+    non-finite number, which JSON cannot hold, raises InputError naming path."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    write_text(text + "\n", path)
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .anneal import SaParams, mix_seed
 from .errors import InputError, InstanceTooLargeError, InvalidParamsError, NoCandidatesError
@@ -440,10 +440,22 @@ STAGES = (
 )
 
 
+def check_finite_costs(costs: Iterable[float], weights: ObjectiveWeights, what: str) -> None:
+    """InvalidParamsError if a cost overflowed: weights that are each finite
+    can still overflow a weighted sum."""
+    if not all(map(math.isfinite, costs)):
+        raise InvalidParamsError(f"config key 'weights' {list(weights.as_tuple())} overflows "
+                                 f"the {what} cost; scale the weights down")
+
+
 def run_stage(stage: Stage, result: PipelineResult) -> None:
     t0 = time.perf_counter()
     stage.run(result)
     result.timing[stage.timing_key] = time.perf_counter() - t0
+    check_finite_costs([result.step1_cost, result.metrics.get("total_cost", 0.0),
+                        *result.per_step_costs.get("step2_per_layer", {}).values(),
+                        *(v for curve in result.tsv_curves.values() for v in curve.values())],
+                       result.config.weights, stage.title)
 
 
 def run_pipeline(instance: Instance, config: PipelineConfig) -> PipelineResult:

@@ -25,7 +25,7 @@ from .errors import SolverFailureError
 _TOL = 1e-9
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
@@ -33,26 +33,29 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> None:
-    """Run simplex iterations on the dual tableau (objective in the last row)."""
+def _iterate(tableau: np.ndarray, basis: list[int], ncols: int) -> None:
+    """Run simplex iterations on the dual tableau (objective in the last row).
+    The ratio test runs on plain floats: its column has a handful of rows,
+    too few for numpy calls to pay."""
     max_pivots = 50 * (tableau.shape[0] + ncols)
     bland = False
+    # views, which follow the pivots: _pivot updates the tableau in place
+    reduced, rows, rhs_col = tableau[-1, :ncols], tableau[:-1], tableau[:-1, -1]
     for _ in range(max_pivots):
-        reduced = tableau[-1, :ncols]
-        entering = reduced.argmin()
+        entering = int(reduced.argmin())
         if reduced[entering] >= -_TOL:
             return
         if bland:
-            entering = np.flatnonzero(reduced < -_TOL)[0]
-        col = tableau[:-1, entering]
-        positive = np.flatnonzero(col > _TOL)
-        if not positive.size:
+            entering = int(np.flatnonzero(reduced < -_TOL)[0])
+        rhs = rhs_col.tolist()
+        ratios = [(rhs[row] / a, row) for row, a in enumerate(rows[:, entering].tolist())
+                  if a > _TOL]
+        if not ratios:
             raise SolverFailureError("LP is infeasible (its dual is unbounded)")
-        ratios = tableau[positive, -1] / col[positive]
-        rmin = ratios.min()
-        ties = positive[ratios <= rmin + _TOL]
+        rmin = min(ratios)[0]
+        ties = [row for ratio, row in ratios if ratio <= rmin + _TOL]
         bland = bland or rmin <= _TOL
-        _pivot(tableau, basis, ties[basis[ties].argmin()], entering)
+        _pivot(tableau, basis, min(ties, key=basis.__getitem__), entering)
     raise SolverFailureError("simplex exceeded its pivot budget")
 
 
@@ -80,7 +83,7 @@ def solve_cover_lp(c, a_mat, b) -> tuple[np.ndarray, float]:
     tableau[:n, m:m + n] = np.eye(n)
     tableau[:n, -1] = c
     tableau[n, :m] = -b
-    _iterate(tableau, np.arange(m, m + n), m + n)
+    _iterate(tableau, list(range(m, m + n)), m + n)
 
     x = np.maximum(tableau[n, m:m + n], 0.0)
     return x, float(c @ x)

@@ -74,7 +74,9 @@ def _estimates(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict
     i - 1 drawn from the N - k - 1 after it, m of which lie earlier in
     position. So it is the array of rank j with probability
     C(m, j) * C(N - k - 1 - m, i - 1 - j) / C(N, i). The order and each m do
-    not depend on i, so they are computed once per component."""
+    not depend on i, so they are computed once per component, and each
+    probability once per (i, k, m). Each count sums its terms component by
+    component, in cell order."""
     for i in counts:
         if i < 1:
             raise TooManyArraysError(f"array count must be >= 1, got {i}")
@@ -87,7 +89,7 @@ def _estimates(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict
                 f"{i} arrays requested but the upper grid has only {n} cells")
 
     positions = _component_positions(floorplans)
-    acc = {i: ([0.0] * i, [0.0] * i) for i in counts}
+    crossing = []  # per component: its bandwidth and each cell's (m, distance) in order
     for comp in sorted(traffic):
         px, py = positions[comp]
         dist = [abs(px - ax) + abs(py - ay) for ax, ay in spots]
@@ -97,18 +99,28 @@ def _estimates(floorplans: Sequence[MeshFloorplan], boundary: int, traffic: dict
             lead = dist[p] if dist[p] > lead + 1e-12 else lead
             ties.append((lead, p))
         order = [p for _lead, p in sorted(ties)]
-        earlier = [sum(1 for q in order[k + 1:] if q < p) for k, p in enumerate(order)]
-        for i, (acc_b, acc_wd) in acc.items():
-            placements = comb(n, i)
-            for k, p in enumerate(order[:n - i + 1]):  # a later cell is never the nearest
-                m = earlier[k]
-                for j in range(min(m, i - 1) + 1):
-                    w = comb(m, j) * comb(n - k - 1 - m, i - 1 - j) / placements * traffic[comp]
-                    acc_b[j] += w
-                    acc_wd[j] += w * dist[p]
+        crossing.append((traffic[comp], [(sum(1 for q in order[k + 1:] if q < p), dist[p])
+                                         for k, p in enumerate(order)]))
 
-    return {i: [ArrayEstimate(b, wd / b if b > 0 else 0.0) for b, wd in zip(acc_b, acc_wd)]
-            for i, (acc_b, acc_wd) in acc.items()}
+    estimates = {}
+    for i in counts:
+        placements = comb(n, i)
+        rank_probs = [[None] * (n - k) for k in range(n - i + 1)]  # by k, then m
+        acc_b, acc_wd = [0.0] * i, [0.0] * i
+        for bandwidth, cells in crossing:
+            for k, (m, d) in enumerate(cells[:n - i + 1]):  # a later cell is never the nearest
+                probs = rank_probs[k][m]
+                if probs is None:
+                    probs = rank_probs[k][m] = [
+                        comb(m, j) * comb(n - k - 1 - m, i - 1 - j) / placements
+                        for j in range(min(m, i - 1) + 1)]
+                for j, prob in enumerate(probs):
+                    w = prob * bandwidth
+                    acc_b[j] += w
+                    acc_wd[j] += w * d
+        estimates[i] = [ArrayEstimate(b, wd / b if b > 0 else 0.0)
+                        for b, wd in zip(acc_b, acc_wd)]
+    return estimates
 
 
 def c3_value(estimates: Sequence[ArrayEstimate], koz_area: float,

@@ -11,8 +11,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from meshstack.area_kernel import (_certify, _check_demands, _interior_point, _log_problem,
-                                   min_area_exact, min_area_lp, repair_heights, sorted_grid)
+from meshstack import area_kernel
+from meshstack.area_kernel import (TANGENT_COUNT, _certify, _check_demands, _interior_point,
+                                   _log_problem, min_area_exact, min_area_lp, repair_heights,
+                                   sorted_grid)
 from meshstack.errors import InvalidParamsError
 
 
@@ -320,3 +322,44 @@ def test_sorted_grid_orders_lines_that_share_a_multiset():
     grid = [[37.1, 1.3, 37.1], [1.3, 0.0, 37.1], [37.1, 37.1, 1.3]]
     permuted = [[grid[r][c] for c in (2, 1, 0)] for r in (1, 0, 2)]
     assert sorted_grid(permuted)[0] == sorted_grid(grid)[0]
+
+
+def reference_tangent_cuts(demands):
+    """min_area_lp's cuts as it built them cell by cell in Python floats,
+    before numpy built them: the reference they must match bit for bit."""
+    rows, cols, occupied = _check_demands(demands)
+    ratio = 16.0 ** (1.0 / (TANGENT_COUNT - 1))
+    a_rows, b_rhs = [], []
+    for r, c, a in occupied:
+        lo = math.sqrt(a) / 4.0
+        for t in range(TANGENT_COUNT):
+            w_t = lo * ratio ** t
+            coeffs = [0.0] * (cols + rows)
+            coeffs[c] = a / (w_t * w_t)
+            coeffs[cols + r] = 1.0
+            a_rows.append(coeffs)
+            b_rhs.append(2.0 * a / w_t)
+    return [1.0] * (cols + rows), a_rows, b_rhs
+
+
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)),
+             min_size=cols, max_size=cols),
+    min_size=1, max_size=5)))
+def test_tangent_cuts_match_the_per_cell_reference(demands):
+    """1x1..5x5 grids of demands from 1e-300 to 1e300."""
+    lps = []
+
+    def recording(c, a_mat, b):
+        lps.append((c, a_mat, b))
+        return np.zeros(len(c)), 0.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(area_kernel, "solve_cover_lp", recording)
+        min_area_lp(demands)
+    want = [reference_tangent_cuts(demands)] if any(map(any, demands)) else []
+    assert len(lps) == len(want)
+    for (c, a_mat, b), (ref_c, ref_a, ref_b) in zip(lps, want):
+        assert list(c) == ref_c
+        assert np.array_equal(a_mat, np.array(ref_a).reshape(len(ref_b), len(c)))
+        assert np.array_equal(b, ref_b)

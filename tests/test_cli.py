@@ -929,3 +929,49 @@ def test_unwritable_out_exit_code(tmp_path, corpus_dir, capsys, command, out):
     err = capsys.readouterr().err
     assert code == 2
     assert str(tmp_path / out) in err and "Traceback" not in err
+
+
+def _renamed(doc, old: str, new: str):
+    """A copy of doc with every string equal to old, key or value, renamed new."""
+    if isinstance(doc, dict):
+        return {new if k == old else k: _renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(v, old, new) for v in doc]
+    return new if doc == old else doc
+
+
+@pytest.mark.parametrize("name,old", [("coregraph.json", "cpu0"), ("coregraph.json", "CPU"),
+                                      ("ppa.json", "28nm")],
+                         ids=["component-id", "component-kind", "layer-node"])
+def test_empty_name_exit_code(tmp_path, corpus_dir, capsys, name, old):
+    """A component id or kind, or a layer node, renamed '' in every document,
+    so that every reference to it still resolves: the schema's minLength
+    rejects the named document, and validate and run exit 2."""
+    import jsonschema
+
+    docs = {n: _renamed(read_json(corpus_dir / "tiny_soc" / n), old, "")
+            for n in INSTANCE_FILES}
+    schema = jsonschema.Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{INSTANCE_FILES[name]}"})
+    assert not schema.is_valid(docs[name])
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for n, doc in docs.items():
+        (bad / n).write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "MalformedTable" in err and "non-empty" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_overflowing_cost_exit_code(tmp_path, corpus_dir, capsys, command):
+    """Five weights that each pass as finite but whose weighted sum overflows:
+    run and baseline exit 2 naming weights, and write no JSON holding Infinity."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": [1e308] * 5}))
+    out = tmp_path / "o"
+    code = main([command, str(corpus_dir / "tiny_soc"), "--out", str(out), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert repr("weights") in err and "Traceback" not in err
+    assert not list(out.glob("*.json"))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from meshstack.corpus import write_corpus
-from meshstack.errors import ValidationError
+from meshstack.errors import InputError, ValidationError
 from meshstack.model import (
     Component,
     CoreGraph,
@@ -26,6 +26,7 @@ from meshstack.model import (
     ppa_to_json,
     tech_to_json,
     validate_instance,
+    write_json,
 )
 
 from conftest import case_study_ppa, default_tech, make_instance
@@ -230,3 +231,12 @@ def test_committed_corpus_matches_builders(tmp_path):
         return {p.relative_to(base): p.read_bytes() for p in sorted(base.rglob("*"))
                 if p.is_file()}
     assert files(tmp_path) == files(committed)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    """JSON holds no Infinity or NaN: the writer names the file and writes nothing."""
+    path = tmp_path / "out" / "report.json"
+    with pytest.raises(InputError, match="report.json"):
+        write_json({"metrics": {"total_cost": value}}, path)
+    assert not path.exists()

@@ -177,3 +177,79 @@ def test_tangent_cut_lp_pivot_count(monkeypatch):
                              [37.6, 37.1, 37.1, 72.3],
                              [37.1, 37.1, 37.6, 37.1]])
     assert 0 < len(pivots) <= 24
+
+
+def _reference_iterate(tableau, basis, ncols) -> None:
+    """The ratio test on numpy arrays, as the solver ran it before it moved to
+    plain floats: the reference the shipped _iterate must match bit for bit."""
+    basis = np.array(basis)
+    max_pivots = 50 * (tableau.shape[0] + ncols)
+    bland = False
+    for _ in range(max_pivots):
+        reduced = tableau[-1, :ncols]
+        entering = reduced.argmin()
+        if reduced[entering] >= -simplex._TOL:
+            return
+        if bland:
+            entering = np.flatnonzero(reduced < -simplex._TOL)[0]
+        col = tableau[:-1, entering]
+        positive = np.flatnonzero(col > simplex._TOL)
+        if not positive.size:
+            raise SolverFailureError("LP is infeasible (its dual is unbounded)")
+        ratios = tableau[positive, -1] / col[positive]
+        rmin = ratios.min()
+        ties = positive[ratios <= rmin + simplex._TOL]
+        bland = bland or rmin <= simplex._TOL
+        simplex._pivot(tableau, basis, ties[basis[ties].argmin()], entering)
+    raise SolverFailureError("simplex exceeded its pivot budget")
+
+
+def _solved(c, a_mat, b):
+    try:
+        return solve_cover_lp(c, a_mat, b)
+    except SolverFailureError as exc:
+        return str(exc)
+
+
+def _check_against_reference(c, a_mat, b) -> None:
+    got = _solved(c, a_mat, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_iterate", _reference_iterate)
+        want = _solved(c, a_mat, b)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+@given(n=st.integers(1, 12), m=st.integers(0, 200), density=st.floats(0.05, 1.0),
+       integral=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ratio_test_matches_numpy_reference_on_covering_lps(n, m, density, integral, seed):
+    """The covering LPs of test_covering_lp_matches_highs: small integers tie
+    ratios, all-zero rows make the LP infeasible, and m = 0 is allowed."""
+    rng = np.random.default_rng(seed)
+    if integral:
+        draw = lambda size: rng.integers(0, 4, size).astype(float)
+    else:
+        draw = lambda size: rng.uniform(0.1, 10.0, size) * (rng.random(size) < 0.8)
+    a_mat = draw((m, n)) * (rng.random((m, n)) < density)
+    _check_against_reference(draw(n), a_mat, draw(m))
+
+
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.5, 150.0)), min_size=cols, max_size=cols),
+    min_size=1, max_size=5)))
+def test_ratio_test_matches_numpy_reference_on_tangent_cut_lps(demands):
+    """min_area_lp's LPs for 1x1..5x5 demand grids."""
+    lps = []
+
+    def recording(c, a_mat, b):
+        lps.append((c, a_mat, b))
+        return solve_cover_lp(c, a_mat, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(area_kernel, "solve_cover_lp", recording)
+        area_kernel.min_area_lp(demands)
+    for lp in lps:
+        _check_against_reference(*lp)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshstack import tsv_count
 from meshstack.errors import TooManyArraysError
 from meshstack.model import Component, CoreGraph, Flow, ObjectiveWeights
 from meshstack.tsv_count import (
@@ -255,3 +256,51 @@ def test_curve_equals_each_estimate(grids, koz_area, w_util):
         assert raised(estimate_arrays, fps, 0, cg, i) == f"array count must be >= 1, got {i}"
     # boundary 1 has no upper layer: the count is checked before it is looked up
     assert raised(estimate_arrays, fps, 1, cg, 0) == "array count must be >= 1, got 0"
+
+
+def reference_estimates(fps, boundary, traffic, counts):
+    """_estimates as it computed each rank probability inside its per-term
+    loop, before the probabilities went into a table: the reference the
+    table must match bit for bit."""
+    upper = next(fp for fp in fps if fp.layer == boundary + 1)
+    spots = sorted(upper.cell_center(r, c) for r in range(upper.rows) for c in range(upper.cols))
+    n = len(spots)
+    positions = tsv_count._component_positions(fps)
+    acc = {i: ([0.0] * i, [0.0] * i) for i in counts}
+    for comp in sorted(traffic):
+        px, py = positions[comp]
+        dist = [abs(px - ax) + abs(py - ay) for ax, ay in spots]
+        ties, lead = [], -1.0
+        for p in sorted(range(n), key=dist.__getitem__):
+            lead = dist[p] if dist[p] > lead + 1e-12 else lead
+            ties.append((lead, p))
+        order = [p for _lead, p in sorted(ties)]
+        earlier = [sum(1 for q in order[k + 1:] if q < p) for k, p in enumerate(order)]
+        for i, (acc_b, acc_wd) in acc.items():
+            placements = math.comb(n, i)
+            for k, p in enumerate(order[:n - i + 1]):
+                m = earlier[k]
+                for j in range(min(m, i - 1) + 1):
+                    w = (math.comb(m, j) * math.comb(n - k - 1 - m, i - 1 - j) / placements
+                         * traffic[comp])
+                    acc_b[j] += w
+                    acc_wd[j] += w * dist[p]
+    return {i: [ArrayEstimate(b, wd / b if b > 0 else 0.0) for b, wd in zip(acc_b, acc_wd)]
+            for i, (acc_b, acc_wd) in acc.items()}
+
+
+@settings(max_examples=100)
+@given(grids=small_two_layer_grids())
+def test_rank_probability_table_changes_no_bit(grids):
+    """Every count up to the grid size, all in one call (which shares the
+    table) and each alone."""
+    cg, fps = grids
+    traffic = cross_boundary_traffic(cg, tsv_count._layer_of(fps), 0)
+    if not traffic:
+        return
+    counts = range(1, fps[1].rows * fps[1].cols + 1)
+    assert tsv_count._estimates(fps, 0, traffic, counts) == reference_estimates(
+        fps, 0, traffic, counts)
+    for i in counts:
+        assert tsv_count._estimates(fps, 0, traffic, [i]) == reference_estimates(
+            fps, 0, traffic, [i])
