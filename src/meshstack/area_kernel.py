@@ -7,14 +7,18 @@ Two variants, both pure functions:
   min_area_lp     tangent cuts of H = a/W: a lower bound, fast enough for an
                   annealing loop; cell products may undershoot their demand.
   min_area_exact  the minimizer of a strictly convex geometric program:
-                  an active set certifies its KKT point, and an interior-
-                  point method runs only where that fails; feasible by
-                  construction.
+                  an active set certifies its KKT point; where it does not
+                  within its rounds, a coordinate ascent on the dual orders
+                  the tight cells for it. Plain Python floats, no numpy;
+                  feasible by construction.
+
+Both take cell demands of 0 or within DEMAND_RANGE.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -30,6 +34,9 @@ TANGENT_COUNT = 8  # min_area_lp's tangent points per cell
 _TANGENT_STEPS = np.array([(16.0 ** (1.0 / (TANGENT_COUNT - 1))) ** t
                            for t in range(TANGENT_COUNT)])
 TOL = 1e-9         # min_area_exact's stopping and certificate tolerance
+# the nonzero cell demands both kernels accept: the tangent cuts of a demand
+# near the float limits overflow, or divide by an underflowed square
+DEMAND_RANGE = (1e-300, 1e300)
 
 
 class LpResult(NamedTuple):
@@ -54,8 +61,9 @@ def _check_demands(demands: Grid) -> tuple[int, int, list[tuple[int, int, float]
             raise InvalidParamsError("demand grid must be rectangular")
         for c in range(cols):
             a = float(demands[r][c])
-            if a < 0:
-                raise InvalidParamsError(f"cell demand must be >= 0, got {a}")
+            if a != 0.0 and not DEMAND_RANGE[0] <= a <= DEMAND_RANGE[1]:
+                raise InvalidParamsError(
+                    f"cell demand must be 0 or lie in {list(DEMAND_RANGE)}, got {a}")
             if a > 0:
                 occupied.append((r, c, a))
     return rows, cols, occupied
@@ -123,11 +131,6 @@ def repair_heights(demands: Grid, col_widths: Sequence[float]) -> ExactResult:
     return ExactResult(tuple(widths), tuple(heights), sum(widths) * sum(heights), True)
 
 
-def _to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest step in (0, 1] that keeps v + step * dv >= 0."""
-    return min(1.0, float(np.divide(-v, dv, out=np.ones_like(v), where=dv < 0).min()))
-
-
 def _solve_on_tight_cells(x: list, lines: list, b: list, order: list, ncols: int) -> tuple:
     """The KKT point for the tight cells in order, each a (column, row) pair of
     line indices with log demand b[k], and its spanning forest: the forest
@@ -193,51 +196,37 @@ def _certify(x: list, lines: list, b: list, ncols: int, order: list, rounds: int
         lam = _multipliers([math.exp(v) for v in y], lines, forest)
         negative = {k for k, v in lam.items() if v < -TOL}
         covered = {v for k in forest for v in lines[k]}
-        violated = [k for k, s in enumerate(slack) if s < -TOL] + [
+        violated = list(dict.fromkeys([k for k, s in enumerate(slack) if s < -TOL] + [
             min(cells, key=slack.__getitem__)
-            for v, cells in enumerate(on_line) if v not in covered]
+            for v, cells in enumerate(on_line) if v not in covered]))
         if not (violated or negative):
             return y, True
         order = violated + [k for k in order if k not in negative and k not in violated]
     return y, False
 
 
-def _interior_point(x: list, lines: list, b: list, max_iters: int) -> tuple:
-    """A Mehrotra predictor-corrector from x, slacks >= 1 and duals 1. Returns
-    the last iterate, its tight cells (slack below multiplier) surest first,
-    and whether it stopped by itself within max_iters."""
-    m, n = len(lines), len(x)
-    A, b, x = np.zeros((m, n)), np.array(b), np.array(x)
-    for k, (i, j) in enumerate(lines):
-        A[k, i] = A[k, j] = 1.0
-    s, lam = np.maximum(A @ x - b, 1.0), np.ones(m)
-    finished, alpha = False, 1.0
-    for _ in range(max_iters):
-        w, mu = np.exp(x), s @ lam / m
-        r_d, r_p = w - A.T @ lam, A @ x - s - b
-        # at TOL, or no step is left in double precision
-        if max(np.max(np.abs(r_d)) / np.max(w), np.max(np.abs(r_p)), mu) <= TOL or alpha < TOL:
-            finished = True
-            break
-        d = lam / s
-        normal = np.diag(w) + A.T @ (d[:, None] * A)
-
-        def direction(r_c):
-            dx = np.linalg.solve(normal, -r_d - A.T @ (d * r_p + r_c / s))
-            dlam = -d * (r_p + A @ dx) - r_c / s
-            return dx, dlam, -(r_c + s * dlam) / lam
-        try:
-            dx, dlam, ds = direction(s * lam)  # predictor: the affine-scaling step
-            mu_aff = (s + _to_boundary(s, ds) * ds) @ (lam + _to_boundary(lam, dlam) * dlam) / m
-            dx, dlam, ds = direction(s * lam + ds * dlam - (mu_aff / mu) ** 3 * mu)
-        except np.linalg.LinAlgError:  # singular: demands about 1e11 and more apart
-            finished = True
-            break
-        alpha = min(0.99 * _to_boundary(s, ds), 0.99 * _to_boundary(lam, dlam),
-                    1.0 / max(1.0, np.max(np.abs(dx))))  # at most e-fold per step
-        x, s, lam = x + alpha * dx, s + alpha * ds, lam + alpha * dlam
-    tight = sorted(np.flatnonzero(s < lam).tolist(), key=lambda k: s[k] / lam[k])
-    return x.tolist(), tight, finished
+def _dual_ascent(x: list, lines: list, b: list, ncols: int, rounds: int, sweeps: int) -> tuple:
+    """Cyclic coordinate ascent on the multipliers lam_k >= 0, one sweep over
+    the cells at a time: lam_k maximizes the dual with the others held, the
+    root of (s_i + lam)(s_j + lam) = e^b[k] clipped at 0, where s_i and s_j
+    are its lines' sums of the other multipliers. After each sweep the active
+    set runs from x = log s (a line without a multiplier keeps its start) with
+    the cells that carry one, largest first. Returns the last point and
+    whether it is certified within sweeps."""
+    lam, s = [0.0] * len(lines), [0.0] * len(x)
+    demand = [math.exp(bk) for bk in b]
+    y = x
+    for _ in range(sweeps):
+        for k, (i, j) in enumerate(lines):
+            p, q = s[i] - lam[k], s[j] - lam[k]
+            lam[k] = max(0.0, 0.5 * (math.sqrt((p - q) ** 2 + 4.0 * demand[k]) - p - q))
+            s[i], s[j] = p + lam[k], q + lam[k]
+        order = sorted((k for k, v in enumerate(lam) if v > 0), key=lambda k: -lam[k])
+        start = [math.log(v) if v > 0 else u for u, v in zip(x, s)]
+        y, certified = _certify(start, lines, b, ncols, order, rounds)
+        if certified:
+            return y, True
+    return y, False
 
 
 def _log_problem(occupied: list) -> tuple:
@@ -251,7 +240,9 @@ def _log_problem(occupied: list) -> tuple:
     row_line = {r: len(used_cols) + k for k, r in enumerate(used_rows)}
     lines = [(col_line[c], row_line[r]) for r, c, _ in occupied]
     scale = max(a for _, _, a in occupied)
-    b = [math.log(a / scale) for _, _, a in occupied]
+    # a / scale below the normal floats would lose its digits, or all of them
+    b = [math.log(a / scale) if a / scale >= sys.float_info.min
+         else math.log(a) - math.log(scale) for _, _, a in occupied]
     top = [-math.inf] * (len(used_cols) + len(used_rows))
     for (i, j), bk in zip(lines, b):
         top[i], top[j] = max(top[i], bk), max(top[j], bk)
@@ -276,22 +267,25 @@ def min_area_exact(demands: Grid, init_widths: Optional[Sequence[float]] = None,
     has sum W = sum H, so it minimizes (sum W)(sum H) too. An active set from
     a start computed from the demands alone (so init_widths is ignored) and
     no tight cells finds the minimizer's tight forest and certifies it within
-    m + n rounds on nearly every grid; else a Mehrotra interior-point method
-    finds the tight cells and the active set certifies from them. The result
-    is the certified forest's exact KKT point. converged: that point is
-    certified, and the interior point, if it ran, stopped by itself; max_iters
-    bounds both the first active-set rounds and the interior-point iterations.
-    Heights are max a_ij / W_i: always feasible."""
+    m + n rounds on nearly every grid. Where it does not (ties can send it
+    round a cycle of forests), a dual coordinate ascent orders the tight
+    cells and the active set certifies from them: the dual, sum over lines of
+    s - s log s plus sum lam_k log a_k with s a line's multiplier sum, is
+    strictly concave in each lam_k, each step maximizes it in closed form,
+    and x = log s tends to the unique minimizer, so after a few sweeps the
+    cells that carry a multiplier, largest first, lead the active set to its
+    tight forest. The result is the certified
+    forest's exact KKT point; converged: it was certified within max_iters,
+    which bounds the first rounds, the ascent's sweeps and each certificate's
+    rounds. Heights are max a_ij / W_i: always feasible."""
     rows, cols, occupied = _check_demands(demands)
     if not occupied:
         return repair_heights(demands, [0.0] * cols)
     used_cols, scale, lines, b, x = _log_problem(occupied)
-    rounds = len(lines) + len(x)
-    y, converged = _certify(x, lines, b, len(used_cols), [], min(rounds, max_iters))
+    rounds = min(len(lines) + len(x), max_iters)
+    y, converged = _certify(x, lines, b, len(used_cols), [], rounds)
     if not converged:
-        x, tight, finished = _interior_point(x, lines, b, max_iters)
-        y, converged = _certify(x, lines, b, len(used_cols), tight, rounds)
-        converged = converged and finished
+        y, converged = _dual_ascent(x, lines, b, len(used_cols), rounds, max_iters)
     widths = dict(zip(used_cols, (math.sqrt(scale) * math.exp(v) for v in y)))  # columns first
     return repair_heights(demands, [widths.get(c, 0.0) for c in range(cols)])._replace(
         converged=converged)

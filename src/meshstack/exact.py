@@ -86,11 +86,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InstanceTooLargeError, NoCandidatesError, UnreachableError
+from .errors import InstanceTooLargeError, UnreachableError
 from .floorplan import grid_dims, legalize, legalize_layer, placed_floorplan, router_kinds
 from .model import Instance, MeshFloorplan, ObjectiveWeights, VerticalLink
 from .objective import evaluate_solution, power_perf_cost
-from .vlink import candidate_links
+from .vlink import links_in_reach
 
 
 MAX_PLACEMENTS = 23040  # six components on two layers, all feasible on both
@@ -373,10 +373,7 @@ def _link_configurations(instance: Instance, floorplans: Sequence[MeshFloorplan]
     and a VerticalLink names positions, not components."""
     boundary_cands: list[list[VerticalLink]] = []
     for b in instance.boundaries():
-        try:
-            cands = candidate_links(floorplans, b, instance.tech.rd_max_length)
-        except NoCandidatesError:
-            cands = []
+        cands = links_in_reach(floorplans, b, instance.tech.rd_max_length)
         if len(cands) > MAX_VCANDS:
             raise InstanceTooLargeError(
                 f"boundary {b} has {len(cands)} vertical-link candidates, "

@@ -272,6 +272,17 @@ def _nonnegative(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
 
 
+# every PPA area, and a KOZ area unless it is 0, in mm^2 (the schema's bounds
+# too): far wider than any die, and narrow enough that every cell demand, a
+# sum of such areas, lies well inside the range both area kernels size
+AREA_RANGE = (1e-12, 1e12)
+_AREA_TEXT = f"[{AREA_RANGE[0]:g}, {AREA_RANGE[1]:g}] mm^2"
+
+
+def _area_in_range(x) -> bool:
+    return AREA_RANGE[0] <= x <= AREA_RANGE[1]
+
+
 def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
                         layers: Sequence[Layer]) -> list[Violation]:
     """Collect every invariant violation; empty list means the instance is valid."""
@@ -296,16 +307,25 @@ def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
                 out.append(Violation("MalformedTable", f"router {name} table has no entry for node {node!r}"))
             elif not all(_positive(v) for v in (entry.area, entry.perf, entry.power)):
                 out.append(Violation("MalformedTable", f"router {name} entry for node {node!r} must be positive"))
+            elif not _area_in_range(entry.area):
+                out.append(Violation("MalformedTable", f"router {name} area for node {node!r} must lie in "
+                                                       f"{_AREA_TEXT}, got {entry.area}"))
     for kind, table in sorted(ppa.components.items()):
         for node, entry in sorted(table.items()):
             if entry is None:
                 continue
             if not all(_positive(v) for v in (entry.area, entry.perf, entry.power)):
                 out.append(Violation("MalformedTable", f"PPA entry for {kind!r} in {node!r} must be positive"))
+            elif not _area_in_range(entry.area):
+                out.append(Violation("MalformedTable", f"PPA area for {kind!r} in {node!r} must lie in "
+                                                       f"{_AREA_TEXT}, got {entry.area}"))
 
     # tech params
     if not _nonnegative(tech.koz_area):
         out.append(Violation("MalformedTable", f"koz_area must be >= 0, got {tech.koz_area}"))
+    elif tech.koz_area and not _area_in_range(tech.koz_area):
+        out.append(Violation("MalformedTable", f"koz_area must be 0 or lie in {_AREA_TEXT}, "
+                                               f"got {tech.koz_area}"))
     if not _nonnegative(tech.rd_max_length):
         out.append(Violation("MalformedTable", f"rd_max_length must be >= 0, got {tech.rd_max_length}"))
     if not _positive(tech.link_capacity):

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .anneal import SaParams, mix_seed
-from .errors import InputError, InstanceTooLargeError, InvalidParamsError, NoCandidatesError
+from .errors import InputError, InstanceTooLargeError, InvalidParamsError
 from .floorplan import floorplan_layer, grid_dims, legalize, placed_floorplan, step2_cost
 from .layer_assign import assign_layers, assign_layers_greedy, step1_cost
 from .model import (
@@ -47,7 +47,7 @@ from .model import (
 from .netgraph import build_network, route_all  # noqa: F401
 from .objective import evaluate_solution, metrics_to_json
 from .tsv_count import choose_count
-from .vlink import candidate_links, max_matching_size, place_vlinks
+from .vlink import links_in_reach, max_matching_size, place_vlinks
 
 
 MAX_FIXED_MESH_CELLS = 4096  # rows * cols of fixed_mesh; its grid is allocated cell by cell
@@ -265,7 +265,8 @@ def _tsv(result: PipelineResult) -> None:
     counts: dict[int, int] = {}
     curves: dict[int, dict[int, float]] = {}
     for b in instance.boundaries():
-        cap = max_matching_size(_in_reach(instance, floorplans, b))  # most links it can carry
+        # most links it can carry
+        cap = max_matching_size(links_in_reach(floorplans, b, instance.tech.rd_max_length))
         fixed = (config.fixed_tsv_counts or {}).get(b)
         if fixed is not None or config.fixed_mesh is not None:
             # an explicit count wins; else the conventional protocol connects fully
@@ -303,15 +304,6 @@ def _legalize(result: PipelineResult) -> None:
     metrics = evaluate_solution(instance, legal, result.vlinks, config.weights)
     result.metrics = metrics
     result.vlinks = list(metrics["network"].vlinks)  # rd refreshed to final geometry
-
-
-def _in_reach(instance: Instance, floorplans: Sequence[MeshFloorplan],
-              boundary: int) -> list[VerticalLink]:
-    """The boundary's candidate links: none when no router pair is in reach."""
-    try:
-        return candidate_links(floorplans, boundary, instance.tech.rd_max_length)
-    except NoCandidatesError:
-        return []
 
 
 # the stage table; each artifact's parser puts it back onto a result
@@ -383,7 +375,7 @@ def _check_reach(instance: Instance, floorplans: Sequence[MeshFloorplan],
     """ValueError for a link that is no candidate of its boundary within the
     instance's reach on the step-2 `floorplans`."""
     in_reach = {(c.lower, c.upper) for b in {v.lower[0] for v in vlinks}
-                for c in _in_reach(instance, floorplans, b)}
+                for c in links_in_reach(floorplans, b, instance.tech.rd_max_length)}
     for v in vlinks:
         if (v.lower, v.upper) not in in_reach:
             raise ValueError(f"vertical link {list(v.lower)} -> {list(v.upper)} is longer "

@@ -53,6 +53,15 @@ def candidate_links(floorplans: Sequence[MeshFloorplan], boundary: int,
     return pairs
 
 
+def links_in_reach(floorplans: Sequence[MeshFloorplan], boundary: int,
+                   reach: float) -> list[VerticalLink]:
+    """candidate_links, or none when no router pair is in reach."""
+    try:
+        return candidate_links(floorplans, boundary, reach)
+    except NoCandidatesError:
+        return []
+
+
 def _matching(candidates: Sequence[VerticalLink], order: Sequence[int]) -> list[int]:
     """A maximum matching (one link per router and direction) as candidate
     indices: classic augmenting paths over the lower routers in sorted order,

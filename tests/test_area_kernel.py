@@ -7,12 +7,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from meshstack import area_kernel
-from meshstack.area_kernel import (TANGENT_COUNT, _certify, _check_demands, _interior_point,
+from meshstack.area_kernel import (TANGENT_COUNT, _certify, _check_demands, _dual_ascent,
                                    _log_problem, min_area_exact, min_area_lp, repair_heights,
                                    sorted_grid)
 from meshstack.errors import InvalidParamsError
@@ -58,6 +58,25 @@ def test_uniform_2x2():
 def test_negative_demand_rejected():
     with pytest.raises(InvalidParamsError):
         min_area_lp([[1.0, -2.0]])
+
+
+@pytest.mark.parametrize("demands", [[[1.7e308]], [[5e-324]], [[1.0, math.inf]], [[math.nan]]])
+def test_demands_outside_the_kernel_range_rejected(demands):
+    # 1.7e308 overflowed min_area_lp's cuts and 5e-324 divided by zero there
+    for kernel in (min_area_lp, min_area_exact):
+        with pytest.raises(InvalidParamsError, match="cell demand"):
+            kernel(demands)
+
+
+@pytest.mark.parametrize("demands", [[[1e-300, 1e300]], [[1e-300, 0.0], [0.0, 1e300]]])
+def test_exact_sizes_demands_at_the_range_ends(demands):
+    # their ratio underflows: the log demand is taken as a difference of logs
+    res = min_area_exact(demands)
+    assert res.converged
+    assert all(res.col_widths[c] * res.row_heights[r] >= a * (1 - 1e-12)
+               for r, row in enumerate(demands) for c, a in enumerate(row))
+    assert res.area == pytest.approx(1e300, rel=1e-12)
+    assert min_area_lp(demands).area <= res.area
 
 
 def test_known_kink_instance():
@@ -209,7 +228,7 @@ TIED_GRID = [[37.099999999999994, 39.599999999999994, 37.599999999999994, 37.599
     # multipliers five decades apart: the small rows' cells look slack
     [[0.037646783542805706], [465.9197630800511], [698.6852129230318],
      [0.049394873820259574], [37.1], [0.006312810340878955]],
-    # nearly equal demands: only the interior-point fallback certifies it
+    # nearly equal demands: only the dual-ascent fallback certifies it
     TIED_GRID,
 ])
 def test_exact_kkt_point_on_hard_grids(demands):
@@ -217,9 +236,9 @@ def test_exact_kkt_point_on_hard_grids(demands):
 
 
 def test_exact_on_far_apart_demands():
-    # 11 decades and more apart the normal equations go singular short of tol;
-    # the certified tight set still gives the minimizer (the certificate's own
-    # rounding, not the sizes, keeps the nnls check above out of reach here)
+    # 11 decades and more apart the certified tight set still gives the
+    # minimizer (the certificate's own rounding, not the sizes, keeps the nnls
+    # check above out of reach here)
     for demands in ([[87100.0, 1.04e-06]], [[9000.0], [1.1e-07]]):  # one row, one column
         res = min_area_exact(demands)
         assert res.converged
@@ -232,15 +251,14 @@ def test_exact_on_far_apart_demands():
     assert sum(res.col_widths) == pytest.approx(sum(res.row_heights), rel=1e-9)
 
 
-def both_paths(demands):
-    """The active set from the demand start and no tight cells, and the
-    interior point followed by the active set from its tight cells."""
+def first_pass_and_ascent(demands):
+    """The active set from the demand start and no tight cells, and the dual
+    ascent, whose sweeps each end in the active set from the cells that carry
+    a multiplier: each a (point, certified) pair."""
     used_cols, _scale, lines, b, x = _log_problem(_check_demands(demands)[2])
     rounds = len(lines) + len(x)
-    active = _certify(x, lines, b, len(used_cols), [], rounds)
-    x, tight, finished = _interior_point(x, lines, b, 100)
-    assert finished
-    return active, _certify(x, lines, b, len(used_cols), tight, rounds)
+    return (_certify(x, lines, b, len(used_cols), [], rounds),
+            _dual_ascent(x, lines, b, len(used_cols), rounds, 100))
 
 
 # zeros, ties, and demands up to seven decades apart
@@ -257,21 +275,65 @@ def wide_grids(draw):
 
 
 @given(demands=wide_grids())
-# 11 decades and more apart: the interior point stops on singular normal equations
+# 11 decades and more apart
 @example(demands=[[87100.0, 1.04e-06]])
 @example(demands=[[0.0, 1.0], [1.25e-07, 1.0], [0.0, 6.9e-4], [0.2, 1.0], [4.05e6, 3.1e-08],
                   [8.7e-05, 0.0]])
-def test_active_set_certifies_the_interior_point_minimizer(demands):
-    (y, certified), (z, fallback_certified) = both_paths(demands)
+def test_dual_ascent_certifies_the_first_pass_minimizer(demands):
+    (y, certified), (z, fallback_certified) = first_pass_and_ascent(demands)
     assert certified and fallback_certified
     for u, v in zip(y, z):
         assert math.exp(u) == pytest.approx(math.exp(v), rel=1e-12)
 
 
-def test_tied_grid_falls_back_to_the_interior_point():
-    (_, certified), (_, fallback_certified) = both_paths(TIED_GRID)
+def test_tied_grid_falls_back_to_the_dual_ascent():
+    (_, certified), (_, fallback_certified) = first_pass_and_ascent(TIED_GRID)
     assert not certified and fallback_certified
     assert min_area_exact(TIED_GRID).converged
+
+
+def scaled_area(demands, y):
+    """(sum W)(sum H) of a kernel point y, columns first, in its scaled units."""
+    ncols = len({c for _, c, _ in _check_demands(demands)[2]})
+    return sum(map(math.exp, y[:ncols])) * sum(map(math.exp, y[ncols:]))
+
+
+@st.composite
+def tie_rich_grids(draw):
+    """Grids 2x2 to 5x5 of zeros and one family of nearly equal demands: the
+    values of TIED_GRID, or 1, 1 +- 1e-9, 0.987 and 1.05. The first pass
+    does not certify about 1 in 100 of them."""
+    family = draw(st.sampled_from([(37.099999999999994, 39.599999999999994, 37.599999999999994),
+                                   (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 0.987, 1.05)]))
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    grid = [[draw(st.sampled_from((0.0,) + family)) for _ in range(cols)] for _ in range(rows)]
+    assume(any(any(row) for row in grid))
+    return grid
+
+
+@settings(max_examples=500)
+@given(demands=tie_rich_grids())
+# a 2x3 grid whose first pass does not certify
+@example(demands=[[1.0, 1.05, 1.000000001], [0.999999999, 0.987, 1.000000001]])
+def test_dual_ascent_certifies_tie_rich_grids(demands):
+    assert_kkt_point(demands, min_area_exact(demands))
+    (y, certified), (z, ascent_certified) = first_pass_and_ascent(demands)
+    assert ascent_certified
+    if certified:
+        assert scaled_area(demands, z) == pytest.approx(scaled_area(demands, y), rel=1e-8)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the exact kernel used numpy.{name}")
+
+
+def test_exact_kernel_is_numpy_free(monkeypatch):
+    """min_area_exact runs without numpy, on a grid the first pass certifies
+    and on one only the dual ascent certifies."""
+    monkeypatch.setattr(area_kernel, "np", _NoNumpy())
+    for demands in ([[4.0, 9.0], [1.0, 0.0]], TIED_GRID):
+        assert_kkt_point(demands, min_area_exact(demands))
 
 
 # zeros and few distinct values, so rows and columns often repeat a multiset

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meshstack import cli, pipeline
+from meshstack import cli, model, pipeline
 from meshstack.cli import main
 from meshstack.corpus import write_corpus
 from meshstack.errors import InvalidParamsError
@@ -915,6 +915,42 @@ def test_out_of_range_instance_number_exit_code(tmp_path, corpus_dir, capsys, na
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert str(bad / name) in err and "Traceback" not in err
+
+
+def _write_extreme_area_instance(path: Path, tiny: float, huge: float) -> None:
+    """One layer n holding an X of area `tiny` and a Y of area `huge`, routers
+    of area `tiny` and no KOZ area."""
+    path.mkdir()
+    entry = {"perf": 1.0, "power": 1.0}
+    (path / "coregraph.json").write_text(json.dumps({
+        "components": [{"id": "x", "kind": "X"}, {"id": "y", "kind": "Y"}],
+        "flows": [{"src": "x", "dst": "y", "bandwidth": 1.0}]}))
+    (path / "ppa.json").write_text(json.dumps({
+        "components": {"X": {"n": {"area": tiny, **entry}}, "Y": {"n": {"area": huge, **entry}}},
+        "layers": [{"index": 0, "node": "n"}],
+        "routers": {"2d": {"n": {"area": tiny, **entry}}, "3d": {"n": {"area": tiny, **entry}}}}))
+    (path / "tech.json").write_text(json.dumps(
+        {"koz_area": 0.0, "link_capacity": 100.0, "rd_max_length": 5.0}))
+
+
+def test_areas_outside_the_documented_range_exit_code(tmp_path, capsys):
+    """Areas 600 decades apart once validated and then crashed the exact kernel
+    (log of an underflowed demand ratio); they now fail validation, naming the
+    entry, and the same shape at the ends of the range runs."""
+    import jsonschema
+
+    bad = tmp_path / "bad"
+    _write_extreme_area_instance(bad, 1e-300, 1e300)
+    schema = jsonschema.Draft202012Validator({**SCHEMA, "$ref": "#/$defs/ppa"})
+    assert not schema.is_valid(read_json(bad / "ppa.json"))
+    for args in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "o")]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "'X' in 'n'" in err and "Traceback" not in err
+    edge = tmp_path / "edge"
+    _write_extreme_area_instance(edge, *model.AREA_RANGE)
+    assert schema.is_valid(read_json(edge / "ppa.json"))
+    assert main(["run", str(edge), "--out", str(tmp_path / "e")]) == 0
 
 
 @pytest.mark.parametrize("command, out", [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from meshstack import exact
+from meshstack import exact, vlink
 from meshstack.cli import main
 from meshstack.corpus import case_study_ppa, tiny_soc
 from meshstack.errors import (InstanceTooLargeError, MeshstackError, NoCandidatesError,
@@ -314,7 +314,7 @@ def test_candidates_once_per_kind_grid_pair(monkeypatch):
         calls.append(tuple(_kind_grid(inst, fp) for fp in floorplans))
         return candidate_links(floorplans, boundary, reach)
 
-    monkeypatch.setattr(exact, "candidate_links", counted)
+    monkeypatch.setattr(vlink, "candidate_links", counted)
     sol = solve_exact(inst, W)
 
     comps = sorted(c.id for c in inst.core_graph.components)
