@@ -36,11 +36,8 @@ from .errors import (
 )
 from .exact import solve_exact
 from .model import (
-    check_vlink_ends,
     floorplan_to_json,
     load_instance,
-    parse_layers,
-    parse_vlink,
     read_json,
     traffic_to_json,
     vlink_to_json,
@@ -48,9 +45,8 @@ from .model import (
     write_text,
 )
 from .objective import evaluate_solution, metrics_to_json
-from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult, _check_reach,
-                       _effective_instance, check_finite_costs, load_artifacts, run_pipeline,
-                       run_stage)
+from .pipeline import (_CONFIG_KEYS, STAGES, PipelineConfig, PipelineResult, _effective_instance,
+                       check_finite_costs, load_artifacts, run_pipeline, run_stage)
 from .render import render_svg
 
 EXIT_OK = 0
@@ -104,16 +100,6 @@ def cmd_stage(args) -> int:
     return EXIT_OK
 
 
-def _report_solution(instance, doc: dict):
-    floorplans = parse_layers(instance, doc["floorplans"])
-    vlinks = [parse_vlink(d) for d in doc["vlinks"]]
-    check_vlink_ends(vlinks, floorplans)
-    config = PipelineConfig.from_json(doc["config"])
-    _check_reach(_effective_instance(instance, config),
-                 parse_layers(instance, doc["floorplans_step2"]), vlinks)
-    return floorplans, vlinks, config.weights
-
-
 def cmd_eval(args) -> int:
     out = Path(args.out)
     if args.report:
@@ -122,13 +108,11 @@ def cmd_eval(args) -> int:
             raise InvalidParamsError("eval --report takes the report's own config; drop "
                                      + ", ".join("--" + key.replace("_", "-") for key in given))
         instance = load_instance(args.instance)
-        fps, vlinks, weights = read_json(args.report,
-                                         lambda doc: _report_solution(instance, doc))
+        result = read_json(args.report, lambda doc: PipelineResult.from_report(instance, doc))
     else:
         result = _resume(args, STAGES)
-        instance, fps, vlinks = result.instance, result.floorplans, result.vlinks
-        weights = result.config.weights
-    metrics = evaluate_solution(instance, fps, vlinks, weights)
+    metrics = evaluate_solution(result.instance, result.floorplans, result.vlinks,
+                                result.config.weights)
     write_json({**metrics_to_json(metrics), "traffic": traffic_to_json(metrics["traffic"])},
                out / "traffic.json")
     print(f"wrote {out / 'traffic.json'}  (cost {metrics['total_cost']:.4f}, "

@@ -22,6 +22,7 @@ from .model import (
     TechParams,
     save_instance,
     validate_instance,
+    write_text,
 )
 
 
@@ -157,8 +158,7 @@ def write_corpus(base: Path) -> None:
     base = Path(base)
     for name, builder in INSTANCES.items():
         save_instance(builder(), base / name)
-    note = base / "README.md"
-    note.write_text(
+    write_text(
         "# Benchmark corpus\n\n"
         "Instance directories, each holding `coregraph.json`, `ppa.json` and\n"
         "`tech.json` (see `schemas/instance.schema.json`).\n\n"
@@ -169,5 +169,5 @@ def write_corpus(base: Path) -> None:
         "- `vopd`: 16-module video-decoder-style graph, two 28nm layers.\n\n"
         "PPA tables mirror the published case-study numbers; all flow\n"
         "bandwidths are synthesized stand-ins chosen to resemble the described\n"
-        "applications, since the original flow tables are not public.\n"
-    )
+        "applications, since the original flow tables are not public.\n",
+        base / "README.md")

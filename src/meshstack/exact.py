@@ -73,10 +73,10 @@ layer, kind grid and router kinds) summed, their router centers in one
 tuple by flat cell index (the cells of the layers below plus the row-major
 index), and their links per boundary as flat-cell pairs with their rd. A
 layer's placements are listed once per tuple of its members' kinds, grouped
-by kind grid. A placement sets the flat cells of a changed layer's members
-in one list by component, so a configuration's only work before routing is
-its two floors' indexed reads. A layer is placed only for a new kind
-pattern (at its first cells) or a routed configuration.
+by kind grid. A placement sets its members' flat cells in one list by
+component, so a configuration's only work before routing is its two floors'
+indexed reads. A layer is placed only for a new kind pattern (at its first
+cells) or a routed configuration.
 """
 
 from __future__ import annotations
@@ -459,28 +459,16 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
             queue.append((bound, index, assignment, member_ids, members, offsets, layer_of,
                           cell_choices, configs))
 
-    def placed(l: int) -> MeshFloorplan:
-        """Layer l's placed floorplan, built on its first read since it changed."""
-        if floorplans[l] is None:
-            floorplans[l] = _layer_floorplan(instance, l, members[l], choice[l])
-        return floorplans[l]
-
     queue.sort(key=lambda entry: entry[0])  # stable: ties keep insertion order
     for (bound, index, assignment, member_ids, members, offsets, layer_of, cell_choices,
          configs) in queue:
         if best is not None and bound * (1.0 - 1e-9) > best[0]:
             break  # so are all later ones: bounds only rise and best only falls
-        previous: tuple = (None,) * num_layers
-        floorplans: list[Optional[MeshFloorplan]] = [None] * num_layers
         pos = [0] * len(comps)  # each component's flat cell: its layer's offset + cell
         for choice in itertools.product(*cell_choices):
-            # a changed layer moves its members; it is placed only when read
             for l in range(num_layers):
-                if choice[l] is not previous[l]:
-                    floorplans[l] = None
-                    for i, idx in zip(member_ids[l], choice[l]):
-                        pos[i] = offsets[l] + idx
-            previous = choice
+                for i, idx in zip(member_ids[l], choice[l]):
+                    pos[i] = offsets[l] + idx
             ends = [(weight, pos[src], pos[dst]) for weight, src, dst in flows]
             for links, total, centers, chains in configs:
                 if best is not None and (
@@ -488,7 +476,8 @@ def solve_exact(instance: Instance, weights: ObjectiveWeights) -> ExactSolution:
                         or _linked_floor(total, centers, chains, ends, layer_of)
                         * (1.0 - 1e-9) > best[0]):
                     continue
-                legal = legalize(instance, [placed(l) for l in range(num_layers)], links)
+                legal = legalize(instance, [_layer_floorplan(instance, l, members[l], choice[l])
+                                            for l in range(num_layers)], links)
                 try:
                     metrics = evaluate_solution(instance, legal, links, weights)
                 except UnreachableError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -264,12 +265,15 @@ class Violation:
     message: str
 
 
+def finite_number(x, lo: float) -> bool:
+    """x is an int or float, not a bool, with lo <= x <= the largest float.
+    Comparisons only: an int beyond every float is refused, not overflowed."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and lo <= x <= sys.float_info.max)
+
+
 def _positive(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x > 0
-
-
-def _nonnegative(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) and x >= 0
+    return finite_number(x, 0) and x > 0
 
 
 # every PPA area, and a KOZ area unless it is 0, in mm^2 (the schema's bounds
@@ -299,34 +303,29 @@ def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
             out.append(Violation("MalformedTable", f"layer {l.index} node must be non-empty"))
     nodes = {l.node_name for l in layers}
 
-    # PPA tables
-    for node in nodes:
-        for name, table in (("2d", ppa.router_2d), ("3d", ppa.router_3d)):
-            entry = table.get(node)
-            if entry is None:
-                out.append(Violation("MalformedTable", f"router {name} table has no entry for node {node!r}"))
-            elif not all(_positive(v) for v in (entry.area, entry.perf, entry.power)):
-                out.append(Violation("MalformedTable", f"router {name} entry for node {node!r} must be positive"))
-            elif not _area_in_range(entry.area):
-                out.append(Violation("MalformedTable", f"router {name} area for node {node!r} must lie in "
-                                                       f"{_AREA_TEXT}, got {entry.area}"))
-    for kind, table in sorted(ppa.components.items()):
+    # PPA tables: every entry of every node, used by the stack or not, as the schema has it
+    routers = {"router 2d": ppa.router_2d, "router 3d": ppa.router_3d}
+    for node in sorted(nodes):
+        for name, table in routers.items():
+            if table.get(node) is None:
+                out.append(Violation("MalformedTable", f"{name} table has no entry for node {node!r}"))
+    for name, table in [*routers.items(), *((repr(k), t) for k, t in sorted(ppa.components.items()))]:
         for node, entry in sorted(table.items()):
             if entry is None:
                 continue
             if not all(_positive(v) for v in (entry.area, entry.perf, entry.power)):
-                out.append(Violation("MalformedTable", f"PPA entry for {kind!r} in {node!r} must be positive"))
+                out.append(Violation("MalformedTable", f"PPA entry for {name} in {node!r} must be positive"))
             elif not _area_in_range(entry.area):
-                out.append(Violation("MalformedTable", f"PPA area for {kind!r} in {node!r} must lie in "
+                out.append(Violation("MalformedTable", f"PPA area for {name} in {node!r} must lie in "
                                                        f"{_AREA_TEXT}, got {entry.area}"))
 
     # tech params
-    if not _nonnegative(tech.koz_area):
+    if not finite_number(tech.koz_area, 0):
         out.append(Violation("MalformedTable", f"koz_area must be >= 0, got {tech.koz_area}"))
     elif tech.koz_area and not _area_in_range(tech.koz_area):
         out.append(Violation("MalformedTable", f"koz_area must be 0 or lie in {_AREA_TEXT}, "
                                                f"got {tech.koz_area}"))
-    if not _nonnegative(tech.rd_max_length):
+    if not finite_number(tech.rd_max_length, 0):
         out.append(Violation("MalformedTable", f"rd_max_length must be >= 0, got {tech.rd_max_length}"))
     if not _positive(tech.link_capacity):
         out.append(Violation("MalformedTable", f"link_capacity must be > 0, got {tech.link_capacity}"))

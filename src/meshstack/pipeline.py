@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +33,7 @@ from .model import (
     ObjectiveWeights,
     VerticalLink,
     check_vlink_ends,
+    finite_number,
     floorplan_to_json,
     json_typed,
     parse_layers,
@@ -67,14 +67,9 @@ def _int(v, lo: int, hi: float = math.inf) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
 
 
-def _num(v, lo: float) -> bool:  # a JSON integer can exceed every float
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and lo <= v <= sys.float_info.max)
-
-
 def _sa_triple(v) -> bool:
-    return (isinstance(v, list) and len(v) == 3 and _num(v[0], 0) and v[0] > 0
-            and _int(v[1], 1) and _num(v[2], 0) and 0 < v[2] < 1)
+    return (isinstance(v, list) and len(v) == 3 and finite_number(v[0], 0) and v[0] > 0
+            and _int(v[1], 1) and finite_number(v[2], 0) and 0 < v[2] < 1)
 
 
 def _index_key(k: str) -> bool:
@@ -90,13 +85,13 @@ _BOOL = (lambda v: isinstance(v, bool), "true or false", bool)
 # every config key: (check, what it expects, its field from the JSON); null means default
 _CONFIG_KEYS = {
     "weights": (lambda v: isinstance(v, list) and len(v) == 5
-                and all(_num(w, 0) for w in v) and any(w > 0 for w in v),
+                and all(finite_number(w, 0) for w in v) and any(w > 0 for w in v),
                 "five finite weights >= 0, not all zero", lambda v: ObjectiveWeights(*v)),
     "seed": (lambda v: _int(v, 0, (1 << 64) - 1), "an integer in [0, 2^64)", int),
     "sa_floorplan": _SA_TRIPLE,
     "sa_vlink": _SA_TRIPLE,
     "steps": (lambda v: _int(v, 1, 5), "an integer in 1..5", int),
-    "rd_max": (lambda v: _num(v, 0), "a finite number >= 0", lambda v: v),
+    "rd_max": (lambda v: finite_number(v, 0), "a finite number >= 0", lambda v: v),
     "no_rd": _BOOL,
     "colocate": _BOOL,
     "fixed_mesh": (lambda v: isinstance(v, list) and len(v) == 2
@@ -188,6 +183,19 @@ class PipelineResult:
         if "traffic" in self.metrics:
             doc["traffic"] = traffic_to_json(self.metrics["traffic"])
         return doc
+
+    @staticmethod
+    def from_report(instance: Instance, doc: dict) -> "PipelineResult":
+        """The five steps' outputs embedded in a report() doc, under its own
+        config: each stage's loader reads its artifact, so a report gets
+        every check the step artifacts get."""
+        config = PipelineConfig.from_json(doc["config"])
+        result = PipelineResult(_effective_instance(instance, config), config)
+        artifacts = (doc, {"layers": doc["floorplans_step2"]}, doc["tsv"], doc,
+                     {"layers": doc["floorplans"]})
+        for stage, artifact in zip(STAGES, artifacts):
+            stage.load(result, artifact)
+        return result
 
 
 def _effective_instance(instance: Instance, config: PipelineConfig) -> Instance:

@@ -3,11 +3,14 @@
 One document per layer: cells as labeled rectangles, routers as filled
 squares at cell centers (color-coded by kind), KOZs as hatched patches, and
 vertical-link tethers drawn from the router to its partner's planar position.
+Component ids are escaped (&, <, >), so any id gives well-formed XML except
+one holding a control character, which XML 1.0 cannot hold at all.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 from .model import (
     ROUTER_2D,
@@ -78,7 +81,7 @@ def render_layer_svg(fp: MeshFloorplan, vlinks: Sequence[VerticalLink] = (),
                 parts.append(
                     f'<text x="{_fmt(px(x_edges[c]) + 4)}" '
                     f'y="{_fmt(px(y_edges[r]) + 14)}" font-family="monospace" '
-                    f'font-size="11">{comp}</text>')
+                    f'font-size="11">{escape(comp)}</text>')
 
     for v in sorted(vlinks, key=lambda v: (v.lower, v.upper)):
         own = v.upper if v.upper[0] == fp.layer else v.lower if v.lower[0] == fp.layer else None

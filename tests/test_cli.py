@@ -19,9 +19,11 @@ from meshstack.cli import main
 from meshstack.corpus import write_corpus
 from meshstack.errors import InvalidParamsError
 from meshstack.exact import solve_exact
-from meshstack.model import (ObjectiveWeights, floorplan_to_json, load_instance, save_instance,
+from meshstack.model import (Component, CoreGraph, Flow, Layer, ObjectiveWeights,
+                             floorplan_to_json, load_instance, save_instance, validate_instance,
                              vlink_to_json)
 
+from conftest import case_study_ppa, default_tech
 from test_pipeline import valid_instances
 
 
@@ -661,6 +663,27 @@ def test_report_with_vlink_out_of_reach_exit_code(tmp_path, tiny_chain, corpus_d
     assert not (tmp_path / "traffic.json").exists()
 
 
+@pytest.mark.parametrize("edit, says", [
+    (lambda doc: doc["tsv"].update(counts={"00": 2}), "'00'"),
+    (lambda doc: doc["assignment"].update(cpu0=7), "'cpu0' cannot sit on layer 7"),
+], ids=["tsv-count-key", "layer-out-of-range"])
+def test_report_gets_every_artifact_check_exit_code(tmp_path, corpus_dir, capsys, edit, says):
+    """eval --report reads the report's embedded artifacts with the step
+    loaders, so it refuses what `place3d` or `floorplan` would refuse in
+    tsv_plan.json or assignment.json, naming the report."""
+    inst = str(corpus_dir / "tiny_soc")
+    assert main(["run", inst, "--out", str(tmp_path), "--seed", "1"]) == 0
+    report = read_json(tmp_path / "report.json")
+    edit(report)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["eval", inst, "--out", str(tmp_path), "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and says in err and "Traceback" not in err
+    assert not (tmp_path / "traffic.json").exists()
+
+
 # each key names one index in one spelling, and curves only the instance's
 # boundaries (tiny_soc has boundary 0 alone)
 @pytest.mark.parametrize("key, value, says", [
@@ -831,6 +854,71 @@ def test_type_mutations_of_instance_files_exit_2(corpus_dir, data):
     assert code in (0, 2, 3, 4)
     if not schema.is_valid(mutated):
         assert code == 2
+
+
+def _same_type_values(value, ids):
+    """The mutations of a value: each candidate of its own JSON type."""
+    if isinstance(value, str):
+        return ["", " ", "x" * 300, next(i for i in ids if i != value)]
+    if isinstance(value, (int, float)):
+        return [0, -1, 1e-13, 1e13, 1e308, 5e-324, 10**400]
+    return [[]] if isinstance(value, list) else [{}]
+
+
+def test_same_type_mutations_the_schema_rejects_exit_2(tmp_path, corpus_dir):
+    """Replace each value of tiny_soc's three documents, in turn, by each
+    other candidate of the same JSON type: wherever the schema rejects the
+    document, `validate` exits 2. The other direction is not asserted. The
+    validator also rejects documents the schema accepts, such as unknown
+    flow ends, duplicate ids and ints beyond every float: cross-reference
+    and float rules that the schema cannot state."""
+    import jsonschema
+
+    docs = {name: read_json(corpus_dir / "tiny_soc" / name) for name in INSTANCE_FILES}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    ids = [c["id"] for c in docs["coregraph.json"]["components"]]
+    wrong, tried = [], 0
+    for name, doc in docs.items():
+        schema = jsonschema.Draft202012Validator({**SCHEMA, "$ref": f"#/$defs/{INSTANCE_FILES[name]}"})
+        for path in list(_node_paths(doc))[1:]:
+            old = doc
+            for key in path:
+                old = old[key]
+            for value in _same_type_values(old, ids):
+                if value == old:
+                    continue
+                mutated = _replaced(doc, path, value)
+                (tmp_path / name).write_text(json.dumps(mutated))
+                code = main(["validate", str(tmp_path)])
+                tried += 1
+                if code not in (0, 2) or (code == 0 and not schema.is_valid(mutated)):
+                    wrong.append((name, path, value, code))
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert tried > 400 and wrong == []
+
+
+def test_svgs_of_ids_with_xml_specials_parse(tmp_path):
+    """Component ids are escaped in the layer SVGs, so every SVG is well-formed XML."""
+    from xml.etree import ElementTree
+
+    cg = CoreGraph(tuple(Component(i, "CPU") for i in ("a<b", "c&d", "e>f")),
+                   (Flow("a<b", "c&d", 10.0), Flow("c&d", "e>f", 10.0)))
+    save_instance(validate_instance(cg, case_study_ppa(), default_tech(),
+                                    (Layer(0, "28nm"), Layer(1, "28nm"))), tmp_path / "inst")
+    assert main(["run", str(tmp_path / "inst"), "--out", str(tmp_path / "o")]) == 0
+    svgs = sorted((tmp_path / "o").glob("layer*.svg"))
+    assert len(svgs) == 2
+    labels = {text.text for svg in svgs
+              for text in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")}
+    assert {"a<b", "c&d", "e>f"} <= labels
+
+
+def test_corpus_readme_that_cannot_be_written_exit_code(tmp_path, capsys):
+    (tmp_path / "README.md").mkdir()
+    assert main(["corpus", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "README.md") in err and "Traceback" not in err
 
 
 def test_internal_key_error_is_not_an_input_error(tmp_path, corpus_dir, monkeypatch):

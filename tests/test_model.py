@@ -240,3 +240,18 @@ def test_write_json_refuses_non_finite_numbers(tmp_path, value):
     with pytest.raises(InputError, match="report.json"):
         write_json({"metrics": {"total_cost": value}}, path)
     assert not path.exists()
+
+
+
+@pytest.mark.parametrize("bandwidth, tech", [
+    (10**400, TechParams(2.0, 5.0, 100.0)),
+    (1.0, TechParams(2.0, 10**400, 100.0)),
+    (1.0, TechParams(10**400, 5.0, 100.0)),
+], ids=["bandwidth", "rd_max_length", "koz_area"])
+def test_int_beyond_every_float_is_a_violation(bandwidth, tech):
+    """An int that no float can hold is refused by comparison, never
+    converted: a validation error, not an OverflowError."""
+    cg = CoreGraph(components=(Component("a", "CPU"), Component("b", "CPU")),
+                   flows=(Flow("a", "b", bandwidth),))
+    with pytest.raises(ValidationError):
+        validate_instance(cg, case_study_ppa(), tech, layers_2x())

@@ -36,9 +36,11 @@ the same digests. Each digest covers the report's JSON (sorted keys, the
   - the step subcommand chain (assign, floorplan, tsv, place3d, legalize,
     eval) on the four instances at seed 1: its floorplan_legal.json and
     traffic.json;
-  - `run --steps 1..4` on tiny_soc at seed 1.
+  - `run --steps 1..4` on tiny_soc at seed 1;
+  - `eval --report` on the seed-1 reports of the four instances and on
+    large_vsoc's seed-1 --fixed-mesh 4x4 --no-rd report: its traffic.json.
 
-62 digests in all.
+67 digests in all.
 
 Usage (from the root of a checkout):
 
@@ -72,6 +74,9 @@ UNIFORM = (("large_vsoc", SEEDS), ("small_vsoc", (1,)))
 LOW_CAPACITY = ("large_vsoc", "vopd")  # run at link_capacity 20 Mb/s, seed 1
 FEW_ARRAYS = "large_vsoc"  # run at koz_area 20 with a light wiring weight, seed 1
 CHAIN = ("assign", "floorplan", "tsv", "place3d", "legalize", "eval")
+# the `run` cases whose report `eval --report` reads back
+EVAL_REPORT = (*(f"{name} seed 1" for name, _mesh in INSTANCES),
+               "large_vsoc seed 1 fixed-mesh 4x4 no-rd")
 
 
 def digest(doc: dict) -> str:
@@ -193,8 +198,10 @@ def main(argv=None) -> int:
     corpus = Path(args.corpus)
     with tempfile.TemporaryDirectory() as tmpdir:
         tmp = Path(tmpdir)
+        runs = {}
         for i, (label, flags, inst) in enumerate(cases(corpus, tmp)):
             out = tmp / f"run{i}"
+            runs[label] = inst, out
             doc = run_cli(["run", inst, "--out", str(out)] + flags, out / "report.json")
             print(f"{digest(doc)}  {label}", flush=True)
         tiny = str(corpus / "tiny_soc")
@@ -222,6 +229,11 @@ def main(argv=None) -> int:
             doc = run_cli(["run", str(corpus / "tiny_soc"), "--out", str(out), "--seed", "1",
                            "--steps", str(steps)], out / "report.json")
             print(f"{digest(doc)}  tiny_soc seed 1 steps {steps}", flush=True)
+        for label in EVAL_REPORT:
+            inst, out = runs[label]
+            run_cli(["eval", inst, "--out", str(out), "--report", str(out / "report.json")])
+            print(f"{digest(read_json(out / 'traffic.json'))}  {label} eval --report",
+                  flush=True)
     return 0
 
 
