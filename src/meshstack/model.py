@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -276,6 +277,19 @@ def _positive(x) -> bool:
     return finite_number(x, 0) and x > 0
 
 
+def nonnegative_number(x, what: str) -> float:
+    """x as a float, if finite_number(x, 0), else ValueError naming what: an
+    artifact's costs and lengths are never NaN, infinite or negative."""
+    if not finite_number(x, 0):
+        raise ValueError(f"{what} must be a finite number >= 0, got {x!r}")
+    return float(x)
+
+
+# characters that XML 1.0 or UTF-8 cannot hold: controls, surrogates, U+FFFE/U+FFFF;
+# component ids are written into the layer SVGs (the schema's id pattern too)
+_UNWRITABLE = re.compile(r"[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 # every PPA area, and a KOZ area unless it is 0, in mm^2 (the schema's bounds
 # too): far wider than any die, and narrow enough that every cell demand, a
 # sum of such areas, lies well inside the range both area kernels size
@@ -335,6 +349,9 @@ def instance_violations(core_graph: CoreGraph, ppa: PpaTable, tech: TechParams,
     for comp in core_graph.components:
         if not comp.id:
             out.append(Violation("MalformedTable", f"component ids must be non-empty; a {comp.kind!r} has ''"))
+        if _UNWRITABLE.search(comp.id):
+            out.append(Violation("MalformedTable", f"component id {comp.id!r} holds a character "
+                                                   "below U+0020, a surrogate, U+FFFE or U+FFFF"))
         if not comp.kind:
             out.append(Violation("MalformedTable", f"component {comp.id!r} kind must be non-empty"))
         if comp.id in seen:
@@ -602,7 +619,7 @@ def vlink_to_json(v: VerticalLink) -> dict:
 def parse_vlink(doc: dict) -> VerticalLink:
     return VerticalLink(lower=_json_array(doc["lower"], "integer", "'lower'"),
                         upper=_json_array(doc["upper"], "integer", "'upper'"),
-                        rd_length=float(json_typed(doc["rd_length"], "number", "'rd_length'")))
+                        rd_length=nonnegative_number(doc["rd_length"], "'rd_length'"))
 
 
 def check_vlink_ends(vlinks: Sequence[VerticalLink],

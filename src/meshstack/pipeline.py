@@ -36,6 +36,7 @@ from .model import (
     finite_number,
     floorplan_to_json,
     json_typed,
+    nonnegative_number,
     parse_layers,
     parse_vlink,
     read_json,
@@ -189,8 +190,12 @@ class PipelineResult:
         """The five steps' outputs embedded in a report() doc, under its own
         config: each stage's loader reads its artifact, so a report gets
         every check the step artifacts get."""
-        config = PipelineConfig.from_json(doc["config"])
-        result = PipelineResult(_effective_instance(instance, config), config)
+        try:  # a hand edit, or a key removed since: named with the report
+            config = PipelineConfig.from_json(doc["config"])
+            instance = _effective_instance(instance, config)
+        except InvalidParamsError as exc:
+            raise ValueError(f"malformed or outdated config: {exc}") from exc
+        result = PipelineResult(instance, config)
         artifacts = (doc, {"layers": doc["floorplans_step2"]}, doc["tsv"], doc,
                      {"layers": doc["floorplans"]})
         for stage, artifact in zip(STAGES, artifacts):
@@ -335,7 +340,7 @@ def _load_assignment(result: PipelineResult, doc: dict) -> None:
             raise ValueError(f"component {comp!r} cannot sit on layer {layer!r}: "
                              f"its feasible layers are {list(feasible)}")
     result.assignment = assignment
-    result.step1_cost = float(json_typed(doc["step1_cost"], "number", "step1_cost"))
+    result.step1_cost = nonnegative_number(doc["step1_cost"], "step1_cost")
 
 
 def _load_floorplan(result: PipelineResult, doc: dict) -> None:
@@ -373,7 +378,7 @@ def _load_tsv(result: PipelineResult, doc: dict) -> None:
         raise ValueError(f"c3_curves names boundaries {unknown}, but the instance's "
                          f"boundaries are {boundaries}")
     result.tsv_counts = counts
-    result.tsv_curves = {b: {i: float(json_typed(v, "number", f"c3 curve {b}"))
+    result.tsv_curves = {b: {i: nonnegative_number(v, f"c3 curve {b}")
                              for i, v in _indexed(curve, f"c3 curve {b}").items()}
                          for b, curve in curves.items()}
 

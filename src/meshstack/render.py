@@ -3,8 +3,8 @@
 One document per layer: cells as labeled rectangles, routers as filled
 squares at cell centers (color-coded by kind), KOZs as hatched patches, and
 vertical-link tethers drawn from the router to its partner's planar position.
-Component ids are escaped (&, <, >), so any id gives well-formed XML except
-one holding a control character, which XML 1.0 cannot hold at all.
+Component ids are escaped (&, <, >), so every id that validates gives
+well-formed XML.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Candidates are router pairs of adjacent layers whose planar Manhattan
 distance fits the redistribution reach. The annealer keeps one fixed-size
 subset per boundary (each router carries at most one vertical link per
 direction, so subsets are bipartite matchings) and swaps a selected candidate
-against an unselected compatible one. Cost is the routed network outcome:
+against an unselected compatible one. It starts from each boundary's shortest
+compatible links, completed by augmenting paths where the greedy pass in
+candidate order blocks itself. Cost is the routed network outcome:
 w_util * bandwidth-distance + w_peak * overload excess, priced by one
 netgraph.selection_pricer per call: the floorplans' graph is built once and
 each distinct selection is routed once on it, bit for bit as route_all on
@@ -21,8 +23,7 @@ from .errors import InsufficientCandidatesError, NoCandidatesError
 from .model import Instance, MeshFloorplan, NodeKey, ObjectiveWeights, VerticalLink
 # build_network and route_all are unused here but kept: perfbench/layertrace.py
 # patches vlink.build_network and vlink.route_all
-from .netgraph import build_network, route_all, router_centres, selection_pricer  # noqa: F401
-from .tsv_count import cross_boundary_traffic, _component_positions, _layer_of
+from .netgraph import build_network, route_all, selection_pricer  # noqa: F401
 
 
 def candidate_links(floorplans: Sequence[MeshFloorplan], boundary: int,
@@ -62,13 +63,13 @@ def links_in_reach(floorplans: Sequence[MeshFloorplan], boundary: int,
         return []
 
 
-def _matching(candidates: Sequence[VerticalLink], order: Sequence[int]) -> list[int]:
+def _matching(candidates: Sequence[VerticalLink]) -> list[int]:
     """A maximum matching (one link per router and direction) as candidate
     indices: classic augmenting paths over the lower routers in sorted order,
-    each trying its candidates in the given preference order."""
+    each trying its candidates in their order."""
     adjacency: dict[NodeKey, list[int]] = {}
-    for i in order:
-        adjacency.setdefault(candidates[i].lower, []).append(i)
+    for i, link in enumerate(candidates):
+        adjacency.setdefault(link.lower, []).append(i)
     match_upper: dict[NodeKey, int] = {}
 
     def augment(low: NodeKey, visited: set[NodeKey]) -> bool:
@@ -89,55 +90,30 @@ def _matching(candidates: Sequence[VerticalLink], order: Sequence[int]) -> list[
 
 def max_matching_size(candidates: Sequence[VerticalLink]) -> int:
     """Maximum number of candidates usable at once."""
-    return len(_matching(candidates, range(len(candidates))))
+    return len(_matching(candidates))
 
 
 def _compatible(link: VerticalLink, chosen: Sequence[VerticalLink]) -> bool:
     return all(link.lower != o.lower and link.upper != o.upper for o in chosen)
 
 
-def _greedy(candidates: Sequence[VerticalLink], order: Sequence[int],
-            count: int) -> list[int]:
-    """Up to `count` pairwise compatible candidates, taken in the given order."""
+def _initial_selection(candidates: Sequence[VerticalLink], count: int) -> tuple[int, ...]:
+    """The annealer's start: the `count` shortest-RD compatible candidates
+    (candidate_links sorts them by (rd_length, lower, upper)), taken greedily;
+    when the greedy pass blocks itself, the first `count` links, in that
+    order, of a maximum matching built by augmenting paths."""
     chosen: list[int] = []
-    for i in order:
+    for i, link in enumerate(candidates):
         if len(chosen) == count:
             break
-        if _compatible(candidates[i], [candidates[j] for j in chosen]):
+        if _compatible(link, [candidates[j] for j in chosen]):
             chosen.append(i)
-    return chosen
-
-
-def _initial_selection(candidates: Sequence[VerticalLink], count: int,
-                       centroid: tuple[float, float],
-                       positions: Mapping[NodeKey, tuple[float, float]]) -> tuple[int, ...]:
-    """Greedy start: candidates nearest (midpoint) to the traffic centroid,
-    completed by augmenting paths when the greedy order runs into conflicts."""
-    def midpoint_dist(v: VerticalLink) -> float:
-        lx, ly = positions[v.lower]
-        ux, uy = positions[v.upper]
-        mx, my = (lx + ux) / 2.0, (ly + uy) / 2.0
-        return abs(mx - centroid[0]) + abs(my - centroid[1])
-
-    order = sorted(range(len(candidates)),
-                   key=lambda i: (midpoint_dist(candidates[i]), i))
-    chosen = _greedy(candidates, order, count)
     if len(chosen) < count:
-        # greedy blocked itself; rebuild via matching over the preferred order
-        chosen = sorted(_matching(candidates, order),
-                        key=lambda i: (midpoint_dist(candidates[i]), i))[:count]
+        chosen = sorted(_matching(candidates))[:count]
         if len(chosen) < count:
             raise InsufficientCandidatesError(
                 f"only {len(chosen)} compatible candidates for count {count}")
-    return tuple(sorted(chosen))
-
-
-def _shortest_selection(candidates: Sequence[VerticalLink], count: int) -> tuple[int, ...]:
-    """Alternative start: the `count` shortest-RD compatible candidates, or
-    () when the greedy pass blocks (the caller keeps the centroid start)."""
-    # candidates are already sorted by (rd_length, lower, upper)
-    chosen = _greedy(candidates, range(len(candidates)), count)
-    return tuple(sorted(chosen)) if len(chosen) == count else ()
+    return tuple(chosen)
 
 
 def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
@@ -156,10 +132,6 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
     cands: dict[int, list[VerticalLink]] = {}
     for b in boundaries:
         cands[b] = candidate_links(floorplans, b, reach)
-        if counts[b] > len(cands[b]):
-            raise InsufficientCandidatesError(
-                f"boundary {b}: {counts[b]} links requested but only "
-                f"{len(cands[b])} candidates within reach {reach:.3f} mm")
         most = max_matching_size(cands[b])
         if counts[b] > most:
             raise InsufficientCandidatesError(
@@ -174,23 +146,6 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
     if not boundaries:
         return [], price([])
 
-    positions = _component_positions(floorplans)
-    layer_of = _layer_of(floorplans)
-    router_pos = router_centres(floorplans)
-
-    centroid_parts = []
-    shortest_parts = []
-    for b in boundaries:
-        traffic = cross_boundary_traffic(instance.core_graph, layer_of, b)
-        total = sum(traffic.values())
-        if total > 0:
-            cx = sum(positions[c][0] * bw for c, bw in sorted(traffic.items())) / total
-            cy = sum(positions[c][1] * bw for c, bw in sorted(traffic.items())) / total
-        else:
-            cx = cy = 0.0
-        centroid_parts.append(_initial_selection(cands[b], counts[b], (cx, cy), router_pos))
-        shortest_parts.append(_shortest_selection(cands[b], counts[b]))
-
     # the annealer proposes many states more than once (no-op proposals,
     # swaps undone); each distinct state is routed once
     priced: dict[tuple, float] = {}
@@ -200,13 +155,7 @@ def place_vlinks(instance: Instance, floorplans: Sequence[MeshFloorplan],
             priced[state] = price(links_of(state))
         return priced[state]
 
-    # the centroid start chases traffic, the shortest-RD start keeps vertical
-    # hops cheap; begin from whichever prices better
-    initial = tuple(centroid_parts)
-    alt = tuple(shortest_parts)
-    alt_complete = all(len(sel) == counts[b] for b, sel in zip(boundaries, alt))
-    if alt_complete and alt != initial and cost(alt) < cost(initial):
-        initial = alt
+    initial = tuple(_initial_selection(cands[b], counts[b]) for b in boundaries)
 
     swappable = [bi for bi, b in enumerate(boundaries)
                  if 0 < counts[b] < len(cands[b])]

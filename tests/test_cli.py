@@ -417,6 +417,7 @@ def test_report_with_removed_key_exit_code(tmp_path, corpus_dir, capsys):
     assert main(["eval", inst, "--out", str(out), "--report", str(out / "report.json")]) == 2
     err = capsys.readouterr().err
     assert "'samples'" in err and "Traceback" not in err
+    assert str(out / "report.json") in err
 
 
 @pytest.mark.parametrize("flags, key", [
@@ -598,6 +599,11 @@ def _set(doc, keys, value):
     ("floorplan_legal.json", ["layers", 0, "col_widths", 0], "1e3"),
     ("floorplan_legal.json", ["layers", 0, "koz", 0, 0], 0.5),
     ("floorplan_legal.json", ["layers", 0, "router_kind", 0, 0], 3),
+    # JSON numbers that json.load takes as an extension, and a negative cost
+    ("assignment.json", ["step1_cost"], float("nan")),
+    ("tsv_plan.json", ["c3_curves", "0", "1"], float("inf")),
+    ("vlinks.json", ["vlinks", 0, "rd_length"], float("nan")),
+    ("vlinks.json", ["vlinks", 0, "rd_length"], -1),
 ])
 def test_bad_artifact_exit_code(tmp_path, tiny_chain, corpus_dir, capsys,
                                 artifact, keys, value):
@@ -666,7 +672,8 @@ def test_report_with_vlink_out_of_reach_exit_code(tmp_path, tiny_chain, corpus_d
 @pytest.mark.parametrize("edit, says", [
     (lambda doc: doc["tsv"].update(counts={"00": 2}), "'00'"),
     (lambda doc: doc["assignment"].update(cpu0=7), "'cpu0' cannot sit on layer 7"),
-], ids=["tsv-count-key", "layer-out-of-range"])
+    (lambda doc: doc.update(step1_cost=float("nan")), "step1_cost"),
+], ids=["tsv-count-key", "layer-out-of-range", "nan-step1-cost"])
 def test_report_gets_every_artifact_check_exit_code(tmp_path, corpus_dir, capsys, edit, says):
     """eval --report reads the report's embedded artifacts with the step
     loaders, so it refuses what `place3d` or `floorplan` would refuse in
@@ -859,7 +866,7 @@ def test_type_mutations_of_instance_files_exit_2(corpus_dir, data):
 def _same_type_values(value, ids):
     """The mutations of a value: each candidate of its own JSON type."""
     if isinstance(value, str):
-        return ["", " ", "x" * 300, next(i for i in ids if i != value)]
+        return ["", " ", "x" * 300, next(i for i in ids if i != value), "a\x01b", "\ud800"]
     if isinstance(value, (int, float)):
         return [0, -1, 1e-13, 1e13, 1e308, 5e-324, 10**400]
     return [[]] if isinstance(value, list) else [{}]
@@ -912,6 +919,23 @@ def test_svgs_of_ids_with_xml_specials_parse(tmp_path):
     labels = {text.text for svg in svgs
               for text in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")}
     assert {"a<b", "c&d", "e>f"} <= labels
+
+
+@pytest.mark.parametrize("bad_id", ["a\x01b", "\ud800"], ids=["control", "surrogate"])
+def test_ids_that_xml_or_utf8_cannot_hold_exit_code(tmp_path, corpus_dir, capsys, bad_id):
+    """An id with a control character (which XML 1.0 cannot hold) or a lone
+    surrogate (which UTF-8 cannot) fails validation, so `run` writes no SVG."""
+    inst = tmp_path / "inst"
+    shutil.copytree(corpus_dir / "tiny_soc", inst)
+    doc = read_json(inst / "coregraph.json")
+    old = doc["components"][0]["id"]
+    (inst / "coregraph.json").write_text(
+        json.dumps(doc).replace(json.dumps(old), json.dumps(bad_id)))
+    for argv in (["validate", str(inst)], ["run", str(inst), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert repr(bad_id) in err and "Traceback" not in err
+    assert not list(tmp_path.glob("o/*.svg"))
 
 
 def test_corpus_readme_that_cannot_be_written_exit_code(tmp_path, capsys):

@@ -158,26 +158,25 @@ def test_initial_selection_is_a_matching_of_count(monkeypatch):
     fallbacks = []
     matching = vlink._matching
 
-    def spy(candidates, order):
+    def spy(candidates):
         fallbacks.append(len(candidates))
-        return matching(candidates, order)
+        return matching(candidates)
 
     monkeypatch.setattr(vlink, "_matching", spy)
     rng = random.Random(7)
     completed = 0  # selections where the greedy pass blocked
     for _ in range(200):
-        cands, positions = _random_candidates(rng)
+        cands, _positions = _random_candidates(rng)
         most = max(len(m) for m in _matchings(cands))
-        centroid = (rng.uniform(0, 10), rng.uniform(0, 10))
         for count in range(1, most + 1):
             calls = len(fallbacks)
-            sel = _initial_selection(cands, count, centroid, positions)
+            sel = _initial_selection(cands, count)
             completed += len(fallbacks) > calls
             assert len(sel) == count == len(set(sel))
             assert len({cands[i].lower for i in sel}) == count
             assert len({cands[i].upper for i in sel}) == count
         with pytest.raises(InsufficientCandidatesError):
-            _initial_selection(cands, most + 1, centroid, positions)
+            _initial_selection(cands, most + 1)
     assert completed > 0
 
 
