@@ -19,12 +19,16 @@ single-pair search gives.
 Step 4 prices many vertical-link selections on one set of floorplans, and
 `selection_pricer` builds the intra-layer graph once for all of them, on
 integer router ids, and returns each selection's cost bit for bit as
-`route_all` on `build_network` would give it.
+`route_all` on `build_network` would give it. A selection one link swap
+away from one it priced before resumes each source's search after the part
+of the old shortest-path tree that the swap cannot change.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -97,12 +101,27 @@ class _Search:
     before the search yields, so a resumed search pops the same labels, in
     the same order, as a fresh search for the new destination. `settled`
     maps each node settled so far to its label, in settle order: the
-    shortest-path tree from `src`."""
+    shortest-path tree from `src`.
 
-    def __init__(self, adjacency: Union[Mapping, Sequence], src):
+    `prefix`, if given, is the settled map (from `src`, in settle order)
+    that a fresh search on `adjacency` settles first; the search takes it
+    over and resumes after it, its heap holding every label that extends a
+    prefix node to a node outside it. A fresh search's heap holds those
+    labels at that point too, besides labels of prefix nodes, which it
+    skips, so both settle the same labels from there on."""
+
+    def __init__(self, adjacency: Union[Mapping, Sequence], src,
+                 prefix: Optional[dict] = None):
         self.adjacency = adjacency
-        self.heap: list[Label] = [(0.0, 0, (src,))]
-        self.settled: dict = {}
+        if prefix is None:
+            self.heap: list[Label] = [(0.0, 0, (src,))]
+            self.settled: dict = {}
+        else:
+            self.heap = [(dist + length, hops + 1, path + (nbr,))
+                         for node, (dist, hops, path) in prefix.items()
+                         for nbr, length in adjacency[node] if nbr not in prefix]
+            heapq.heapify(self.heap)
+            self.settled = prefix
 
     def label(self, dst) -> Optional[Label]:
         settled = self.settled
@@ -174,6 +193,9 @@ def route_all(network: NetworkGraph, core_graph: CoreGraph,
                        max_link_load=max_load, peak_penalty=peak)
 
 
+_KEPT = 8  # selections whose trees a pricer keeps
+
+
 def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
                      link_capacity: float, w_peak: float,
                      w_util: float) -> Callable[[Iterable[VerticalLink]], float]:
@@ -181,8 +203,9 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     price(links): w_util * bw_times_distance + w_peak * peak_penalty of
     route_all on build_network(floorplans, links), or inf where a flow has no
     route. The floorplans' graph is built once; each price appends the
-    selection's vertical edges, asks one resumable search per source router
-    for that source's destinations, and walks link loads only where one can
+    selection's vertical edges, takes each source router's shortest-path
+    tree up to its last destination, reusing what it can of the trees of
+    selections priced before, and walks link loads only where one can
     exceed `link_capacity`.
 
     Labels are route_all's: each comes from the same search, on router ids
@@ -191,6 +214,33 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     lengths, a vertical edge's recomputed from the same cell centres. The
     heap key is the whole label, so the order in which vertical edges are
     appended to the adjacency lists does not matter.
+
+    Reuse. price keeps the trees of the last `_KEPT` selections it priced
+    finite, the most recently used last. Its bases for a selection are the
+    kept ones that differ from it by at most one removed and one added
+    vertical edge. A search pops labels in increasing order (a pushed label
+    extends the popped one by an edge of length >= 0 and one more hop) and
+    each label once (each node settles once, so each path is pushed once),
+    so its i-th settled label is the least label that extends one of the
+    first i - 1 along an edge to a node outside them. On the new graph those
+    candidates lose the extensions along the removed edge and gain those
+    along the added one. For a base's tree of a source, the horizon tau is
+    the least of: the old label of a node whose tree parent edge is the
+    removed edge; and, for each direction (u, v) of the added edge with u
+    settled, ext = u's label extended along it to v, where ext is below v's
+    old label, or below the last settled label if v is unsettled. By
+    induction every old label s < tau is also the new search's next
+    settled label: s does not end on the removed edge, so it is still a
+    candidate; the labels settled before s are the old ones, so each new
+    candidate ext from one of them to a node v outside them either is >= tau
+    > s, or is at least v's old label or the last settled label, both >= s
+    as v settles at or after s or not at all, and ext != s as it ends on the
+    added edge. So the new search settles exactly the old labels below tau
+    first, and a search resumed after them settles what it settles from
+    there (_Search). Without a tau the new search settles the whole old tree
+    first, and that tree ends where the source's last destination settles,
+    so the old tree is the new one and is shared. price takes the base with
+    the largest tau, or one without.
 
     bw_times_distance adds bandwidth x label length in flow order, and the
     walk adds loads in flow order and sums the peak in first-touch order, as
@@ -211,7 +261,11 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     since L' is a float and rounding is monotone, fl(max B * M) >= L'. The
     same chain bounds every partial sum of L', so none overflows where
     fl(max B * M) is finite. If fl(max B * M) <= link_capacity, every L' is,
-    every L' - link_capacity rounds to <= 0, and the peak is 0.0."""
+    every L' - link_capacity rounds to <= 0, and the peak is 0.0. Where
+    every bandwidth is an integer and their total is at most 2**53, every
+    sum of some of them, in any order, is an integer of at most 2**53, which
+    a float holds exactly, so every addition is exact, B = L = L', and M = 1
+    is enough."""
     base = build_network(floorplans)
     node = {key: i for i, key in enumerate(base.nodes)}
     n = len(base.nodes)
@@ -223,28 +277,63 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     if any(src is None or dst is None for src, dst, _bw in flows):
         return lambda links: math.inf
     ends: dict[int, dict[int, None]] = {}  # source -> its destinations, in flow order
-    for src, dst, _bw in flows:
-        ends.setdefault(src, {})[dst] = None
-    margin = 1.0 + len(flows) * 2.0 ** -51
+    demand: dict[int, list[float]] = {}  # source -> bandwidth total per destination
+    for src, dst, bw in flows:
+        if src not in ends:
+            ends[src], demand[src] = {}, [0.0] * n
+        ends[src][dst] = None
+        demand[src][dst] += bw
+    exact = (all(float(bw).is_integer() for _src, _dst, bw in flows)
+             and sum(int(bw) for _src, _dst, bw in flows) <= 2 ** 53)
+    margin = 1.0 if exact else 1.0 + len(flows) * 2.0 ** -51
+    kept: dict[frozenset, dict[int, dict[int, Label]]] = {}  # selection -> its trees
 
     def price(links: Iterable[VerticalLink]) -> float:
         graph = list(adjacency)
+        vertical: dict[tuple[int, int], float] = {}
         for v in links:
             a, b = node[v.lower], node[v.upper]
-            rd = _planar_distance(centre[v.lower], centre[v.upper])
+            rd = vertical[a, b] = _planar_distance(centre[v.lower], centre[v.upper])
             graph[a] += ((b, rd),)
             graph[b] += ((a, rd),)
+        selection = frozenset(vertical)
+        bases = []  # (old selection, its trees, removed edges, added edges with lengths)
+        for old, old_trees in kept.items():
+            removed, added = old - selection, selection - old
+            if len(removed) <= 1 and len(added) <= 1:
+                bases.append((old, old_trees, removed, [(edge, vertical[edge]) for edge in added]))
         trees: dict[int, dict[int, Label]] = {}
         for src, dsts in ends.items():
-            search = _Search(graph, src)
-            tree = trees[src] = search.settled
-            for dst in dsts:  # most settle while the search seeks an earlier one
-                if dst not in tree and search.label(dst) is None:
-                    return math.inf
+            tree = resume = None
+            for _old, old_trees, removed, added in bases:
+                old_tree = old_trees[src]
+                tau = _horizon(old_tree, removed, added)
+                if tau is None:
+                    tree = old_tree
+                    break
+                if resume is None or tau > resume[0]:
+                    resume = (tau, old_tree)
+            if tree is None:
+                prefix = None
+                if resume is not None:  # the old labels below tau, in settle order
+                    tau, old_tree = resume
+                    below = bisect.bisect_left(list(old_tree.values()), tau)
+                    prefix = dict(itertools.islice(old_tree.items(), below))
+                search = _Search(graph, src, prefix)
+                tree = search.settled
+                for dst in dsts:  # most settle while the search seeks an earlier one
+                    if dst not in tree and search.label(dst) is None:
+                        return math.inf
+            trees[src] = tree
+        for old, *_ in bases:
+            kept[old] = kept.pop(old)
+        kept[selection] = trees
+        if len(kept) > _KEPT:
+            del kept[next(iter(kept))]
         bw_dist = peak = 0.0
         for src, dst, bw in flows:
             bw_dist += bw * trees[src][dst][0]
-        if w_peak > 0.0 and _max_tree_load(trees, flows, n) * margin > link_capacity:
+        if w_peak > 0.0 and _max_tree_load(trees, demand, n) * margin > link_capacity:
             loads: dict[int, float] = {}
             for src, dst, bw in flows:
                 path = trees[src][dst][2]
@@ -255,22 +344,41 @@ def selection_pricer(floorplans: Sequence[MeshFloorplan], core_graph: CoreGraph,
     return price
 
 
+def _horizon(tree: dict[int, Label], removed: Iterable[tuple[int, int]],
+             added: Iterable[tuple[tuple[int, int], float]]) -> Optional[Label]:
+    """The least label of `tree` that removing the `removed` edges and adding
+    the `added` (edge, length) pairs can change (selection_pricer's tau), or
+    None if it changes none."""
+    tau = None
+    for a, b in removed:
+        for parent, v in ((a, b), (b, a)):
+            label = tree.get(v)
+            if label is not None and label[1] and label[2][-2] == parent and (tau is None or label < tau):
+                tau = label
+    last = next(reversed(tree.values()))
+    for (a, b), length in added:
+        for u, v in ((a, b), (b, a)):
+            label = tree.get(u)
+            if label is not None:
+                ext = (label[0] + length, label[1] + 1, label[2] + (v,))
+                if ext < tree.get(v, last) and (tau is None or ext < tau):
+                    tau = ext
+    return tau
+
+
 def _max_tree_load(trees: dict[int, dict[int, Label]],
-                   flows: Sequence[tuple[int, int, float]], n: int) -> float:
+                   demand: Mapping[int, Sequence[float]], n: int) -> float:
     """The largest link load, summed per source tree: each destination's
-    bandwidth total, then a node's subtree total passes to its parent, in
-    reverse settle order (a node settles after its parent), and onto the
-    link from the parent."""
-    below_of = {src: [0.0] * n for src in trees}
-    for src, dst, bw in flows:
-        below_of[src][dst] += bw
+    bandwidth total (`demand`, per source), then a node's subtree total
+    passes to its parent, in reverse settle order (a node settles after its
+    parent), and onto the link from the parent."""
     loads = [0.0] * (n * n)  # link p -> v at p * n + v
     for src, tree in trees.items():
-        below = below_of[src]
-        for v in reversed(tree):
+        below = list(demand[src])
+        for v, (_dist, _hops, path) in reversed(tree.items()):
             total = below[v]
             if total and v != src:
-                p = tree[v][2][-2]
+                p = path[-2]
                 below[p] += total
                 loads[p * n + v] += total
     return max(loads, default=0.0)

@@ -10,7 +10,9 @@ candidate order blocks itself. Cost is the routed network outcome:
 w_util * bandwidth-distance + w_peak * overload excess, priced by one
 netgraph.selection_pricer per call: the floorplans' graph is built once and
 each distinct selection is routed once on it, bit for bit as route_all on
-build_network would route it.
+build_network would route it. Each proposal is one swap away from a state
+already priced, so each source's search resumes from the part of that
+state's shortest-path tree that the swap cannot change.
 """
 
 from __future__ import annotations

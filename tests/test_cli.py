@@ -875,10 +875,12 @@ def _same_type_values(value, ids):
 def test_same_type_mutations_the_schema_rejects_exit_2(tmp_path, corpus_dir):
     """Replace each value of tiny_soc's three documents, in turn, by each
     other candidate of the same JSON type: wherever the schema rejects the
-    document, `validate` exits 2. The other direction is not asserted. The
-    validator also rejects documents the schema accepts, such as unknown
-    flow ends, duplicate ids and ints beyond every float: cross-reference
-    and float rules that the schema cannot state."""
+    document, `validate` exits 2. A component id is renamed in the flows
+    that name it too, so that the id rules, not the unknown flow end, decide.
+    The other direction is not asserted. The validator also rejects
+    documents the schema accepts, such as unknown flow ends, duplicate ids
+    and ints beyond every float: cross-reference and float rules that the
+    schema cannot state."""
     import jsonschema
 
     docs = {name: read_json(corpus_dir / "tiny_soc" / name) for name in INSTANCE_FILES}
@@ -896,6 +898,11 @@ def test_same_type_mutations_the_schema_rejects_exit_2(tmp_path, corpus_dir):
                 if value == old:
                     continue
                 mutated = _replaced(doc, path, value)
+                if path[0] == "components" and path[-1] == "id":
+                    for flow in mutated["flows"]:
+                        for end in ("src", "dst"):
+                            if flow[end] == old:
+                                flow[end] = value
                 (tmp_path / name).write_text(json.dumps(mutated))
                 code = main(["validate", str(tmp_path)])
                 tried += 1

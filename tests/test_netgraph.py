@@ -289,9 +289,20 @@ ROUNDED_DOWN_BOUND = (
     [[]])
 
 
+# a row a-b-c: flows a->c (60) and b->c (40) load b->c with exactly 100;
+# integer bandwidths sum exactly, so at a capacity of 100 the pricer skips
+# the walk without a rounding margin
+INTEGER_LOAD_AT_CAPACITY = (
+    [make_fp(0, [["a", "b", "c"]], [1.0] * 3, [1.0]), make_fp(1, [["d"]], [1.0], [1.0])],
+    CoreGraph(components=tuple(Component(i, "CPU") for i in "abcd"),
+              flows=(Flow("a", "c", 60.0), Flow("b", "c", 40.0))),
+    [[]])
+
+
 @given(case=stacked_selections(), w_peak=st.sampled_from([0.0, 1.0, 2.5]),
        w_util=st.sampled_from([1.0, 0.5]))
 @example(case=ROUNDED_DOWN_BOUND, w_peak=1.0, w_util=0.0)
+@example(case=INTEGER_LOAD_AT_CAPACITY, w_peak=1.0, w_util=0.0)
 def test_selection_pricer_equals_route_all(case, w_peak, w_util):
     """Each selection prices bit for bit as route_all on build_network, or
     inf where a flow is unreachable, at capacities at and just under the
@@ -323,3 +334,81 @@ def test_selection_pricer_equals_route_all(case, w_peak, w_util):
             te = route_all(net, cg, capacity)
             want = w_util * te.bw_times_distance + w_peak * te.peak_penalty
             assert price(links).hex() == want.hex()
+
+
+@st.composite
+def swap_walks(draw):
+    """stacked_selections' layers and flows, and a walk of vertical-link
+    selections from its first selection: each step takes the newest or an
+    earlier selection of the walk and swaps one of a boundary's links out and
+    another pair of that boundary in (a vertically aligned pair is a
+    zero-length link), or only one of the two where the boundary has no link
+    or no free pair, or revisits an earlier selection."""
+    fps, cg, selections = draw(stacked_selections())
+    rng = draw(st.randoms(use_true_random=False))
+    boundaries = [[VerticalLink(lower=(lower.layer, *lo), upper=(upper.layer, *up), rd_length=0.0)
+                   for lo, _comp in lower.occupied_cells() for up, _comp2 in upper.occupied_cells()]
+                  for lower, upper in zip(fps, fps[1:])]
+    walk = [selections[0]]
+    for _ in range(draw(st.integers(1, 10))):
+        links = walk[-1] if rng.random() < 0.7 else rng.choice(walk)
+        if rng.random() < 0.15:
+            walk.append(links)
+            continue
+        pairs = rng.choice(boundaries)
+        out = [v for v in links if v in pairs]
+        free = [v for v in pairs if v not in links]
+        gone = rng.choice(out) if out else None
+        walk.append([v for v in links if v != gone] + ([rng.choice(free)] if free else []))
+    return fps, cg, walk
+
+
+# layer 0 routes s -> p -> q -> d (5 mm) and reaches layer 1 through d's
+# link only, after d settles; adding a zero-length link at s routes s ->
+# d over layer 1 in 3 mm, through a router the old tree never settled
+SHORTCUT_THROUGH_AN_UNSETTLED_ROUTER = (
+    [make_fp(0, [["s", None, None], [None, None, "d"], ["p", None, "q"]], [1.0] * 3, [1.0] * 3),
+     make_fp(1, [[f"u{r}{c}" for c in range(3)] for r in range(3)], [1.0] * 3, [1.0] * 3)],
+    CoreGraph(components=tuple(Component(i, "CPU") for i in
+                               ["s", "d", "p", "q"] + [f"u{r}{c}" for r in range(3) for c in range(3)]),
+              flows=(Flow("s", "d", 10.0),)),
+    [[VerticalLink(lower=(0, 1, 2), upper=(1, 1, 2), rd_length=0.0)],
+     [VerticalLink(lower=(0, 1, 2), upper=(1, 1, 2), rd_length=0.0),
+      VerticalLink(lower=(0, 0, 0), upper=(1, 0, 0), rd_length=0.0)]])
+
+
+# s -> d runs over the zero-length link s-d; swapping it for p-q takes away
+# d's tree edge, so d's old label is the horizon and must not be kept
+SWAP_OUT_A_TREE_LINK = (
+    [make_fp(0, [["s", "p"]], [1.0] * 2, [1.0]), make_fp(1, [["d", "q"]], [1.0] * 2, [1.0])],
+    CoreGraph(components=tuple(Component(i, "CPU") for i in "spdq"),
+              flows=(Flow("s", "d", 10.0), Flow("s", "q", 5.0))),
+    [[VerticalLink(lower=(0, 0, 0), upper=(1, 0, 0), rd_length=0.0)],
+     [VerticalLink(lower=(0, 0, 1), upper=(1, 0, 1), rd_length=0.0)]])
+
+
+@given(case=swap_walks())
+@example(case=SHORTCUT_THROUGH_AN_UNSETTLED_ROUTER)
+@example(case=SWAP_OUT_A_TREE_LINK)
+def test_selection_pricer_equals_route_all_along_a_swap_walk(case):
+    """One pricer prices a walk of selections one swap apart, resuming its
+    searches from the trees of earlier selections, each bit for bit as
+    route_all on build_network, or inf where a flow is unreachable, at a
+    capacity at and just under the largest link load of the walk."""
+    fps, cg, walk = case
+    nets = [build_network(fps, links) for links in walk]
+    largest = []
+    for net in nets:
+        try:
+            largest.append(route_all(net, cg, 1e9).max_link_load)
+        except UnreachableError:
+            largest.append(None)
+    top = max((load for load in largest if load is not None), default=1e9)
+    for capacity in (top, math.nextafter(top, 0)):
+        price = selection_pricer(fps, cg, capacity, 1.0, 1.0)
+        for links, net, load in zip(walk, nets, largest):
+            if load is None:
+                assert price(links) == math.inf
+                continue
+            te = route_all(net, cg, capacity)
+            assert price(links).hex() == (te.bw_times_distance + te.peak_penalty).hex()

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from meshstack import vlink
+from meshstack import netgraph, vlink
 from meshstack.anneal import SaParams
 from meshstack.errors import InsufficientCandidatesError, NoCandidatesError
 from meshstack.exact import _matchings
@@ -180,15 +180,16 @@ def test_initial_selection_is_a_matching_of_count(monkeypatch):
     assert completed > 0
 
 
-def test_each_selection_is_routed_once(monkeypatch):
-    # four links out of a 3x3 stack: the annealer proposes no-ops and undoes
-    # swaps, so it prices some states more than once
-    ids_l = [["a", "b", "c"], ["d", "e", "f"], ["g", "h", "i"]]
-    ids_u = [["j", "k", "l"], ["m", "n", "o"], ["p", "q", "r"]]
-    flows = [Flow("a", "r", 10.0), Flow("c", "p", 8.0), Flow("e", "j", 6.0),
-             Flow("i", "k", 4.0), Flow("q", "d", 5.0), Flow("n", "b", 3.0)]
-    inst, fps = stacked_instance(flows, ids_l, ids_u)
-    routed = []
+# a 3x3 stack with six flows from six sources; four links out of its nine
+# stacked pairs and more
+STACK_FLOWS = [Flow("a", "r", 10.0), Flow("c", "p", 8.0), Flow("e", "j", 6.0),
+               Flow("i", "k", 4.0), Flow("q", "d", 5.0), Flow("n", "b", 3.0)]
+STACK_LOWER = [["a", "b", "c"], ["d", "e", "f"], ["g", "h", "i"]]
+STACK_UPPER = [["j", "k", "l"], ["m", "n", "o"], ["p", "q", "r"]]
+
+
+def spy_on_pricings(monkeypatch, routed):
+    """Record each selection that place_vlinks' pricer prices in `routed`."""
     pricer = vlink.selection_pricer
 
     def spy_pricer(*args):
@@ -199,6 +200,15 @@ def test_each_selection_is_routed_once(monkeypatch):
             return price(links)
         return spy_price
 
+    monkeypatch.setattr(vlink, "selection_pricer", spy_pricer)
+
+
+def test_each_selection_is_routed_once(monkeypatch):
+    # the annealer proposes no-ops and undoes swaps, so it prices some states
+    # more than once
+    inst, fps = stacked_instance(STACK_FLOWS, STACK_LOWER, STACK_UPPER)
+    routed = []
+    spy_on_pricings(monkeypatch, routed)
     pricings = []
     anneal = vlink.anneal
 
@@ -208,9 +218,29 @@ def test_each_selection_is_routed_once(monkeypatch):
             return cost(state)
         return anneal(initial, neighbor, counted, params)
 
-    monkeypatch.setattr(vlink, "selection_pricer", spy_pricer)
     monkeypatch.setattr(vlink, "anneal", spy_anneal)
     first = place_vlinks(inst, fps, {0: 4}, W, SA)
     assert routed and len(routed) == len(set(routed))
     assert len(set(pricings)) < len(pricings)
     assert place_vlinks(inst, fps, {0: 4}, W, SA) == first
+
+
+def test_most_searches_resume_from_an_earlier_selection(monkeypatch):
+    """Each proposal is one swap away from a state already priced, so fewer
+    than half of the (source, selection) searches start from scratch; the
+    others share or resume a tree of an earlier selection."""
+    inst, fps = stacked_instance(STACK_FLOWS, STACK_LOWER, STACK_UPPER)
+    unspied = place_vlinks(inst, fps, {0: 4}, W, SA)
+    routed, prefixes = [], []
+    spy_on_pricings(monkeypatch, routed)
+    search = netgraph._Search
+
+    def spy_search(adjacency, src, prefix=None):
+        prefixes.append(prefix)
+        return search(adjacency, src, prefix)
+
+    monkeypatch.setattr(netgraph, "_Search", spy_search)
+    assert place_vlinks(inst, fps, {0: 4}, W, SA) == unspied
+    searches = len(set(routed)) * len({flow.src for flow in STACK_FLOWS})
+    fresh = sum(prefix is None for prefix in prefixes)
+    assert 0 < fresh < searches / 2
